@@ -11,9 +11,8 @@
 //                        items/sec is simulated forwarded-packets/sec.
 //   BM_ForwardBurst    — N back-to-back datagrams through one gateway on a
 //                        long fat link per iteration: the wire regime where
-//                        whole runs are in flight at once, i.e. the burst
-//                        pipeline's target workload (and, at Arg(1), its
-//                        single-packet bypass). Deliberately expressed in
+//                        whole trains are in flight at once and the egress
+//                        queue holds a backlog. Deliberately expressed in
 //                        params every engine generation understands, so the
 //                        same source A/Bs across trees (bench/ab_compare.sh).
 //   BM_TcpGoodput      — bulk TCP transfer over an established connection
@@ -175,14 +174,14 @@ void BM_ForwardBurst(benchmark::State& state) {
     const auto expected =
         static_cast<std::uint64_t>(state.iterations()) * static_cast<std::uint64_t>(wave);
     if (delivered != expected) {
-        state.SkipWithError("datagrams lost in burst forwarding");
+        state.SkipWithError("datagrams lost in train forwarding");
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(expected));
     export_network_counters(state, net);
 }
 BENCHMARK(BM_ForwardBurst)->Arg(1)->Arg(32);
 
-// Segmentation offload (GSO/GRO, DESIGN.md §12) is on by default, exactly
+// Segmentation offload (GSO, DESIGN.md §12) is on by default, exactly
 // as real traffic runs it. CATENET_NO_OFFLOAD=1 forces the per-segment
 // pipeline so bench/gate_offload.sh can A/B the two modes from one binary.
 bool offload_enabled() {
@@ -273,9 +272,9 @@ BENCHMARK(BM_TcpGoodput)
     ->Args({4, 1460});
 
 // N concurrent bulk connections interleaved through one shared gateway:
-// the regime where receive runs are short and keep switching connections,
-// so the GRO run pin earns (or loses) its keep. Aggregate goodput over
-// all connections is the reported byte rate.
+// the regime where segments of different connections interleave at every
+// receiver. Aggregate goodput over all connections is the reported byte
+// rate.
 void BM_TcpManyConns(benchmark::State& state) {
     const int conns = static_cast<int>(state.range(0));
     TcpPath path(2);  // a — g0 — b: every connection shares the middle hop

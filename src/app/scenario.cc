@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/flow.h"
 #include "core/topology_gen.h"
@@ -136,6 +137,14 @@ ScenarioReport run_scenario(const std::string& text, std::uint64_t seed) {
         if (auto it = hosts.find(name); it != hosts.end()) return *it->second;
         throw ScenarioError(line, "'" + name + "' is not a host");
     };
+    // Hosts, gateways and LANs share one namespace: a second declaration
+    // would silently shadow the first in the lookup tables.
+    auto claim_name = [&](const std::string& name, int line) -> const std::string& {
+        if (hosts.contains(name) || gateways.contains(name) || lans.contains(name)) {
+            throw ScenarioError(line, "name '" + name + "' is already taken");
+        }
+        return name;
+    };
 
     bool routing_configured = false;
     std::vector<PendingFailure> failures;
@@ -224,11 +233,12 @@ ScenarioReport run_scenario(const std::string& text, std::uint64_t seed) {
             }
             routing_configured = params.install_routes;
         } else if (cmd == "host" && tokens.size() == 2) {
-            hosts[tokens[1]] = &net->add_host(tokens[1]);
+            hosts[claim_name(tokens[1], line)] = &net->add_host(tokens[1]);
         } else if (cmd == "gateway" && tokens.size() == 2) {
-            gateways[tokens[1]] = &net->add_gateway(tokens[1]);
+            gateways[claim_name(tokens[1], line)] = &net->add_gateway(tokens[1]);
         } else if (cmd == "lan" && tokens.size() == 2) {
-            lans[tokens[1]] = net->add_lan(link::presets::ethernet_lan(), tokens[1]);
+            lans[claim_name(tokens[1], line)] =
+                net->add_lan(link::presets::ethernet_lan(), tokens[1]);
         } else if (cmd == "attach" && tokens.size() == 3) {
             auto lan_it = lans.find(tokens[2]);
             if (lan_it == lans.end()) throw ScenarioError(line, "unknown lan");
@@ -238,9 +248,13 @@ ScenarioReport run_scenario(const std::string& text, std::uint64_t seed) {
             for (std::size_t i = 4; i < tokens.size(); ++i) {
                 apply_link_option(params, tokens[i], line);
             }
-            const auto index = net->connect(find_node(tokens[1], line),
-                                            find_node(tokens[2], line), params);
-            link_index[{tokens[1], tokens[2]}] = index;
+            core::Node& a = find_node(tokens[1], line);
+            core::Node& b = find_node(tokens[2], line);
+            try {
+                link_index[{tokens[1], tokens[2]}] = net->connect(a, b, params);
+            } catch (const std::invalid_argument& e) {
+                throw ScenarioError(line, e.what());  // LinkParams::validate
+            }
         } else if (cmd == "routing" && tokens.size() == 2) {
             routing_configured = true;
             if (tokens[1] == "static") {

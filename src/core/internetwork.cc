@@ -309,18 +309,13 @@ void Internetwork::enable_gauge_sampling(sim::Time period) {
             link::PointToPointLink* l = links_[i].get();
             const std::uint32_t shard = link_shard_[i];
             telemetry::GaugeSampler& sampler = sampler_for(shard);
-            // queue_depth_* counts queued plus committed-but-unstarted
-            // in-flight packets so burst and per-packet engines sample the
-            // same backlog (a burst drain moves a run out of the queue in
-            // one step; the per-packet twin drains it one serialization at
-            // a time).
             auto& qa = registry_.add_series(l->port_a().name() + ".qdepth");
             sampler.add(&qa, [l]() -> std::optional<double> {
-                return static_cast<double>(l->queue_depth_a());
+                return static_cast<double>(l->queue_a().packets());
             });
             auto& qb = registry_.add_series(l->port_b().name() + ".qdepth");
             sampler.add(&qb, [l]() -> std::optional<double> {
-                return static_cast<double>(l->queue_depth_b());
+                return static_cast<double>(l->queue_b().packets());
             });
             auto& ua = registry_.add_series(l->port_a().name() + ".util");
             sampler.add(&ua, telemetry::make_utilization_probe(

@@ -304,40 +304,17 @@ std::uint32_t TopologyStore::leaf_inject_train(NodeId src, util::Ipv4Address dst
         counter_slab_[leaf_lans_.at(lan).counter_slot];
     std::uint64_t& tx = leaf_tx_[aux_.at(src)];
 
-    std::uint32_t injected = 0;
-    while (injected < count) {
-        const std::size_t n =
-            std::min<std::size_t>(count - injected, link::kBurst);
-        std::array<link::Packet, link::kBurst> packets;
-        for (std::size_t i = 0; i < n; ++i) {
-            util::ByteBuffer copy = sim.buffer_pool().acquire(wire.size());
-            copy.assign(wire.begin(), wire.end());
-            packets[i] = link::make_packet(std::move(copy), sim);
-            packets[i].csum_ok = true;  // same vouch as the single inject
-        }
-        tx += n;
-        counters.add(telemetry::Counter::IpTx, n);
-        if (stub.burst_capable()) {
-            link::PacketBurst burst;
-            burst.count = n;
-            for (std::size_t i = 0; i < n; ++i) {
-                burst.items[i] = link::PacketBurst::Item{&packets[i], sim.now()};
-            }
-            const std::size_t consumed = stub.inject_burst(burst);
-            // A bailed tail is redelivered per packet, exactly as the
-            // burst transmitter redelivers: same packets, same order.
-            for (std::size_t i = consumed; i < n; ++i) {
-                stub.inject(std::move(packets[i]));
-            }
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                stub.inject(std::move(packets[i]));
-            }
-        }
-        injected += static_cast<std::uint32_t>(n);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        util::ByteBuffer copy = sim.buffer_pool().acquire(wire.size());
+        copy.assign(wire.begin(), wire.end());
+        link::Packet packet = link::make_packet(std::move(copy), sim);
+        packet.csum_ok = true;  // same vouch as the single inject
+        ++tx;
+        counters.inc(telemetry::Counter::IpTx);
+        stub.inject(std::move(packet));
     }
     sim.buffer_pool().recycle(std::move(wire));
-    return injected;
+    return count;
 }
 
 std::uint64_t TopologyStore::leaf_delivered_total() const noexcept {

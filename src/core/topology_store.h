@@ -223,12 +223,12 @@ public:
                      std::span<const std::uint8_t> payload, std::uint8_t ttl = 64);
 
     /// Batch form of leaf_inject: `count` identical datagrams from `src`
-    /// (one encode, pooled buffer copies), handed to the home gateway as
-    /// whole PacketBursts riding the burst receive path — the soak's wave
-    /// loop measures forwarding, not per-packet encode/decode setup.
-    /// Behaviourally identical to calling leaf_inject `count` times: same
-    /// wire bytes, same tallies, same delivery order. Returns how many
-    /// datagrams were injected (0 if the gateway interface is down).
+    /// (one encode, pooled buffer copies), handed to the home gateway one
+    /// at a time — the soak's wave loop measures forwarding, not per-packet
+    /// encode setup. Behaviourally identical to calling leaf_inject `count`
+    /// times: same wire bytes, same tallies, same delivery order. Returns
+    /// how many datagrams were injected (0 if the gateway interface is
+    /// down).
     std::uint32_t leaf_inject_train(NodeId src, util::Ipv4Address dst,
                                     std::uint8_t protocol,
                                     std::span<const std::uint8_t> payload,
@@ -263,13 +263,6 @@ private:
         const std::string& name() const noexcept override { return name_; }
         void send(link::Packet packet, util::Ipv4Address next_hop) override;
         void inject(link::Packet&& packet) { deliver(std::move(packet)); }
-        /// Hands a whole run to the gateway's burst receive path (NetIf::
-        /// deliver_burst is protected; this is the public door for the
-        /// store's train injection). Caller checks burst_capable() first
-        /// and falls back to per-packet inject() otherwise.
-        std::size_t inject_burst(link::PacketBurst& burst) {
-            return deliver_burst(burst);
-        }
         sim::Simulator& simulator() noexcept { return sim_; }
 
     private:

@@ -36,12 +36,6 @@ std::size_t IpStack::add_interface(link::NetIf& netif, util::Ipv4Address addr,
     netif.set_receiver([this, ifindex](link::Packet&& packet) {
         receive(ifindex, std::move(packet));
     });
-    // The burst fast path rides alongside (set after set_receiver, which
-    // clears it). Anyone re-tapping the interface with set_receiver gets
-    // the per-packet fallback automatically.
-    netif.set_burst_receiver([this, ifindex](link::PacketBurst& burst) {
-        return receive_burst(ifindex, burst);
-    });
     Route connected;
     connected.prefix = subnet;
     connected.ifindex = ifindex;
@@ -75,17 +69,20 @@ void IpStack::flush_routes() {
 }
 
 void IpStack::register_protocol(std::uint8_t protocol, ProtocolHandler handler) {
-    protocols_[protocol] = std::move(handler);
+    ProtocolHandler& slot = protocols_[protocol];
+    slot = std::move(handler);
+    // Map nodes never move, so the receive quick lane can keep a pointer.
+    if (protocol == kProtoTcp) tcp_handler_ = &slot;
 }
 
-const Route* IpStack::probe_route_cache(util::Ipv4Address dst, bool& hit) {
+const Route* IpStack::lookup_route(util::Ipv4Address dst) {
     static_assert((kRouteCacheSets & (kRouteCacheSets - 1)) == 0);
     const std::size_t set = route_cache_set(dst);
     const std::uint64_t generation = routes_.generation();
     RouteCacheEntry* ways = &route_cache_[set * kRouteCacheWays];
     for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
         if (ways[w].generation == generation && ways[w].dst == dst) {
-            hit = true;
+            counters_.inc(telemetry::Counter::IpRouteCacheHit);
             return ways[w].route;
         }
     }
@@ -94,7 +91,7 @@ const Route* IpStack::probe_route_cache(util::Ipv4Address dst, bool& hit) {
     // datagrams is exactly when the table scan hurts most. Victim: the
     // first stale way (it can never hit again under this generation),
     // falling back to the set's round-robin cursor.
-    hit = false;
+    counters_.inc(telemetry::Counter::IpRouteCacheMiss);
     std::size_t victim = kRouteCacheWays;
     for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
         if (ways[w].generation != generation) {
@@ -112,14 +109,6 @@ const Route* IpStack::probe_route_cache(util::Ipv4Address dst, bool& hit) {
     slot.route = routes_.lookup(dst).get();
     slot.generation = generation;
     return slot.route;
-}
-
-const Route* IpStack::lookup_route(util::Ipv4Address dst) {
-    bool hit = false;
-    const Route* route = probe_route_cache(dst, hit);
-    counters_.inc(hit ? telemetry::Counter::IpRouteCacheHit
-                      : telemetry::Counter::IpRouteCacheMiss);
-    return route;
 }
 
 bool IpStack::send(std::uint8_t protocol, util::Ipv4Address dst,
@@ -399,33 +388,61 @@ void IpStack::receive(std::size_t ifindex, link::Packet packet) {
     }
     counters_.inc(telemetry::Counter::IpRx);
 
-    // Quick lane — the burst path's four-load screen (see receive_burst)
-    // applied to the per-packet entry, which is the shape of every
-    // final-hop LAN delivery: observers absent, checksum vouched, plain
-    // 20-byte header, not a fragment, wire-exact length, run protocol,
-    // addressed here. No run is opened (runs are a property of one burst
-    // delivery); the segment goes straight to the per-datagram entry the
-    // full dispatch would have picked.
-    if (run_handler_ != nullptr && !trace_ && recorder_ == nullptr &&
-        packet.csum_ok && packet.bytes.size() >= kIpv4HeaderSize &&
-        packet.bytes[0] == 0x45 && packet.bytes[9] == run_protocol_ &&
+    // Quick lanes. With no tracer or recorder attached, the only header
+    // fields a checksum-vouched datagram feeds downstream are src, dst,
+    // protocol, TTL, DF and total length — every other field exists to
+    // feed note(), which both observers being absent makes a no-op. Four
+    // loads screen for the common shape (fixed 20-byte header, not a
+    // fragment, total length == wire length), and only the fields the
+    // lane's consumer reads are unpacked (DESIGN.md §13).
+    if (!trace_ && recorder_ == nullptr && packet.csum_ok &&
+        packet.bytes.size() >= kIpv4HeaderSize && packet.bytes[0] == 0x45 &&
         (load_u16(packet.bytes.data() + 6) & 0x3fffu) == 0 &&
         load_u16(packet.bytes.data() + 2) == packet.bytes.size()) {
         const std::uint8_t* p = packet.bytes.data();
         const util::Ipv4Address dst(load_u32(p + 16));
         if (is_local_address(dst)) {
-            Ipv4Header h{};
+            // Local lane: a TCP segment for this host goes straight to the
+            // handler TCP registered, with the count and checksum vouch the
+            // full dispatch below would give it. TCP reads only src, dst,
+            // protocol and total length from the header.
+            if (p[9] == kProtoTcp && tcp_handler_ != nullptr) {
+                Ipv4Header h{};
+                h.src = util::Ipv4Address(load_u32(p + 12));
+                h.dst = dst;
+                h.protocol = kProtoTcp;
+                h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
+                const auto payload =
+                    std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize);
+                counters_.inc(telemetry::Counter::IpDeliver);
+                rx_csum_ok_ = true;
+                (*tcp_handler_)(h, payload, ifindex);
+                rx_csum_ok_ = false;
+                recycle_wire(packet);
+                return;
+            }
+        } else if (dst != kBroadcastAddress && forwarding_ && forward_tap_ == nullptr &&
+                   packet.bytes.size() <= min_mtu_) {
+            // Transit lane: a datagram for another host at a forwarding
+            // node goes straight to forward() with only the fields its fast
+            // path reads unpacked. The min_mtu_ fence guarantees the wire
+            // fits every egress, so the fragmenting slow path — the one
+            // consumer of the fields left blank — is unreachable; a forward
+            // tap wants the full header, so its presence (like the
+            // tracer's and recorder's) disqualifies. TTL-expired / no-route
+            // ICMP errors rebuild from the wire bytes and never read the
+            // decoded header.
+            DecodedDatagram d;
+            Ipv4Header& h = d.header;
             h.src = util::Ipv4Address(load_u32(p + 12));
             h.dst = dst;
-            h.protocol = run_protocol_;
+            h.ttl = p[8];
+            h.protocol = p[9];
             h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-            const auto payload =
-                std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize);
-            counters_.inc(telemetry::Counter::IpDeliver);
-            rx_csum_ok_ = true;
-            run_handler_->on_datagram(h, payload, ifindex);
-            rx_csum_ok_ = false;
-            recycle_wire(packet);
+            h.dont_fragment = (load_u16(p + 6) & 0x4000u) != 0;
+            d.header_length = kIpv4HeaderSize;
+            forward(d, packet);
+            recycle_wire(packet);  // no-op when the fast path moved the buffer on
             return;
         }
     }
@@ -453,18 +470,10 @@ void IpStack::receive(std::size_t ifindex, link::Packet packet) {
         recycle_wire(packet);
         return;
     }
-    process_datagram(d, packet, ifindex, nullptr, nullptr);
-    recycle_wire(packet);  // no-op when the fast path moved the buffer on
-}
-
-void IpStack::process_datagram(const DecodedDatagram& d, link::Packet& packet,
-                               std::size_t ifindex, RouteMemo* memo,
-                               ForwardLocals* locals) {
     note(telemetry::PacketEvent::Rx, d.header, packet.size());
 
-    const auto payload = payload_of(packet.bytes, d);
-
     if (is_local_address(d.header.dst) || d.header.dst == kBroadcastAddress) {
+        const auto payload = payload_of(packet.bytes, d);
         if (d.header.is_fragment()) {
             auto completed = reassembler_.add_fragment(d.header, payload);
             if (completed) deliver_local(d.header, *completed, ifindex);
@@ -476,188 +485,12 @@ void IpStack::process_datagram(const DecodedDatagram& d, link::Packet& packet,
             deliver_local(d.header, payload, ifindex);
             rx_csum_ok_ = false;
         }
-        return;
-    }
-
-    if (!forwarding_) {
+    } else if (!forwarding_) {
         counters_.inc(telemetry::Counter::IpDropNotForUs);
-        return;
+    } else {
+        forward(d, packet);
     }
-    forward(d, packet, ifindex, memo, locals);
-}
-
-std::size_t IpStack::receive_burst(std::size_t ifindex, link::PacketBurst& burst) {
-    const std::size_t n = burst.count;
-
-    // One fused commit loop, one packet at a time at its own arrival
-    // instant. Decode is lazy: it runs only for packets the clock
-    // actually reaches. An eager decode pass would look free, but under
-    // contention advance_if_idle bails after a packet or two and the
-    // burst tail gets redelivered — every eager decode of the tail is
-    // then repeated on the next delivery, and at scale that multiplies
-    // the decode bill severalfold (plus a value-initialized descriptor
-    // array per call). The next packet's wire bytes are prefetched while
-    // the current one commits (distance 1: by the time a 20-byte header
-    // is parsed, the next line is in L1).
-    //
-    // Route lookups go through a burst-local memo (RouteMemo) so a run to
-    // one next-hop costs one real probe; TTL rewrite and egress hand-off
-    // happen in forward()'s in-place fast path. The memo's generation
-    // check runs per packet, so a routing change that lands on a bail
-    // between two arrivals invalidates it exactly as it would invalidate
-    // the per-packet cache. Hot counters batch in `locals` and flush
-    // before returning — i.e. before whichever event caused a bail runs.
-    //
-    // Quick lane: with no tracer or recorder attached, the only header
-    // fields a checksum-vouched run-protocol datagram feeds downstream
-    // are src, dst, protocol and total length — every other field exists
-    // to feed note(), which both observers being absent makes a no-op.
-    // Such packets are classified with four loads (fixed 20-byte header,
-    // run protocol, not a fragment, total length == wire length) and only
-    // that minimal unpack runs (DESIGN.md §12). The flag is re-read per
-    // packet, so an observer attached by an event that ran on a bail is
-    // honoured from the very next committed packet.
-    RouteMemo memo;
-    ForwardLocals locals;
-    DecodedDatagram d;
-    bool in_run = false;  // a GRO run is open in the run handler
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-        if (i > 0 && !sim_.advance_if_idle(burst.items[i].arrival)) break;
-        if (i + 1 < n) {
-            const auto& next_bytes = burst.items[i + 1].packet->bytes;
-            if (!next_bytes.empty()) __builtin_prefetch(next_bytes.data());
-        }
-        link::Packet packet = std::move(*burst.items[i].packet);
-        if (down_) {
-            recycle_wire(packet);
-            continue;
-        }
-        ++locals.rx;
-        const bool quick_lane_ok = !trace_ && recorder_ == nullptr;
-        DecodeStatus st;
-        if (quick_lane_ok && packet.csum_ok &&
-            packet.bytes.size() >= kIpv4HeaderSize &&
-            packet.bytes[0] == 0x45 &&
-            (load_u16(packet.bytes.data() + 6) & 0x3fffu) == 0 &&
-            load_u16(packet.bytes.data() + 2) == packet.bytes.size()) {
-            const std::uint8_t* p = packet.bytes.data();
-            const util::Ipv4Address dst(load_u32(p + 16));
-            const bool local = is_local_address(dst);
-            if (local && run_handler_ != nullptr && p[9] == run_protocol_) {
-                // Unpack exactly the four fields the run handler and its
-                // decline path read, skip the rest of the decode. Counter
-                // effects match the full lane below; the Rx/Deliver notes
-                // it would emit are no-ops by construction (the screen
-                // required both observers absent).
-                Ipv4Header h{};
-                h.src = util::Ipv4Address(load_u32(p + 12));
-                h.dst = dst;
-                h.protocol = run_protocol_;
-                h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-                const auto payload =
-                    std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize);
-                counters_.inc(telemetry::Counter::IpDeliver);
-                if (run_handler_->on_run_segment(h, payload, ifindex)) {
-                    in_run = true;
-                } else {
-                    if (in_run) { run_handler_->end_run(); in_run = false; }
-                    rx_csum_ok_ = true;
-                    run_handler_->on_datagram(h, payload, ifindex);
-                    rx_csum_ok_ = false;
-                }
-                recycle_wire(packet);
-                continue;
-            }
-            // Transit quick lane: a screened datagram for another host at
-            // a forwarding node goes straight to forward() with only the
-            // fields its fast path reads unpacked. The min_mtu_ fence
-            // guarantees the wire fits every egress, so the fragmenting
-            // slow path — the one consumer of the fields left blank — is
-            // unreachable; a forward tap wants the full header, so its
-            // presence (like the tracer's and recorder's) disqualifies.
-            // TTL-expired / no-route ICMP errors rebuild from the wire
-            // bytes and never read the decoded header.
-            if (!local && dst != kBroadcastAddress && forwarding_ &&
-                forward_tap_ == nullptr && packet.bytes.size() <= min_mtu_) {
-                if (in_run) { run_handler_->end_run(); in_run = false; }
-                d = DecodedDatagram{};
-                Ipv4Header& h = d.header;
-                h.src = util::Ipv4Address(load_u32(p + 12));
-                h.dst = dst;
-                h.ttl = p[8];
-                h.protocol = p[9];
-                h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-                h.dont_fragment = (load_u16(p + 6) & 0x4000u) != 0;
-                d.header_length = kIpv4HeaderSize;
-                forward(d, packet, ifindex, &memo, &locals);
-                recycle_wire(packet);
-                continue;
-            }
-            // Anything else the screen caught (broadcast, forwarding off,
-            // oversize, tapped): full decode and the ordinary dispatch
-            // below — the screen guarantees Ok, the vouch skips the
-            // checksum verify.
-            d = DecodedDatagram{};
-            st = decode_datagram_status(packet.bytes, d, false);
-        } else {
-            d = DecodedDatagram{};
-            st = decode_datagram_status(packet.bytes, d, !packet.csum_ok);
-        }
-        if (st == DecodeStatus::Malformed) {
-            if (in_run) { run_handler_->end_run(); in_run = false; }
-            counters_.inc(telemetry::Counter::IpDropMalformed);
-            note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-                 telemetry::DropReason::Malformed);
-            recycle_wire(packet);
-            continue;
-        }
-        if (st == DecodeStatus::BadChecksum) {
-            if (in_run) { run_handler_->end_run(); in_run = false; }
-            counters_.inc(telemetry::Counter::IpDropChecksum);
-            note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-                 telemetry::DropReason::Checksum);
-            recycle_wire(packet);
-            continue;
-        }
-        // GRO lane (DESIGN.md §12): a checksum-vouched, non-fragment
-        // datagram of the run protocol addressed to this host is offered
-        // straight to the run handler — same Rx/Deliver notes and counts
-        // as process_datagram → deliver_local would have produced, then
-        // one handler call instead of the map probe + full dispatch.
-        if (run_handler_ != nullptr && packet.csum_ok &&
-            d.header.protocol == run_protocol_ && !d.header.is_fragment() &&
-            is_local_address(d.header.dst)) {
-            const Ipv4Header& h = d.header;
-            const auto payload = payload_of(packet.bytes, d);
-            note(telemetry::PacketEvent::Rx, h, packet.size());
-            counters_.inc(telemetry::Counter::IpDeliver);
-            note(telemetry::PacketEvent::Deliver, h,
-                 kIpv4HeaderSize + payload.size());
-            if (run_handler_->on_run_segment(h, payload, ifindex)) {
-                in_run = true;
-            } else {
-                // Declined (odd flags, out of order, …): close the run at
-                // this boundary and hand the segment to the ordinary
-                // per-datagram entry, checksum vouch still in effect.
-                if (in_run) { run_handler_->end_run(); in_run = false; }
-                rx_csum_ok_ = true;
-                run_handler_->on_datagram(h, payload, ifindex);
-                rx_csum_ok_ = false;
-            }
-            recycle_wire(packet);
-            continue;
-        }
-        if (in_run) { run_handler_->end_run(); in_run = false; }
-        process_datagram(d, packet, ifindex, &memo, &locals);
-        recycle_wire(packet);  // no-op when forwarding moved the buffer on
-    }
-    if (in_run) run_handler_->end_run();
-    counters_.add(telemetry::Counter::IpRx, locals.rx);
-    counters_.add(telemetry::Counter::IpFwd, locals.fwd);
-    counters_.add(telemetry::Counter::IpRouteCacheHit, locals.cache_hits);
-    counters_.add(telemetry::Counter::IpRouteCacheMiss, locals.cache_misses);
-    return i;
+    recycle_wire(packet);  // no-op when the fast path moved the buffer on
 }
 
 void IpStack::deliver_local(const Ipv4Header& header, std::span<const std::uint8_t> payload,
@@ -680,9 +513,7 @@ void IpStack::deliver_local(const Ipv4Header& header, std::span<const std::uint8
     }
 }
 
-void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
-                      std::size_t in_ifindex, RouteMemo* memo, ForwardLocals* locals) {
-    (void)in_ifindex;
+void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
     const Ipv4Header& header = d.header;
     const std::span<const std::uint8_t> wire = packet.bytes;
     if (header.ttl <= 1) {
@@ -692,32 +523,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
         send_icmp_error(IcmpType::TimeExceeded, 0, wire);
         return;
     }
-    const Route* route;
-    if (memo != nullptr) {
-        // Burst path: the memo answers repeats without re-hashing. A memo
-        // hit is counted as the cache hit the per-packet probe would have
-        // scored — same dst and unchanged generation mean the way the
-        // probe refilled is still resident in its set.
-        const std::uint64_t generation = routes_.generation();
-        if (memo->valid && memo->dst == header.dst && memo->generation == generation) {
-            ++locals->cache_hits;
-            route = memo->route;
-        } else {
-            bool hit = false;
-            route = probe_route_cache(header.dst, hit);
-            if (hit) {
-                ++locals->cache_hits;
-            } else {
-                ++locals->cache_misses;
-            }
-            memo->dst = header.dst;
-            memo->route = route;
-            memo->generation = generation;
-            memo->valid = true;
-        }
-    } else {
-        route = lookup_route(header.dst);
-    }
+    const Route* route = lookup_route(header.dst);
     if (route == nullptr) {
         counters_.inc(telemetry::Counter::IpDropNoRoute);
         note(telemetry::PacketEvent::Drop, header, wire.size(),
@@ -749,11 +555,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
             route->next_hop.is_unspecified() ? header.dst : route->next_hop;
         decrement_ttl(packet.bytes);
         iface.netif->send(std::move(packet), next_hop);
-        if (locals != nullptr) {
-            ++locals->fwd;
-        } else {
-            counters_.inc(telemetry::Counter::IpFwd);
-        }
+        counters_.inc(telemetry::Counter::IpFwd);
         if (trace_ || forward_tap_ || recorder_ != nullptr) {
             // Observers want the header as sent; built only when someone
             // is actually watching.
@@ -769,18 +571,10 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
     out.ttl = static_cast<std::uint8_t>(header.ttl - 1);
 
     // Slow path (IP options, link padding, or fragmentation ahead): decode
-    // and re-serialize exactly as the seed did. Re-serializing copies the
-    // transport bytes into fresh unvouched datagrams (a fragment's payload
-    // carries the TCP checksum field verbatim), so a deferred checksum
-    // must be settled here — this is a byte observer.
-    if (packet.csum_deferred) link::materialize_checksum(packet);
+    // and re-serialize exactly as the seed did.
     const auto payload = payload_of(wire, d);
     if (transmit(out, payload, *route)) {
-        if (locals != nullptr) {
-            ++locals->fwd;
-        } else {
-            counters_.inc(telemetry::Counter::IpFwd);
-        }
+        counters_.inc(telemetry::Counter::IpFwd);
         note(telemetry::PacketEvent::Fwd, out, wire.size());
         if (forward_tap_) forward_tap_(out, wire.size());
     }

@@ -102,41 +102,6 @@ public:
 
     void register_protocol(std::uint8_t protocol, ProtocolHandler handler);
 
-    /// Receive-side run coalescing hook (GRO, DESIGN.md §12). A transport
-    /// that implements this is offered checksum-vouched, non-fragment,
-    /// locally-addressed datagrams of its protocol straight from the burst
-    /// commit pass, one run segment at a time. The handler processes each
-    /// accepted segment immediately and completely (data delivery, ACK
-    /// clock), so accepting is behaviourally identical to the per-datagram
-    /// path — the run only amortizes demux and header prediction.
-    class TransportRunHandler {
-    public:
-        virtual ~TransportRunHandler() = default;
-        /// Offers one segment. Return true when it was consumed into the
-        /// current run; false to decline, in which case the stack ends any
-        /// open run and dispatches the segment via on_datagram() — the
-        /// handler must not have counted or mutated anything for it.
-        virtual bool on_run_segment(const Ipv4Header& header,
-                                    std::span<const std::uint8_t> payload,
-                                    std::size_t ifindex) = 0;
-        /// The ordinary per-datagram entry, identical to the handler the
-        /// transport registered with register_protocol(). The decline path
-        /// dispatches here directly (no protocol-map probe).
-        virtual void on_datagram(const Ipv4Header& header,
-                                 std::span<const std::uint8_t> payload,
-                                 std::size_t ifindex) = 0;
-        /// Closes the current run: the burst ended, bailed, or a foreign
-        /// packet split it. Only called after at least one accepted segment.
-        virtual void end_run() = 0;
-    };
-
-    /// Registers the run handler for `protocol` (one per stack; the
-    /// transport must also register_protocol() the per-datagram handler).
-    void register_protocol_run(std::uint8_t protocol, TransportRunHandler* handler) {
-        run_protocol_ = protocol;
-        run_handler_ = handler;
-    }
-
     /// True while the currently-dispatched inbound datagram carried the
     /// link-layer csum_ok vouch (and is not a fragment): the transport may
     /// skip its own checksum fold, which would provably pass.
@@ -307,60 +272,22 @@ private:
         std::uint64_t generation = 0;  ///< table generations start at 1
     };
 
-    /// Last route served to the burst pipeline: a one-line memo in front
-    /// of the set-associative cache, checked against the table generation
-    /// at every use. A memo hit is exactly the cache hit the per-packet
-    /// path would have counted (a memo hit means the previous packet's
-    /// probe left this destination resident in its set, and nothing has
-    /// touched the cache since), so hit/miss counters stay identical.
-    struct RouteMemo {
-        util::Ipv4Address dst;
-        const Route* route = nullptr;
-        std::uint64_t generation = 0;
-        bool valid = false;
-    };
-
-    /// Hot-path counters a burst accumulates in registers and flushes once
-    /// per burst (or at a bail) — the flush lands before any other event
-    /// runs, so every observer sees per-packet-exact values.
-    struct ForwardLocals {
-        std::uint64_t rx = 0;
-        std::uint64_t fwd = 0;
-        std::uint64_t cache_hits = 0;
-        std::uint64_t cache_misses = 0;
-    };
-
     void receive(std::size_t ifindex, link::Packet packet);
-
-    /// The burst receive path (DESIGN.md §"burst forwarding"): pass 1
-    /// decodes every header into a stack-resident descriptor array with
-    /// prefetch; pass 2 commits packets one by one, advancing the clock to
-    /// each arrival and bailing the moment another event would interleave.
-    /// Returns how many items were consumed (>= 1).
-    std::size_t receive_burst(std::size_t ifindex, link::PacketBurst& burst);
-
-    /// Everything receive() does after a successful decode: trace/record
-    /// Rx, deliver locally or forward. Shared verbatim by the per-packet
-    /// and burst paths so they cannot drift.
-    void process_datagram(const DecodedDatagram& d, link::Packet& packet,
-                          std::size_t ifindex, RouteMemo* memo, ForwardLocals* locals);
     void deliver_local(const Ipv4Header& header, std::span<const std::uint8_t> payload,
                        std::size_t ifindex);
     /// Forwarding takes the owned packet: the non-fragmenting fast path
     /// rewrites TTL/checksum in place and moves the buffer straight to the
     /// egress interface. On every other path the packet is left with the
-    /// caller, which recycles it. `memo`/`locals` are non-null only on the
-    /// burst path.
-    void forward(const DecodedDatagram& d, link::Packet& packet, std::size_t in_ifindex,
-                 RouteMemo* memo = nullptr, ForwardLocals* locals = nullptr);
+    /// caller, which recycles it.
+    void forward(const DecodedDatagram& d, link::Packet& packet);
     bool transmit(const Ipv4Header& header, std::span<const std::uint8_t> payload,
                   const Route& route);
     void handle_icmp(const Ipv4Header& header, std::span<const std::uint8_t> payload);
     void send_icmp_error(IcmpType type, std::uint8_t code,
                          std::span<const std::uint8_t> offending_wire);
 
-    /// Cached longest-prefix match (nullptr = no route). Serves the
-    /// per-packet lookups in send() and forward().
+    /// Cached longest-prefix match (nullptr = no route), counting the
+    /// cache hit or miss. Serves the lookups in send() and forward().
     const Route* lookup_route(util::Ipv4Address dst);
 
     /// Uncounted route peek for viability probes: reads the cache line but
@@ -368,10 +295,6 @@ private:
     /// lookup_route reproduces exactly the probe sequence the per-segment
     /// path would have made.
     const Route* peek_route(util::Ipv4Address dst);
-
-    /// The cache probe itself, with the hit/miss outcome reported to the
-    /// caller instead of counted — the burst path batches the counts.
-    const Route* probe_route_cache(util::Ipv4Address dst, bool& hit);
 
     /// One observation point feeding both the text tracer and the flight
     /// recorder, so they can never disagree about which events happened.
@@ -427,8 +350,9 @@ private:
     std::array<std::uint8_t, kRouteCacheSets> route_cache_rr_{};
     Reassembler reassembler_;
     std::unordered_map<std::uint8_t, ProtocolHandler> protocols_;
-    TransportRunHandler* run_handler_ = nullptr;  ///< GRO hook (one per stack)
-    std::uint8_t run_protocol_ = 0;
+    /// protocols_[kProtoTcp] once registered: the receive quick lane's
+    /// local consumer, reached without a map probe.
+    const ProtocolHandler* tcp_handler_ = nullptr;
     bool rx_csum_ok_ = false;  ///< ambient flag: current inbound datagram is vouched
     std::vector<IcmpErrorHandler> icmp_error_handlers_;
     ForwardTap forward_tap_;

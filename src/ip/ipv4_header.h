@@ -94,36 +94,4 @@ inline std::span<const std::uint8_t> payload_of(std::span<const std::uint8_t> wi
     return wire.subspan(d.payload_offset, d.payload_length);
 }
 
-/// Outcome of one slot in a batch decode, mirroring decode_datagram()'s
-/// three-way result as a value so the burst pipeline's decode pass is a
-/// branch-light tight loop (the throw is absorbed here, once per mangled
-/// datagram rather than per call site).
-enum class DecodeStatus : std::uint8_t { Ok, BadChecksum, Malformed };
-
-/// Batch-decode entry point for the burst pipeline: decode_datagram() with
-/// the exception folded into the status. On Malformed, `out.header` holds
-/// whatever fields decoded before the failure (best effort, same as the
-/// per-packet path reports).
-inline DecodeStatus decode_datagram_status(std::span<const std::uint8_t> wire,
-                                           DecodedDatagram& out) {
-    try {
-        return decode_datagram(wire, out) ? DecodeStatus::Ok : DecodeStatus::BadChecksum;
-    } catch (const util::DecodeError&) {
-        return DecodeStatus::Malformed;
-    }
-}
-
-/// Batch decode honouring checksum offload (see the three-argument
-/// decode_datagram): pass `verify_checksum = false` for csum_ok packets.
-inline DecodeStatus decode_datagram_status(std::span<const std::uint8_t> wire,
-                                           DecodedDatagram& out,
-                                           bool verify_checksum) {
-    try {
-        return decode_datagram(wire, out, verify_checksum) ? DecodeStatus::Ok
-                                                           : DecodeStatus::BadChecksum;
-    } catch (const util::DecodeError&) {
-        return DecodeStatus::Malformed;
-    }
-}
-
 }  // namespace catenet::ip

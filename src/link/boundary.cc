@@ -76,7 +76,6 @@ public:
         f.created_ns = packet.created.nanos();
         f.send_ns = send_ns;
         f.csum_ok = packet.csum_ok;
-        f.csum_deferred = packet.csum_deferred;
         f.bytes = std::move(packet.bytes);
         if (pending_head_ == pending_.size() && ring_.push(f)) {
             src_pool_.recycle(std::move(f.bytes));
@@ -156,7 +155,6 @@ private:
         std::int64_t created_ns = 0;
         std::int64_t send_ns = 0;
         bool csum_ok = false;  ///< Packet::csum_ok, carried across the boundary
-        bool csum_deferred = false;  ///< Packet::csum_deferred, ditto
         util::ByteBuffer bytes;
     };
     // Min-heap order for std::push_heap/pop_heap (which build max-heaps):
@@ -192,18 +190,6 @@ private:
 // idle-wire queue bypass, busy-until accounting, a wake-up event only when
 // a backlog exists, memoized serialization delay — ending in a channel
 // submit instead of a locally scheduled delivery.
-//
-// The burst engine mirrors the point-to-point port's drain policy exactly
-// (same gate, same run limit, same admission rule, same deferred stats
-// settlement) so a sharded run's kick events and statistics match the
-// sequential twin whose boundary hop is an ordinary burst-mode
-// PointToPointLink. A drained run's frames are submitted to the channel at
-// drain time with their future serialization-start times; submit() floors
-// delivery at send + lookahead, so the conservative promise holds
-// unchanged. The one asymmetry: a submitted frame cannot be recalled, so a
-// carrier cut with a committed backlog still delivers that run — covered
-// by the existing contract that boundary carrier changes happen while the
-// shard is quiescent.
 class BoundaryLink::Port final : public NetIf {
 public:
     Port(sim::Simulator& sim, Channel& out, LinkParams params, util::Rng rng,
@@ -213,11 +199,7 @@ public:
           params_(params),
           rng_(std::move(rng)),
           name_(std::move(name)),
-          queue_(std::make_unique<DropTailQueue>(params.queue_capacity_packets)) {
-        burst_ = params_.burst > 1 && params_.drop_probability <= 0.0 &&
-                 params_.bit_error_rate <= 0.0 && params_.jitter <= sim::Time(0) &&
-                 queue_->fifo_burst_drainable();
-    }
+          queue_(std::make_unique<DropTailQueue>(params.queue_capacity_packets)) {}
 
     std::size_t mtu() const noexcept override { return params_.mtu; }
     const std::string& name() const noexcept override { return name_; }
@@ -233,18 +215,6 @@ public:
         if (now >= busy_until_ && queue_->empty()) {
             transmit(std::move(packet));
             return;
-        }
-        if (burst_ && busy_until_ > now) {
-            // Same admission rule as the point-to-point burst port:
-            // committed-but-unstarted frames still count against the cap.
-            settle(now);
-            if (ledger_count_ != 0 &&
-                queue_->packets() + ledger_count_ >= queue_->capacity_packets()) {
-                queue_->record_rejection(packet);
-                notify_drop(packet);
-                sim_.buffer_pool().recycle(std::move(packet.bytes));
-                return;
-            }
         }
         if (!queue_->enqueue(std::move(packet))) {
             notify_drop(packet);
@@ -267,55 +237,15 @@ public:
         if (!up) queue_->clear();
     }
 
-    const NetIfStats& stats() const noexcept override {
-        const_cast<Port*>(this)->settle(sim_.now());
-        return stats_;
-    }
-
     void receive_from_boundary(Packet&& packet) { deliver(std::move(packet)); }
 
 private:
-    /// A committed-but-unstarted transmission: submitted to the channel at
-    /// drain time, its transmit-side stats settle when the clock passes
-    /// its serialization start (the instant per-packet transmit() would
-    /// have accrued them).
-    struct LedgerEntry {
-        std::int64_t tx_start_ns = 0;
-        std::uint32_t size_bytes = 0;
-    };
-
     sim::Time transmission_time(std::size_t bytes) {
         if (bytes != tx_memo_bytes_) {
             tx_memo_bytes_ = bytes;
             tx_memo_ = params_.transmission_time(bytes);
         }
         return tx_memo_;
-    }
-
-    void settle(sim::Time now) noexcept {
-        while (ledger_count_ != 0) {
-            const LedgerEntry& e = ledger_[ledger_head_];
-            if (e.tx_start_ns > now.nanos()) break;
-            ++stats_.packets_sent;
-            stats_.bytes_sent += e.size_bytes;
-            ledger_head_ = (ledger_head_ + 1) & (ledger_.size() - 1);
-            --ledger_count_;
-        }
-    }
-
-    void ledger_push(std::int64_t tx_start_ns, std::uint32_t size_bytes) {
-        if (ledger_count_ == ledger_.size()) {
-            std::vector<LedgerEntry> bigger(ledger_.empty() ? 2 * kBurst
-                                                            : 2 * ledger_.size());
-            for (std::size_t i = 0; i < ledger_count_; ++i) {
-                bigger[i] = ledger_[(ledger_head_ + i) & (ledger_.size() - 1)];
-            }
-            ledger_ = std::move(bigger);
-            ledger_head_ = 0;
-        }
-        ledger_[(ledger_head_ + ledger_count_) & (ledger_.size() - 1)] =
-            LedgerEntry{tx_start_ns, size_bytes};
-        ++ledger_count_;
     }
 
     void transmit(Packet packet) {
@@ -338,36 +268,7 @@ private:
         out_.submit(now.nanos(), (now + delay).nanos(), std::move(packet));
     }
 
-    void drain_burst() {
-        const sim::Time now = sim_.now();
-        sim::Time start = now;
-        std::size_t n = 0;
-        const std::size_t limit = std::min(params_.burst, kBurst);
-        while (n < limit) {
-            auto next = queue_->dequeue();
-            if (!next) break;
-            const auto tx = transmission_time(next->size());
-            const sim::Time tx_start = start;
-            start = start + tx;
-            ledger_push(tx_start.nanos(), static_cast<std::uint32_t>(next->size()));
-            out_.submit(tx_start.nanos(), (start + params_.propagation_delay).nanos(),
-                        std::move(*next));
-            ++n;
-        }
-        if (n == 0) return;
-        busy_until_ = start;
-        settle(now);
-        if (!queue_->empty() && !kick_scheduled_) {
-            kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - now, [this] { kick(); });
-        }
-    }
-
     void start_transmission() {
-        if (burst_) {
-            drain_burst();
-            return;
-        }
         auto next = queue_->dequeue();
         if (!next) return;
         transmit(std::move(*next));
@@ -394,10 +295,6 @@ private:
         const double p_hit = 1.0 - std::pow(1.0 - params_.bit_error_rate, bits);
         if (!rng_.chance(p_hit)) return;
         out_.count_corruption();
-        // Settle a deferred checksum before mangling the bytes (the far
-        // side's verification fold must see the same wire an eager encode
-        // would have produced, minus the flipped bits).
-        if (packet.csum_deferred) materialize_checksum(packet);
         // Flipped bits invalidate any encoder-computed checksum.
         packet.csum_ok = false;
         const auto flips = rng_.uniform(1, 3);
@@ -417,10 +314,6 @@ private:
     bool kick_scheduled_ = false;
     std::size_t tx_memo_bytes_ = SIZE_MAX;
     sim::Time tx_memo_;
-    bool burst_ = false;
-    std::vector<LedgerEntry> ledger_;
-    std::size_t ledger_head_ = 0;
-    std::size_t ledger_count_ = 0;
 };
 
 void BoundaryLink::Channel::deliver_head() {
@@ -433,7 +326,6 @@ void BoundaryLink::Channel::deliver_head() {
     p.created = sim::Time(f.created_ns);
     p.enqueued = sim::Time(f.send_ns);
     p.csum_ok = f.csum_ok;
-    p.csum_deferred = f.csum_deferred;
     dst_port_->receive_from_boundary(std::move(p));
 }
 
@@ -448,6 +340,8 @@ BoundaryLink::BoundaryLink(sim::Simulator& sim_a, std::uint32_t shard_a,
                            sim::Simulator& sim_b, std::uint32_t shard_b,
                            util::Rng& parent_rng, const LinkParams& a_to_b,
                            const LinkParams& b_to_a, std::string name) {
+    a_to_b.validate();
+    b_to_a.validate();
     util::Rng link_rng = parent_rng.fork();  // one fork, same as PointToPointLink
     ab_ = std::make_unique<Channel>(shard_a, shard_b, lookahead_of(a_to_b),
                                     sim_a.buffer_pool(), sim_b.buffer_pool(),

@@ -71,8 +71,9 @@ Packet gso_split_segment(const GsoDescriptor& d, std::size_t i) {
     store_u16(p + 10, ipck);
 
     // TCP: advance the sequence number by the payload already covered; the
-    // final segment may add flag bits (PSH). Checksum is computed below
-    // over the assembled [header|payload] exactly like patch_checksum.
+    // final segment may add flag bits (PSH). The checksum field is zeroed
+    // here and folded below over the pseudo-header and the assembled
+    // [header|payload], exactly as encode_tcp_segment computes it.
     store_u32(p + 24, static_cast<std::uint32_t>(load_u32(p + 24) + off));
     if (last) p[33] |= d.last_flags_or;
     store_u16(p + 36, 0);
@@ -92,24 +93,17 @@ Packet gso_split_segment(const GsoDescriptor& d, std::size_t i) {
         out.insert(out.end(), d.payload_b.begin() + static_cast<std::ptrdiff_t>(boff),
                    d.payload_b.begin() + static_cast<std::ptrdiff_t>(boff + len));
     }
-    Packet packet = make_packet(std::move(out), *d.sim);
-    packet.csum_ok = true;        // IP header checksum is real (patched above)
-    packet.csum_deferred = true;  // TCP fold deferred to the first observer
-    return packet;
-}
-
-void materialize_checksum(Packet& packet) noexcept {
-    packet.csum_deferred = false;
-    std::uint8_t* p = packet.bytes.data();
-    const std::size_t total = packet.bytes.size();
-    const std::size_t ihl = (p[0] & 0x0fu) * 4u;  // the split emits 20
+    p = out.data();  // the payload inserts may have moved the buffer
     util::ChecksumAccumulator acc;
-    acc.add_u32(load_u32(p + 12));                          // pseudo: src
-    acc.add_u32(load_u32(p + 16));                          // pseudo: dst
-    acc.add_u16(p[9]);                                      // pseudo: protocol
-    acc.add_u16(static_cast<std::uint16_t>(total - ihl));   // pseudo: TCP length
-    acc.add({p + ihl, total - ihl});  // checksum field holds the zero it expects
-    store_u16(p + ihl + 16, acc.finish());
+    acc.add_u32(load_u32(p + 12));                         // pseudo: src
+    acc.add_u32(load_u32(p + 16));                         // pseudo: dst
+    acc.add_u16(p[9]);                                     // pseudo: protocol
+    acc.add_u16(static_cast<std::uint16_t>(total - 20));   // pseudo: TCP length
+    acc.add({p + 20, total - 20});
+    store_u16(p + 36, acc.finish());
+    Packet packet = make_packet(std::move(out), *d.sim);
+    packet.csum_ok = true;  // both checksums were just computed
+    return packet;
 }
 
 void NetIf::send_gso(const GsoDescriptor& d, util::Ipv4Address next_hop) {

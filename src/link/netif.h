@@ -5,7 +5,6 @@
 // ordering, no broadcast.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -39,13 +38,6 @@ public:
     // take `Packet` by value still bind — the move happens at their call.
     using Receiver = std::function<void(Packet&&)>;
 
-    /// Burst receiver: consumes burst items in order, advancing the clock
-    /// to each item's arrival time, and returns how many it consumed (a
-    /// bail on a pending event leaves the tail with the caller, to be
-    /// redelivered by a real event). Installed only by stacks whose burst
-    /// path is byte-identical to their per-packet path.
-    using BurstReceiver = std::function<std::size_t(PacketBurst&)>;
-
     virtual ~NetIf() = default;
 
     /// Largest payload this network carries in one frame.
@@ -68,26 +60,9 @@ public:
 
     virtual const std::string& name() const noexcept = 0;
 
-    /// Installing a plain receiver (tests tap interfaces this way) clears
-    /// any burst receiver: a tap must see the exact per-packet hand-off,
-    /// so burst delivery falls back to the per-entry path.
-    void set_receiver(Receiver receiver) {
-        receiver_ = std::move(receiver);
-        burst_receiver_ = nullptr;
-    }
-
-    /// Installs the burst fast path alongside the per-packet receiver.
-    /// IpStack::add_interface is the only expected caller.
-    void set_burst_receiver(BurstReceiver receiver) {
-        burst_receiver_ = std::move(receiver);
-    }
-
-    /// True when a whole run may be handed to deliver_burst(). A down
-    /// interface is not burst-capable: the fallback per-entry path applies
-    /// deliver()'s silent-discard rule at each packet's own arrival time.
-    bool burst_capable() const noexcept {
-        return up_ && static_cast<bool>(burst_receiver_);
-    }
+    /// Installs the upward hand-off (IpStack::add_interface; tests tap
+    /// interfaces by replacing it).
+    void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
     /// Administrative / failure state. A down interface silently discards
     /// traffic in both directions (a dead transceiver).
@@ -112,10 +87,10 @@ public:
 
     /// Passive wire tap for equivalence tests: observes (digest, size) of
     /// every packet this interface delivers up its stack, in delivery
-    /// order, WITHOUT disabling burst delivery (unlike set_receiver, which
-    /// must force the per-packet path). The digest is FNV-1a over the wire
-    /// bytes, so two runs whose digest streams match delivered
-    /// byte-identical wire streams in the same order.
+    /// order, leaving the installed receiver in place (unlike
+    /// set_receiver). The digest is FNV-1a over the wire bytes, so two
+    /// runs whose digest streams match delivered byte-identical wire
+    /// streams in the same order.
     using WireTap = std::function<void(std::uint64_t digest, std::uint32_t size)>;
     void set_wire_tap(WireTap tap) { wire_tap_ = std::move(tap); }
 
@@ -129,9 +104,7 @@ public:
         return h;
     }
 
-    /// Virtual so transmitters with deferred accounting (the burst
-    /// in-flight ring) can settle up to now() before anyone reads.
-    virtual const NetIfStats& stats() const noexcept { return stats_; }
+    const NetIfStats& stats() const noexcept { return stats_; }
 
     /// The IP address bound to this interface (assigned by the builder).
     util::Ipv4Address address() const noexcept { return address_; }
@@ -142,9 +115,6 @@ protected:
         if (!up_ || !receiver_) return;
         ++stats_.packets_received;
         stats_.bytes_received += packet.size();
-        // The per-packet path may feed a custom receiver (tests capture
-        // raw bytes here), so a deferred checksum is always settled.
-        if (packet.csum_deferred) materialize_checksum(packet);
         if (wire_tap_) {
             wire_tap_(wire_digest(packet.bytes),
                       static_cast<std::uint32_t>(packet.size()));
@@ -152,44 +122,11 @@ protected:
         receiver_(std::move(packet));
     }
 
-    /// Hands a run up the stack. Receive stats accrue for exactly the
-    /// consumed prefix, after the receiver returns but before any pending
-    /// event fires — so a bailed-to event observes the same stats it would
-    /// have seen under per-packet delivery. Sizes are snapshotted first:
-    /// the receiver moves consumed packets out of their ring slots. The
-    /// wire tap likewise digests every slot up front (the bytes are gone
-    /// after consumption) but commits only the consumed prefix, so a
-    /// bailed tail is reported once, on redelivery.
-    std::size_t deliver_burst(PacketBurst& burst) {
-        std::array<std::uint32_t, kBurst> sizes;
-        std::array<std::uint64_t, kBurst> digests;
-        for (std::size_t i = 0; i < burst.count; ++i) {
-            sizes[i] = static_cast<std::uint32_t>(burst.items[i].packet->size());
-            if (wire_tap_) {
-                // The burst receiver is always the vouch-trusting IP stack
-                // (custom receivers force the per-packet path), so the tap
-                // digest is the only byte observer on this path.
-                if (burst.items[i].packet->csum_deferred) {
-                    materialize_checksum(*burst.items[i].packet);
-                }
-                digests[i] = wire_digest(burst.items[i].packet->bytes);
-            }
-        }
-        const std::size_t consumed = burst_receiver_(burst);
-        for (std::size_t i = 0; i < consumed; ++i) {
-            ++stats_.packets_received;
-            stats_.bytes_received += sizes[i];
-            if (wire_tap_) wire_tap_(digests[i], sizes[i]);
-        }
-        return consumed;
-    }
-
     void notify_drop(const Packet& packet) {
         if (drop_observer_) drop_observer_(packet);
     }
 
     Receiver receiver_;
-    BurstReceiver burst_receiver_;
     DropObserver drop_observer_;
     WireTap wire_tap_;
     std::vector<std::function<void(bool)>> state_observers_;

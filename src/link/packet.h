@@ -39,26 +39,8 @@ struct Packet {
     /// hardware offload bit a real NIC descriptor carries.
     bool csum_ok = false;
 
-    /// TX checksum offload, one step further (DESIGN.md §12): the GSO
-    /// split leaves the TCP checksum field zero and sets this flag instead
-    /// of folding header+payload per wire segment. Like a NIC that never
-    /// computes a checksum for a frame nothing will verify, the fold is
-    /// performed lazily — by materialize_checksum() — at the first point
-    /// that actually observes the wire bytes: a wire tap's digest, a
-    /// corrupting link (before it flips bits), a shard-boundary frame's
-    /// far side, a re-serializing forward, or a custom per-packet
-    /// receiver. Packets that cross only vouch-preserving links into a
-    /// vouch-trusting stack never pay the fold at all.
-    bool csum_deferred = false;
-
     std::size_t size() const noexcept { return bytes.size(); }
 };
-
-/// Computes and stores the deferred TCP checksum (see Packet::
-/// csum_deferred), clearing the flag. Only the GSO split defers, so the
-/// buffer is always a well-formed [IPv4|TCP] wire datagram whose checksum
-/// field currently holds the zero the fold expects.
-void materialize_checksum(Packet& packet) noexcept;
 
 inline Packet make_packet(util::ByteBuffer bytes, sim::Simulator& sim) {
     Packet p;
@@ -68,27 +50,6 @@ inline Packet make_packet(util::ByteBuffer bytes, sim::Simulator& sim) {
     p.enqueued = sim.now();
     return p;
 }
-
-/// Largest run of packets the burst forwarding pipeline hands up the stack
-/// in one descriptor array (DESIGN.md §"burst forwarding"). 32 descriptors
-/// keep the whole burst — packets, decoded headers, status flags — inside
-/// the L1 working set while amortizing the per-wakeup costs.
-inline constexpr std::size_t kBurst = 32;
-
-/// A stack-resident descriptor array for one delivery run: pointers into
-/// the transmitter's in-flight ring plus each packet's arrival time. The
-/// receiver consumes items in order, advancing the clock to each arrival
-/// (Simulator::advance_if_idle); a consumed item's Packet has been moved
-/// out of the ring slot. Never heap-allocated and never outlives the
-/// delivery call that built it.
-struct PacketBurst {
-    struct Item {
-        Packet* packet;
-        sim::Time arrival;
-    };
-    std::array<Item, kBurst> items;
-    std::size_t count = 0;
-};
 
 /// Most MSS-spans one mega-segment descriptor may cover (GSO, DESIGN.md
 /// §12). 16 splits amortize the per-train fixed costs well past the knee

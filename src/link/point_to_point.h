@@ -24,15 +24,14 @@ struct LinkParams {
     std::size_t mtu = 1500;
     std::size_t queue_capacity_packets = 64;
 
-    /// Largest backlog run the transmitter commits to the wire in one
-    /// wake-up (clamped to link::kBurst). Values <= 1 select the legacy
-    /// per-packet engine. Burst draining also requires a deterministic
-    /// channel (no loss, corruption or jitter — their RNG draws are
-    /// ordered by per-packet transmit events) and a FIFO queue; links that
-    /// fail the gate fall back to per-packet silently. The two engines
-    /// produce byte-identical traces, counters and flight-recorder
-    /// contents (see DESIGN.md §"burst forwarding").
-    std::size_t burst = 32;
+    /// Throws std::invalid_argument naming the first field out of range:
+    /// bits_per_second > 0; 68 <= mtu <= 65535 (IPv4's smallest datagram
+    /// every network must carry, and its largest); drop_probability and
+    /// bit_error_rate in [0, 1]; propagation_delay and jitter >= 0. Queue
+    /// capacity is DropTailQueue's to check. Every link constructor calls
+    /// this, so a bad value fails where it is set, not as a divide by zero
+    /// or a transfer that silently never completes.
+    void validate() const;
 
     /// Time to clock `bytes` onto the wire at this rate. Exact 64-bit
     /// integer ceiling — a partial nanosecond still occupies the wire — so
@@ -74,13 +73,6 @@ public:
     void set_queue_b(std::unique_ptr<PacketQueue> q);
     PacketQueue& queue_a() noexcept;
     PacketQueue& queue_b() noexcept;
-
-    /// Backlog depth as a per-packet observer would see it: packets still
-    /// queued plus burst-drained packets whose serialization has not yet
-    /// begun (they would still sit in the queue under per-packet
-    /// draining). The queue-depth gauges sample through this.
-    std::size_t queue_depth_a() noexcept;
-    std::size_t queue_depth_b() noexcept;
 
 private:
     class Port;

@@ -42,27 +42,6 @@ public:
     bool empty() const noexcept { return packets() == 0; }
     const QueueStats& stats() const noexcept { return stats_; }
 
-    /// True when the discipline is a plain FIFO whose future dequeue order
-    /// is fully determined by the current contents — the precondition for
-    /// the burst transmitter to dequeue a whole run up front. Disciplines
-    /// whose order depends on packets that arrive later (priority, fair
-    /// queuing) must stay on the per-packet path.
-    virtual bool fifo_burst_drainable() const noexcept { return false; }
-
-    /// Packet-count cap for admission mirroring; 0 when the discipline has
-    /// no single cap (then burst draining is off anyway).
-    virtual std::size_t capacity_packets() const noexcept { return 0; }
-
-    /// Records a drop-tail rejection decided by the transmitter rather
-    /// than by enqueue(): the burst path pre-dequeues a run, so "queue
-    /// full" is judged against queued + not-yet-transmitting in-flight
-    /// packets, but the drop must land in this queue's stats exactly as an
-    /// enqueue() rejection would.
-    void record_rejection(const Packet& packet) noexcept {
-        ++stats_.dropped;
-        stats_.bytes_dropped += packet.size();
-    }
-
 protected:
     QueueStats stats_;
 };
@@ -82,8 +61,6 @@ public:
     std::size_t packets() const noexcept override { return count_; }
     std::size_t bytes() const noexcept override { return bytes_; }
     void clear() override;
-    bool fifo_burst_drainable() const noexcept override { return true; }
-    std::size_t capacity_packets() const noexcept override { return slots_.size(); }
 
 private:
     std::vector<Packet> slots_;  ///< fixed size = capacity, ring-indexed

@@ -201,10 +201,6 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(Time deadline) {
-    // Nested run_until (invoke_at inside a parallel driver window) can only
-    // tighten the advance bound, never widen it.
-    const std::int64_t saved_bound = advance_bound_ns_;
-    advance_bound_ns_ = std::min(saved_bound, deadline.nanos());
     for (;;) {
         // prepare_top is bounded by the deadline so a short run never drags
         // distant buckets into the heap (the far tier's whole point).
@@ -212,22 +208,10 @@ void Simulator::run_until(Time deadline) {
         if (top == nullptr || top->when > deadline) break;
         step();
     }
-    advance_bound_ns_ = saved_bound;
     if (deadline > now_) {
         now_ = deadline;
         raise_horizon_past_now();
     }
-}
-
-bool Simulator::advance_if_idle(Time t) {
-    if (t < now_) throw_past("advance_if_idle", t);
-    if (t.nanos() > advance_bound_ns_) return false;
-    const HeapEntry* top = prepare_top(t.nanos());
-    if (top != nullptr && top->when <= t) return false;
-    now_ = t;
-    raise_horizon_past_now();
-    ++events_processed_;
-    return true;
 }
 
 bool Simulator::run_while(const std::function<bool()>& pred) {

@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "sim/time.h"
@@ -135,17 +134,6 @@ public:
         ++events_processed_;
         fn();
     }
-
-    /// The burst pipeline's clock hook (DESIGN.md §"burst forwarding").
-    /// If no pending event would fire at or before `t` — and `t` does not
-    /// overrun the deadline of an enclosing run_until() — advances the
-    /// clock to `t`, counts one processed event (standing in for the
-    /// per-packet delivery event the legacy engine would have fired
-    /// there) and returns true. Otherwise leaves the clock untouched and
-    /// returns false: the caller must flush its batched state and
-    /// reschedule a real event, so the pending event observes exactly the
-    /// state it would have seen under per-packet delivery.
-    bool advance_if_idle(Time t);
 
     /// Firing time (ns) of the earliest pending event at or before
     /// `bound_ns`, or INT64_MAX when none exists in that range. Used by the
@@ -368,10 +356,6 @@ private:
     std::uint32_t free_head_ = kNilSlot;
     std::size_t live_ = 0;  ///< armed slots = pending events
     Time now_;
-    /// Deadline of the innermost active run_until(); advance_if_idle may
-    /// never move the clock past it (a bounded run must leave later
-    /// arrivals pending, exactly as it leaves later events pending).
-    std::int64_t advance_bound_ns_ = std::numeric_limits<std::int64_t>::max();
     std::uint64_t next_seq_ = 1;
     std::uint64_t events_processed_ = 0;
     std::uint64_t last_uid_ = 0;

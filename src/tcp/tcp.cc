@@ -1,8 +1,7 @@
 #include "tcp/tcp.h"
-#include <cstdio>
-#include <cstdlib>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "ip/protocols.h"
 #include "util/logging.h"
@@ -18,15 +17,6 @@ constexpr std::size_t kIpTcpOverhead = 40;  // IP + TCP fixed headers
 // vector: the RFC 1122 default MSS. The reservation bounds entry count so
 // reordering storms re-use the same backing store instead of growing it.
 constexpr std::size_t kMinPlausibleMss = 536;
-
-inline std::uint16_t load_u16(const std::uint8_t* p) noexcept {
-    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
-    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-           (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
 }  // namespace
 
 const char* to_string(TcpState s) noexcept {
@@ -332,14 +322,13 @@ void TcpSocket::try_send(bool /*ack_only_allowed*/) {
         // retransmission re-reads the ring per wire segment through the
         // classic path, repacketizing freely as byte sequencing allows.
         if (config_.segmentation_offload && len == mss && snd_nxt_ == snd_max_) {
-            static const bool debug = std::getenv("CATENET_TCP_DEBUG") != nullptr;
             std::size_t n = std::min({unsent / mss,
                                       static_cast<std::size_t>(usable) / mss,
                                       config_.gso_segs, link::kGsoSegs});
             // A FIN-carrying drain stays with the classic loop: the FIN
             // consumes sequence space and moves the state machine.
             if (fin_queued_ && n * mss == unsent) --n;
-            if (!debug && n >= 2 &&
+            if (n >= 2 &&
                 stack_.ip().gso_viable(remote_addr_, kIpTcpOverhead + mss)) {
                 const bool drains_all = (n * mss == unsent);
                 link::GsoDescriptor d;
@@ -501,16 +490,6 @@ void TcpSocket::schedule_ack() {
 
 void TcpSocket::transmit(const TcpHeader& header, std::span<const std::uint8_t> payload_a,
                          std::span<const std::uint8_t> payload_b) {
-    // getenv walks the environment block; once per process is plenty.
-    static const bool debug = std::getenv("CATENET_TCP_DEBUG") != nullptr;
-    if (debug) {
-        fprintf(stderr, "[%8.3f] %s:%u -> %u seq=%u ack=%u len=%zu %s%s%s%s wnd=%u snd_una=%u snd_nxt=%u rcv_nxt=%u flight=%u\n",
-            stack_.ip().simulator().now().seconds(), stack_.ip().name().c_str(),
-            local_port_, remote_port_, header.seq, header.ack,
-            payload_a.size() + payload_b.size(),
-            header.flags.syn?"S":"", header.flags.fin?"F":"", header.flags.rst?"R":"",
-            header.flags.ack?".":"", header.window, snd_una_, snd_nxt_, rcv_nxt_, flight_size());
-    }
     // One buffer start to finish: the codec lays the segment out behind
     // kIpv4HeaderSize bytes of headroom, the IP layer serializes its header
     // into that headroom, and the link takes ownership — the only payload
@@ -1100,7 +1079,6 @@ TcpStack::TcpStack(ip::IpStack& ip, util::Rng& parent_rng)
         [this](const ip::Ipv4Header& h, std::span<const std::uint8_t> p, std::size_t) {
             on_segment(h, p);
         });
-    ip_.register_protocol_run(ip::kProtoTcp, this);
     ip_.add_icmp_error_handler(
         [this](const ip::IcmpMessage& msg, util::Ipv4Address) {
             if (msg.type == ip::IcmpType::SourceQuench) on_source_quench(msg);
@@ -1206,133 +1184,6 @@ void TcpStack::on_segment(const ip::Ipv4Header& header,
     ++stats_.dropped_no_connection;
     counters_.inc(telemetry::Counter::TcpDropNoConnection);
     if (!h->flags.rst) send_reset(header, *h, data.size());
-}
-
-// The GRO run lane (DESIGN.md §12): one demux probe and one predicate pass
-// per run instead of per segment. Each accepted segment is still processed
-// completely — counted, delivered, ACK-clocked — at its own arrival, so the
-// run is invisible to everything but the amortized fixed costs. The
-// decline discipline is absolute: every check runs BEFORE any counter or
-// state moves, so a declined segment reaches on_datagram() untouched.
-bool TcpStack::on_run_segment(const ip::Ipv4Header& header,
-                              std::span<const std::uint8_t> payload,
-                              std::size_t /*ifindex*/) {
-    if (payload.size() < kTcpHeaderSize) return false;
-    const std::uint8_t* p = payload.data();
-    if (p[12] != 0x50) return false;  // data offset 5 words, no options
-    // ACK required, PSH tolerated, anything else (SYN/FIN/RST/URG) declines
-    // — the same flag gate as the header-prediction fast path.
-    if ((p[13] & ~0x08u) != 0x10u) return false;
-    const std::size_t len = payload.size() - kTcpHeaderSize;
-
-    // Resolve the socket — through the run pin when it matches, one real
-    // demux probe otherwise. The pin itself only moves on a consume: a
-    // declined segment re-enters the per-datagram path untouched, so
-    // paying a shared_ptr pin for it would be pure decline overhead (felt
-    // hardest in connection churn, where every handshake ACK lands here).
-    const std::uint64_t key =
-        make_conn_key(header.src.value(), load_u16(p), load_u16(p + 2));
-    std::shared_ptr<TcpSocket>* entry = nullptr;
-    TcpSocket* resolved;
-    if (run_socket_ != nullptr && key == run_key_) {
-        resolved = run_socket_.get();
-    } else {
-        entry = connections_.find(key);
-        if (entry == nullptr) return false;
-        resolved = entry->get();
-    }
-    TcpSocket& s = *resolved;
-
-    // The try_fast_path data-arm predicate, clause for clause, over
-    // direct-loaded fields. Any deviation falls back to the slow path,
-    // which remains the single source of truth for every corner case.
-    if (s.state_ != TcpState::Established) return false;
-    if (load_u32(p + 4) != s.rcv_nxt_) return false;
-    const std::uint16_t wnd = load_u16(p + 14);
-    if (wnd != s.snd_wnd_ || s.snd_wnd_ == 0) return false;
-    if (s.snd_nxt_ != s.snd_max_) return false;
-    if (s.fin_queued_ || s.fin_received_ || s.fin_seq_out_.has_value()) return false;
-
-    if (len == 0) {
-        // The try_fast_path pure-ACK arm, clause for clause: an ACK train
-        // from the receiver is as much a run as the data train that earned
-        // it, and consuming it here skips the same re-demux the data arm
-        // skips. Effects are copied verbatim from the per-datagram path.
-        const std::uint32_t ack = load_u32(p + 8);
-        if (!(seq_gt(ack, s.snd_una_) && seq_leq(ack, s.snd_max_))) return false;
-        if (s.dup_acks_ != 0) return false;
-        if (entry != nullptr) {  // a connection switch splits the run
-            if (run_segs_ != 0) end_run();
-            run_socket_ = *entry;
-            run_key_ = key;
-        }
-        ++stats_.segments_received;
-        counters_.inc(telemetry::Counter::TcpSegsIn);
-        ++s.stats_.segments_received;
-        ++s.stats_.fast_path_acks;
-        counters_.inc(telemetry::Counter::TcpPredAcks);
-        const std::uint32_t acked = ack - s.snd_una_;
-        if (s.timing_ && seq_gt(ack, s.timed_seq_)) {
-            s.update_rtt(ip_.simulator().now() - s.timed_sent_at_);
-            s.timing_ = false;
-        }
-        const bool buffer_was_full = s.send_space() == 0;
-        s.send_ring_.consume(acked);
-        s.snd_una_ = ack;
-        s.on_ack_advance(acked);
-        if (s.flight_size() == 0) {
-            s.rto_timer_.cancel();
-        } else {
-            s.arm_rto();
-        }
-        if (buffer_was_full && s.send_space() > 0 && s.on_send_space) {
-            s.on_send_space();
-        }
-        s.try_send(false);
-        ++run_segs_;
-        return true;
-    }
-
-    if (load_u32(p + 8) != s.snd_una_) return false;
-    if (!s.out_of_order_.empty()) return false;
-    if (s.manual_receive_ || !s.recv_open_) return false;
-    if (len > std::min<std::size_t>(s.config_.recv_buffer, 0xffff)) return false;
-    if (entry != nullptr) {  // a connection switch splits the run
-        if (run_segs_ != 0) end_run();
-        run_socket_ = *entry;
-        run_key_ = key;
-    }
-
-    // Consumed: the per-datagram fast path's exact accounting and ACK
-    // cadence, minus the re-verified checksum and re-run demux.
-    ++stats_.segments_received;
-    counters_.inc(telemetry::Counter::TcpSegsIn);
-    ++s.stats_.segments_received;
-    ++s.stats_.fast_path_data;
-    counters_.inc(telemetry::Counter::TcpPredData);
-    s.rcv_nxt_ += static_cast<std::uint32_t>(len);
-    s.stats_.bytes_received += len;
-    if (s.on_data) s.on_data(payload.subspan(kTcpHeaderSize));
-    s.schedule_ack();
-    ++run_segs_;
-    return true;
-}
-
-void TcpStack::on_datagram(const ip::Ipv4Header& header,
-                           std::span<const std::uint8_t> payload,
-                           std::size_t /*ifindex*/) {
-    on_segment(header, payload);
-}
-
-void TcpStack::end_run() {
-    // Runs of one amortized nothing; only real coalescing is diagnosed.
-    if (run_segs_ >= 2) {
-        counters_.inc(telemetry::Counter::TcpGroRuns);
-        counters_.add(telemetry::Counter::TcpGroSegs, run_segs_);
-    }
-    run_segs_ = 0;
-    run_socket_.reset();
-    run_key_ = 0;
 }
 
 void TcpStack::send_reset(const ip::Ipv4Header& header, const TcpHeader& offending,

@@ -94,10 +94,9 @@ struct TcpConfig {
     /// opportunity the per-segment loop would spend on a train of full-MSS
     /// segments is spent on ONE mega-segment descriptor, split late at the
     /// egress link; outbound segments are stamped checksum-vouched so the
-    /// receiving stack may coalesce in-order runs (GRO). Wire bytes, ACK
-    /// cadence, and every cross-mode-comparable counter are identical
-    /// either way — off reproduces the seed's per-segment pipeline end to
-    /// end (the GRO lane needs the vouch this sender then never sets).
+    /// receiving stack may skip re-verifying them. Wire bytes, ACK cadence,
+    /// and every counter but the GSO diagnostics are identical either way —
+    /// off reproduces the seed's per-segment pipeline end to end.
     bool segmentation_offload = true;
     /// Cap on wire segments per GSO build (clamped to link::kGsoSegs).
     std::size_t gso_segs = link::kGsoSegs;
@@ -354,10 +353,8 @@ struct TcpStackStats {
 };
 
 /// Per-host TCP: demultiplexes segments to connections and holds
-/// listeners. One instance per Host. Also implements the internet layer's
-/// receive-run hook (GRO, DESIGN.md §12) — privately, since the interface
-/// is plumbing between the two layers, not part of the TCP API.
-class TcpStack : private ip::IpStack::TransportRunHandler {
+/// listeners. One instance per Host.
+class TcpStack {
 public:
     using AcceptHandler = std::function<void(std::shared_ptr<TcpSocket>)>;
 
@@ -393,19 +390,6 @@ private:
 
     void on_segment(const ip::Ipv4Header& header, std::span<const std::uint8_t> payload);
 
-    // --- GRO run hook (ip::IpStack::TransportRunHandler) -----------------
-    /// Offers one checksum-vouched segment to the open run. Consumes it —
-    /// replicating the header-prediction data path's exact accounting and
-    /// per-segment ACK clock — only when every fast-path clause holds;
-    /// any deviation declines with nothing counted or mutated.
-    bool on_run_segment(const ip::Ipv4Header& header,
-                        std::span<const std::uint8_t> payload,
-                        std::size_t ifindex) override;
-    void on_datagram(const ip::Ipv4Header& header,
-                     std::span<const std::uint8_t> payload,
-                     std::size_t ifindex) override;
-    void end_run() override;
-
     void on_source_quench(const ip::IcmpMessage& msg);
     void send_reset(const ip::Ipv4Header& header, const TcpHeader& offending,
                     std::size_t payload_len);
@@ -419,14 +403,6 @@ private:
     TcpStackStats stats_;
     telemetry::CounterBlock counters_;
     std::uint16_t next_ephemeral_ = 49152;
-
-    /// Pin on the connection whose GRO run is open: keeps the socket alive
-    /// across in-run callbacks and memoizes the demux probe. Reset at
-    /// end_run — a table slot may be reused by a new connection, so the
-    /// memo never outlives the run.
-    std::shared_ptr<TcpSocket> run_socket_;
-    std::uint64_t run_key_ = 0;
-    std::size_t run_segs_ = 0;
 };
 
 }  // namespace catenet::tcp

@@ -68,21 +68,21 @@ enum class Counter : std::uint16_t {
     UdpDropChecksum,
     UdpDropNoSocket,
     // --- segmentation offload (appended: slot order is wire order) --------
-    // Diagnostics for the GSO/GRO pipeline (DESIGN.md §12). Like the event
-    // count, the run/train shape is an engine artifact, not a semantic:
-    // twin comparisons that cross engine modes (burst vs per-packet,
-    // sequential vs sharded) mask these four slots.
+    // Diagnostics for GSO (DESIGN.md §12). Like the event count, the train
+    // shape is an engine artifact, not a semantic: twin comparisons across
+    // offload modes mask these slots.
     TcpGsoBuilds,  ///< mega-segment descriptors emitted by the send path
     TcpGsoSegs,    ///< wire segments produced by late splits at the link
-    TcpGroRuns,    ///< receive runs (>= 2 segments) coalesced by the fast lane
-    TcpGroSegs,    ///< segments consumed through the run fast lane
+    /// Nothing increments this slot (the receive side coalesces no runs);
+    /// it is kept only because perfbench's tcp.gro.share metric reads it.
+    TcpGroSegs,
     kCount,
 };
 
 /// True for the offload-shape diagnostics that engine-mode twins mask.
 constexpr bool offload_diagnostic(Counter c) noexcept {
     return c == Counter::TcpGsoBuilds || c == Counter::TcpGsoSegs ||
-           c == Counter::TcpGroRuns || c == Counter::TcpGroSegs;
+           c == Counter::TcpGroSegs;
 }
 
 inline constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
@@ -128,7 +128,6 @@ constexpr const char* counter_name(Counter c) noexcept {
         case Counter::UdpDropNoSocket: return "udp.drop.no_socket";
         case Counter::TcpGsoBuilds: return "tcp.gso_builds";
         case Counter::TcpGsoSegs: return "tcp.gso_segs";
-        case Counter::TcpGroRuns: return "tcp.gro_runs";
         case Counter::TcpGroSegs: return "tcp.gro_segs";
         case Counter::kCount: break;
     }

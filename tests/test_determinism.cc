@@ -28,19 +28,6 @@ struct RunSignature {
     bool operator==(const RunSignature&) const = default;
 };
 
-/// Zeroes the segmentation-offload diagnostics (GSO builds/segs, GRO
-/// runs/segs). Like `events`, they describe engine mechanics — how work
-/// was batched — not packet-level behaviour, so the burst and sharded
-/// twins are allowed (expected, even) to differ on exactly these slots.
-telemetry::CounterBlock mask_offload_diagnostics(telemetry::CounterBlock block) {
-    for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-        if (telemetry::offload_diagnostic(static_cast<telemetry::Counter>(i))) {
-            block.slots[i] = 0;
-        }
-    }
-    return block;
-}
-
 RunSignature run_scenario(std::uint64_t seed) {
     core::Internetwork net(seed);
     core::Host& a = net.add_host("a");
@@ -130,13 +117,8 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel,
 }
 
 TEST(Determinism, ShardedRunEqualsSequentialTwin) {
-    auto sequential = run_sharded_scenario(1234, false, 1);
-    auto sharded = run_sharded_scenario(1234, true, 1);
-    // The boundary link batches deliveries differently from the in-shard
-    // burst engine, so GRO run shapes (an engine artifact, like `events`)
-    // may differ; every behavioural counter must still match exactly.
-    sequential.counters = mask_offload_diagnostics(sequential.counters);
-    sharded.counters = mask_offload_diagnostics(sharded.counters);
+    const auto sequential = run_sharded_scenario(1234, false, 1);
+    const auto sharded = run_sharded_scenario(1234, true, 1);
     EXPECT_EQ(sequential, sharded);
     EXPECT_GT(sequential.retransmits, 0u) << "scenario must exercise randomness";
     // The merged per-shard counter blocks are slot-for-slot what one
@@ -154,65 +136,6 @@ TEST(Determinism, ShardedRunReplaysExactlyUnderThreads) {
     const auto cooperative = run_sharded_scenario(555, true, 1);
     EXPECT_EQ(first, second);
     EXPECT_EQ(first, cooperative);
-}
-
-// The burst forwarding engine (LinkParams::burst, on by default for clean
-// FIFO links) is constrained to be invisible: a run with 32-deep drains
-// must match its per-packet twin on every signature field except
-// `events` — the burst engine's entire point is fewer wake-ups, so the
-// event count is the one number allowed (and expected) to drop.
-RunSignature run_burst_twin(std::uint64_t seed, std::size_t burst) {
-    core::Internetwork net(seed);
-    core::Host& a = net.add_host("a");
-    core::Host& b = net.add_host("b");
-    core::Gateway& g = net.add_gateway("g");
-    // Long fat links: 32 serializations (42.56us each at 100 Mb/s for a
-    // 532B datagram) fit inside 2 ms of propagation, so whole runs are in
-    // flight at once — the sustained-chain regime.
-    link::LinkParams wan;
-    wan.bits_per_second = 100'000'000;
-    wan.propagation_delay = sim::milliseconds(2);
-    wan.queue_capacity_packets = 64;
-    wan.burst = burst;
-    net.connect(a, g, wan);
-    net.connect(g, b, wan);
-    net.use_static_routes();
-
-    app::BulkServer server(b, 21);
-    app::BulkSender sender(a, b.address(), 21, 256 * 1024);
-    sender.start();
-    app::VoiceOverUdp voice(a, b, 5004);
-    voice.start(sim::seconds(10));
-    net.run_for(sim::seconds(60));
-
-    RunSignature sig;
-    sig.events = net.sim().events_processed();
-    sig.link_bytes = net.total_link_bytes();
-    sig.bytes_received = server.total_bytes_received();
-    sig.retransmits = sender.socket_stats().retransmitted_segments;
-    sig.voice_received = voice.report().frames_received;
-    sig.counters = net.metrics().totals();
-    return sig;
-}
-
-TEST(Determinism, BurstEngineEqualsPerPacketTwinExceptEvents) {
-    const auto burst = run_burst_twin(1234, 32);
-    const auto legacy = run_burst_twin(1234, 1);
-    EXPECT_LT(burst.events, legacy.events)
-        << "the burst engine never engaged — no run was ever drained";
-    // GRO coalescing only happens inside burst deliveries, so the offload
-    // diagnostics join `events` in the engine-artifact exception set;
-    // every behavioural counter must still match slot for slot.
-    RunSignature masked = burst;
-    masked.events = legacy.events;
-    masked.counters = mask_offload_diagnostics(burst.counters);
-    RunSignature legacy_masked = legacy;
-    legacy_masked.counters = mask_offload_diagnostics(legacy.counters);
-    EXPECT_EQ(masked, legacy_masked);
-    EXPECT_EQ(masked.counters.slots, legacy_masked.counters.slots);
-    EXPECT_GT(burst.counters.get(telemetry::Counter::TcpGroSegs), 0u)
-        << "the GRO run lane never consumed a segment under burst delivery";
-    EXPECT_GT(burst.bytes_received, 0u);
 }
 
 // Property: replay stability across many seeds (each seed replays itself).

@@ -1,19 +1,24 @@
 // The zero-copy forwarding fast path: RFC 1624 incremental checksum
 // equivalence, byte-identity of the in-place TTL rewrite against full
-// re-serialization, allocation-freedom of the N-hop forward loop, and the
-// soft-state destination cache's invalidation-by-generation discipline.
+// re-serialization, allocation-freedom of the N-hop forward loop, trains
+// of back-to-back datagrams through one gateway (TTL expiry, malformed
+// frames and route changes inside a train, a carrier cut with packets in
+// flight), the soft-state destination cache's invalidation-by-generation
+// discipline, and LinkParams' serialization math and input validation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/internetwork.h"
 #include "ip/ipv4_header.h"
 #include "ip/protocols.h"
 #include "ip/routing_table.h"
+#include "link/boundary.h"
 #include "link/point_to_point.h"
 #include "link/presets.h"
 #include "util/buffer_pool.h"
@@ -268,6 +273,140 @@ TEST(FastPath, NHopForwardingIsAllocationFreeInSteadyState) {
     EXPECT_EQ(delta, 0u) << "heap allocations on the steady-state forward path";
 }
 
+// --- trains through one gateway -----------------------------------------
+
+constexpr std::uint8_t kTrainProto = 253;  // RFC 3692 experimental
+
+// a -- gw -- b over links fast and long enough that a 32-datagram train
+// is all in flight at once: tx(532B) = 42.56us at 100 Mb/s, 31 of them =
+// 1.32ms < 2ms of propagation. The queue holds a whole train behind an
+// in-progress transmission.
+struct Train {
+    explicit Train(std::uint64_t seed = 7)
+        : net(seed), a(net.add_host("a")), gw(net.add_gateway("gw")), b(net.add_host("b")) {
+        link::LinkParams wan;
+        wan.bits_per_second = 100'000'000;
+        wan.propagation_delay = sim::milliseconds(2);
+        wan.queue_capacity_packets = 64;
+        net.connect(a, gw, wan);
+        net.connect(gw, b, wan);
+        net.use_static_routes();
+        b.ip().register_protocol(kTrainProto,
+                                 [this](const ip::Ipv4Header&,
+                                        std::span<const std::uint8_t>,
+                                        std::size_t) { ++delivered; });
+    }
+    void send(std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) a.ip().send(kTrainProto, b.address(), payload);
+    }
+    core::Internetwork net;
+    core::Host& a;
+    core::Gateway& gw;
+    core::Host& b;
+    const util::ByteBuffer payload = util::ByteBuffer(512, 0x5a);
+    std::uint64_t delivered = 0;
+};
+
+TEST(ForwardTrain, TtlExpiresInsideATrain) {
+    // Positions 10 and 20 of a 32-train expire at the gateway; the other 30
+    // arrive, and the sender hears two Time Exceeded datagrams.
+    Train t;
+    for (int i = 0; i < 32; ++i) {
+        ip::SendOptions opt;
+        if (i == 10 || i == 20) opt.ttl = 1;
+        t.a.ip().send(kTrainProto, t.b.address(), t.payload, opt);
+    }
+    t.net.sim().run();
+    EXPECT_EQ(t.delivered, 30u);
+    EXPECT_EQ(t.gw.ip().stats().dropped_ttl_expired, 2u);
+    EXPECT_EQ(t.gw.ip().stats().icmp_errors_sent, 2u);
+    EXPECT_EQ(t.gw.ip().stats().forwarded, 30u);
+}
+
+class ForwardTrainMalformed : public ::testing::TestWithParam<int> {};
+
+TEST_P(ForwardTrainMalformed, DroppedAtItsTrainPosition) {
+    // A garbage frame (version nibble 0xf) at train position 0, 15 or 31:
+    // the gateway drops exactly it and forwards every other datagram.
+    const int pos = GetParam();
+    Train t;
+    for (int i = 0; i < 32; ++i) {
+        if (i == pos) {
+            t.a.ip().interface(0).send(
+                link::make_packet(util::ByteBuffer(40, 0xff), t.net.sim()),
+                t.b.address());
+        } else {
+            t.send(1);
+        }
+    }
+    t.net.sim().run();
+    EXPECT_EQ(t.delivered, 31u);
+    EXPECT_EQ(t.gw.ip().stats().dropped_malformed, 1u);
+    EXPECT_EQ(t.gw.ip().stats().forwarded, 31u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Positions, ForwardTrainMalformed, ::testing::Values(0, 15, 31));
+
+TEST(ForwardTrain, RouteInstallBetweenArrivalsMissesOnce) {
+    // An (unrelated) route install between arrivals 10 and 11 bumps the
+    // table generation: the next datagram re-probes the cache once, so one
+    // destination costs two cold misses, and every datagram still forwards.
+    Train t;
+    t.send(32);
+    t.net.sim().schedule_after(
+        sim::microseconds(2000) + sim::nanoseconds(10 * 42'560 + 21'280), [&t] {
+            ip::Route r;
+            r.prefix = util::Ipv4Prefix::parse("203.0.113.0/24");
+            r.ifindex = 0;
+            t.gw.ip().routing_table().install(r);
+        });
+    t.net.sim().run();
+    EXPECT_EQ(t.delivered, 32u);
+    EXPECT_EQ(t.gw.ip().stats().forwarded, 32u);
+    const auto& counters = t.gw.ip().counters();
+    EXPECT_EQ(counters.get(telemetry::Counter::IpRouteCacheMiss), 2u)
+        << "exactly one extra cold probe after the generation bump";
+    EXPECT_EQ(counters.get(telemetry::Counter::IpRouteCacheHit), 30u);
+}
+
+TEST(ForwardTrain, CarrierCutWithPacketsInFlightRecovers) {
+    // Cut the first hop 100us into a train (two datagrams on the wire, the
+    // rest queued): the train is partly lost, nothing crashes or leaks,
+    // and traffic flows again after restore.
+    Train t;
+    t.send(32);
+    t.net.sim().schedule_after(sim::microseconds(100), [&t] { t.net.fail_link(0); });
+    t.net.run_for(sim::milliseconds(50));
+    const std::uint64_t after_cut = t.delivered;
+    EXPECT_LT(after_cut, 32u);
+    t.net.restore_link(0);
+    t.send(32);
+    t.net.sim().run();
+    EXPECT_EQ(t.delivered, after_cut + 32u);
+}
+
+TEST(ForwardTrain, SteadyStateTrainsAreHeapSilent) {
+    Train t;
+    auto wave = [&t] {
+        t.send(32);
+        t.net.sim().run();
+    };
+    // Warm-up: buffer pool, queues, event slots, route cache — and the
+    // engine's far-bucket arena, primed past any high-water mark a wave
+    // can reach (a wave straddling the 67 ms far-horizon boundary parks
+    // its deliveries there; that arena's amortized growth is engine
+    // behaviour, not part of the forwarding path under test).
+    for (int i = 0; i < 256; ++i) {
+        t.net.sim().schedule_after(sim::milliseconds(100 + i), [] {});
+    }
+    t.net.sim().run();
+    for (int i = 0; i < 5; ++i) wave();
+    const std::uint64_t before = g_heap_allocs;
+    for (int i = 0; i < 10; ++i) wave();
+    EXPECT_EQ(g_heap_allocs - before, 0u) << "forwarding a train allocated";
+    EXPECT_EQ(t.delivered, 15u * 32u);
+}
+
 // --- buffer pool --------------------------------------------------------
 
 TEST(BufferPool, RecyclesCapacityAndIgnoresMovedFromBuffers) {
@@ -465,6 +604,61 @@ TEST(LinkParams, TransmissionTimeIsExactIntegerCeil) {
     EXPECT_EQ(p.transmission_time(1500), sim::Time(120));
     p.bits_per_second = 64'000'000'000ull;
     EXPECT_EQ(p.transmission_time(1), sim::Time(1));  // 0.125 ns occupies 1 ns
+}
+
+TEST(LinkParams, ValidateNamesTheFieldOutOfRange) {
+    const auto rejected_field = [](auto mutate) -> std::string {
+        link::LinkParams p;
+        mutate(p);
+        try {
+            p.validate();
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    using P = link::LinkParams;
+    EXPECT_NE(rejected_field([](P& p) { p.bits_per_second = 0; }).find("bits_per_second"),
+              std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.mtu = 67; }).find("mtu"), std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.mtu = 65536; }).find("mtu"), std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.drop_probability = 1.5; }).find("drop_probability"),
+              std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.drop_probability = -1; }).find("drop_probability"),
+              std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.bit_error_rate = 2; }).find("bit_error_rate"),
+              std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.propagation_delay = sim::milliseconds(-5); })
+                  .find("propagation_delay"),
+              std::string::npos);
+    EXPECT_NE(rejected_field([](P& p) { p.jitter = sim::nanoseconds(-1); }).find("jitter"),
+              std::string::npos);
+    // The edges of every range are legal.
+    EXPECT_EQ(rejected_field([](P& p) {
+                  p.mtu = 68;
+                  p.drop_probability = 1.0;
+                  p.bit_error_rate = 0.0;
+                  p.propagation_delay = sim::Time(0);
+              }),
+              "accepted");
+    EXPECT_EQ(rejected_field([](P& p) { p.mtu = 65535; }), "accepted");
+}
+
+TEST(LinkParams, LinkConstructorsRejectBadParamsAndValidInputIsHeapSilent) {
+    sim::Simulator sim;
+    util::Rng rng(1);
+    link::LinkParams bad;
+    bad.bits_per_second = 0;
+    EXPECT_THROW(link::PointToPointLink(sim, rng, bad), std::invalid_argument);
+    EXPECT_THROW(link::PointToPointLink(sim, rng, link::LinkParams{}, bad),
+                 std::invalid_argument);
+    sim::Simulator far_side;
+    EXPECT_THROW(link::BoundaryLink(sim, 0, far_side, 1, rng, bad), std::invalid_argument);
+
+    const link::LinkParams good = link::presets::ethernet_hop();
+    const std::uint64_t before = g_heap_allocs;
+    for (int i = 0; i < 100; ++i) good.validate();
+    EXPECT_EQ(g_heap_allocs - before, 0u) << "validating good params allocated";
 }
 
 }  // namespace

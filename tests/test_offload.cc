@@ -1,23 +1,21 @@
 // Segmentation-offload tests (DESIGN.md §12). The contract under test:
 // GSO (one mega-segment descriptor per transmission opportunity, split
-// late at the egress link) and GRO (in-order receive runs coalesced
-// through one demux probe) are *optimizations*, never semantics — wire
+// late at the egress link) is an *optimization*, never a semantic — wire
 // bytes, ACK cadence, delivered payloads, traces, flight-recorder
-// transcripts, and every cross-mode-comparable counter must be identical
-// between an offload-on run and its per-segment twin. The four
-// Tcp{Gso,Gro}* counters are diagnostics of how work was batched and are
-// the only slots allowed to differ (the same exception class as event
-// counts in the burst-engine twins).
+// transcripts, and every counter but the offload diagnostics must be
+// identical between an offload-on run and its per-segment twin. The
+// Tcp{Gso,Gro}* counters describe how work was batched and are the only
+// slots allowed to differ (the same exception class as event counts).
 //
 // The suite runs one rich bulk-transfer scenario with segmentation_offload
 // on and off and diffs the full observation record — including the wire
 // digest stream each host's interface delivered, which pins byte-for-byte
 // and packet-for-packet wire identity in both directions — then walks the
 // edges: mega-segments truncated by cwnd/rwnd mid-build, FIN and PSH
-// landing inside a run, corruption under a bit-error link, retransmission
-// over GSO-built spans, zero-window stalls with persist probes, and
-// foreign datagrams splitting receive runs. A final pair of allocation
-// tests asserts the steady-state GSO build and GRO delivery paths are
+// landing inside a train, corruption under a bit-error link,
+// retransmission over GSO-built spans, zero-window stalls with persist
+// probes, and foreign datagrams laced into the trains. A final allocation
+// test asserts the steady-state GSO build and delivery paths are
 // heap-silent.
 #include <gtest/gtest.h>
 
@@ -41,7 +39,8 @@
 #include "telemetry/counters.h"
 #include "telemetry/flight_recorder.h"
 
-// Global allocation counter (same per-binary harness as test_burst.cc):
+// Global allocation counter (same per-binary harness as
+// test_forward_fastpath.cc):
 // counts every operator-new in this binary so the steady-state tests can
 // assert the offload paths never touch the heap.
 namespace {
@@ -91,8 +90,7 @@ namespace {
 constexpr std::uint8_t kForeignProto = 253;  // RFC 3692 experimental
 
 // Fast and long enough that whole segment trains are in flight at once:
-// tx(1500B) = 120us at 100 Mb/s, 2 ms of propagation — the regime where
-// burst delivery (and therefore GRO) actually engages at the receiver.
+// tx(1500B) = 120us at 100 Mb/s, 2 ms of propagation.
 link::LinkParams wan() {
     link::LinkParams p;
     p.bits_per_second = 100'000'000;
@@ -298,8 +296,6 @@ TEST(OffloadTwin, BulkTransferMatchesPerSegmentPipelineEverywhere) {
     // The scenario must actually have exercised both halves of the offload.
     EXPECT_GT(on.counters.get(telemetry::Counter::TcpGsoBuilds), 0u)
         << "no mega-segment was ever built";
-    EXPECT_GT(on.counters.get(telemetry::Counter::TcpGroSegs), 0u)
-        << "the receive run lane never consumed a segment";
     EXPECT_GE(on.counters.get(telemetry::Counter::TcpGsoSegs),
               2 * on.counters.get(telemetry::Counter::TcpGsoBuilds))
         << "mega-segments must cover at least two MSS each";
@@ -334,8 +330,7 @@ TEST(OffloadEdge, MegaSegmentTruncatedByReceiveWindow) {
 TEST(OffloadEdge, FinAndPushInsideTheFinalRun) {
     // The sender closes the moment the last byte is queued: the FIN chases
     // the final train, and every drained train carries PSH on its last
-    // segment. The FIN-bearing segment must decline the run lane and take
-    // the slow path — connection teardown is bit-identical either way.
+    // segment. Connection teardown is bit-identical either way.
     Knobs k;
     k.goal = 64 * 1024;
     k.close_after = true;
@@ -385,10 +380,9 @@ TEST(OffloadEdge, BitErrorsInvalidateTheChecksumVouch) {
 }
 
 TEST(OffloadEdge, ForeignDatagramsSplitReceiveRuns) {
-    // Datagrams of another protocol landing inside the data trains force
-    // the receive loop to close the open run, dispatch the foreigner
-    // through the ordinary path, and start a fresh run — with no effect
-    // on anything observable.
+    // Datagrams of another protocol landing inside the data trains take
+    // the ordinary dispatch between TCP segments — with no effect on
+    // anything observable.
     Knobs k;
     k.goal = 128 * 1024;
     k.interleave_foreign = true;
@@ -398,14 +392,12 @@ TEST(OffloadEdge, ForeignDatagramsSplitReceiveRuns) {
     expect_twin_equal(on, off);
     EXPECT_EQ(on.delivered, k.goal);
     EXPECT_EQ(on.foreign, 40u);
-    EXPECT_GT(on.counters.get(telemetry::Counter::TcpGroRuns), 0u);
 }
 
 TEST(OffloadEdge, ZeroWindowProbesCarryTheTransfer) {
     // Manual receive with a 1 KB drain every 1.2 s against a 1 s persist
     // interval: the window spends most of the transfer closed, and persist
-    // probes (which the run lane must decline — zero window fails the
-    // predicate) keep the connection alive identically in both modes.
+    // probes keep the connection alive identically in both modes.
     Knobs k;
     k.goal = 16 * 1024;
     k.recv_buffer = 8 * 1024;
@@ -462,7 +454,7 @@ TEST(OffloadAlloc, SteadyStateGsoBuildAndGroDeliveryAreHeapSilent) {
 
     // Warm-up: buffer pool, rings, route caches, the event heap — and the
     // engine's far-bucket arena, primed past any high-water mark a wave
-    // can reach (same discipline as test_burst.cc).
+    // can reach (same discipline as ForwardTrain.SteadyStateTrainsAreHeapSilent).
     for (int i = 0; i < 256; ++i) {
         net.sim().schedule_after(sim::milliseconds(100 + i), [] {});
     }
@@ -476,11 +468,9 @@ TEST(OffloadAlloc, SteadyStateGsoBuildAndGroDeliveryAreHeapSilent) {
         << "the steady-state offload path allocated";
     const telemetry::CounterBlock after = net.metrics().totals();
     EXPECT_EQ(delivered, 15u * 64u * 1024u);
-    // The silent phase must have actually gone through the offload paths.
+    // The silent phase must have actually gone through the offload path.
     EXPECT_GT(after.get(telemetry::Counter::TcpGsoBuilds),
               warm.get(telemetry::Counter::TcpGsoBuilds));
-    EXPECT_GT(after.get(telemetry::Counter::TcpGroSegs),
-              warm.get(telemetry::Counter::TcpGroSegs));
 }
 
 }  // namespace

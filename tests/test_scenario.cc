@@ -2,6 +2,9 @@
 // driven entirely from text.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "app/scenario.h"
 
 namespace catenet::app {
@@ -218,6 +221,63 @@ run 1s
 )"),
                  ScenarioError);
 }
+
+// Malformed-input corpus: every case must surface as a ScenarioError that
+// names the offending line and what was wrong with it — never a crash, an
+// uncaught foreign exception, or a run that silently goes nowhere.
+struct MalformedCase {
+    const char* id;
+    const char* text;
+    int line;
+    const char* complaint;  ///< substring the message must contain
+
+    // Names the case in test listings (the default would dump pointers).
+    friend void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.id; }
+};
+
+class ScenarioMalformed : public ::testing::TestWithParam<MalformedCase> {};
+
+TEST_P(ScenarioMalformed, TypedErrorOnItsLine) {
+    const MalformedCase& c = GetParam();
+    try {
+        run_scenario(c.text);
+        FAIL() << "accepted: " << c.text;
+    } catch (const ScenarioError& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("line " + std::to_string(c.line) + ":", 0), 0u) << what;
+        EXPECT_NE(what.find(c.complaint), std::string::npos) << what;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, ScenarioMalformed,
+    ::testing::Values(
+        MalformedCase{"ZeroRate", "host a\nhost b\nlink a b ethernet rate=0\nrun 1s\n", 3,
+                      "bits_per_second"},
+        MalformedCase{"NegativeDelay", "host a\nhost b\nlink a b ethernet delay=-5\nrun 1s\n",
+                      3, "propagation_delay"},
+        MalformedCase{"MtuBelowIpv4Minimum",
+                      "host a\nhost b\nlink a b ethernet mtu=20\nrun 1s\n", 3, "mtu"},
+        MalformedCase{"MtuAboveIpv4Maximum",
+                      "host a\nhost b\nlink a b ethernet mtu=70000\nrun 1s\n", 3, "mtu"},
+        MalformedCase{"LossAboveOne", "host a\nhost b\nlink a b ethernet loss=1.5\nrun 1s\n",
+                      3, "drop_probability"},
+        MalformedCase{"NegativeLoss", "host a\nhost b\nlink a b ethernet loss=-1\nrun 1s\n",
+                      3, "drop_probability"},
+        MalformedCase{"NanLoss", "host a\nhost b\nlink a b ethernet loss=nan\nrun 1s\n", 3,
+                      "drop_probability"},
+        MalformedCase{"NonNumericRate",
+                      "host a\nhost b\nlink a b ethernet rate=fast\nrun 1s\n", 3,
+                      "bad value"},
+        MalformedCase{"DuplicateHost", "host a\nhost b\nhost a\nrun 1s\n", 3,
+                      "already taken"},
+        MalformedCase{"GatewayReusesHostName", "host a\ngateway a\nrun 1s\n", 2,
+                      "already taken"},
+        MalformedCase{"LanReusesGatewayName", "gateway g\nlan g\nrun 1s\n", 2,
+                      "already taken"},
+        MalformedCase{"HostReusesGeneratedName",
+                      "generate two_tier 2 2 1 compact\nhost gw0\nrun 1s\n", 2,
+                      "already taken"}));
 
 }  // namespace
 }  // namespace catenet::app

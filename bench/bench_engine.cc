@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -181,14 +180,6 @@ void BM_ForwardBurst(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardBurst)->Arg(1)->Arg(32);
 
-// Segmentation offload (GSO, DESIGN.md §12) is on by default, exactly
-// as real traffic runs it. CATENET_NO_OFFLOAD=1 forces the per-segment
-// pipeline so bench/gate_offload.sh can A/B the two modes from one binary.
-bool offload_enabled() {
-    static const bool on = std::getenv("CATENET_NO_OFFLOAD") == nullptr;
-    return on;
-}
-
 // Builds an a — (links-1 gateways) — b chain and returns it ready to run.
 struct TcpPath {
     explicit TcpPath(int links) : net(1988) {
@@ -218,7 +209,6 @@ void BM_TcpGoodput(benchmark::State& state) {
     std::uint64_t received = 0;
     tcp::TcpConfig cfg;
     cfg.mss_cap = mss;
-    cfg.segmentation_offload = offload_enabled();
     path.b->tcp().listen(
         80,
         [&received](std::shared_ptr<tcp::TcpSocket> s) {
@@ -281,7 +271,6 @@ void BM_TcpManyConns(benchmark::State& state) {
 
     std::uint64_t received = 0;
     tcp::TcpConfig cfg;
-    cfg.segmentation_offload = offload_enabled();
     path.b->tcp().listen(
         80,
         [&received](std::shared_ptr<tcp::TcpSocket> s) {
@@ -343,7 +332,6 @@ BENCHMARK(BM_TcpManyConns)->Arg(8)->Arg(64);
 void BM_TcpConnChurn(benchmark::State& state) {
     TcpPath path(1);
     tcp::TcpConfig cfg;
-    cfg.segmentation_offload = offload_enabled();
     path.b->tcp().listen(
         80,
         [](std::shared_ptr<tcp::TcpSocket> s) {

@@ -32,7 +32,7 @@
 // Ablation: CATENET_NO_FIBFLAT=1 pins every gateway table's flat
 // threshold to SIZE_MAX, forcing the binary-search LPM — one binary, two
 // configurations, so gate_scale.sh can A/B the flattened FIB with shared
-// code placement (the CATENET_NO_OFFLOAD pattern).
+// code placement.
 //
 // Compile-compat: this source also builds against the pre-ISSUE-9 tree
 // (bench/ab_compare.sh compiles the same bench into both worktrees), so

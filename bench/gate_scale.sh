@@ -4,8 +4,8 @@
 # SIZE_MAX, forcing the per-length binary-search LPM, so the two sides
 # share code placement and the comparison measures exactly the flattened
 # FIB. Runs strictly interleaved (off, on, off, on, ...) and takes the
-# median of per-round pairwise ratios — the gate_offload.sh methodology,
-# which divides sustained box drift out of each adjacent pair.
+# median of per-round pairwise ratios, which divides sustained box drift
+# out of each adjacent pair.
 #
 # Gated metric: bench_scale's raw LPM rate (lpm_lookups_per_second), a
 # tight loop over RoutingTable::lookup() across leaf destinations — the

@@ -1,9 +1,12 @@
 #include "app/scenario.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/flow.h"
 #include "core/topology_gen.h"
@@ -25,36 +28,58 @@ std::vector<std::string> tokenize(const std::string& line) {
     return tokens;
 }
 
-// "1M" / "64K" / "1024" -> bytes.
-std::uint64_t parse_size(const std::string& s, int line) {
-    if (s.empty()) throw ScenarioError(line, "empty size");
-    std::uint64_t multiplier = 1;
-    std::string digits = s;
-    switch (s.back()) {
-        case 'K': multiplier = 1024; digits.pop_back(); break;
-        case 'M': multiplier = 1024 * 1024; digits.pop_back(); break;
-        case 'G': multiplier = 1024ull * 1024 * 1024; digits.pop_back(); break;
-        default: break;
-    }
-    try {
-        return std::stoull(digits) * multiplier;
-    } catch (const std::exception&) {
-        throw ScenarioError(line, "bad size '" + s + "'");
-    }
+// The one parser behind every numeric scenario argument. The whole token
+// must be the number (no trailing junk), an unsigned value takes no sign,
+// and a value outside T's range is an error rather than a wrap:
+// std::from_chars enforces all three. Throws ScenarioError(line, bad).
+template <class T>
+T parse_number(std::string_view token, int line, const std::string& bad) {
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end) throw ScenarioError(line, bad);
+    return value;
 }
 
-// "30s" / "500ms" -> Time.
-sim::Time parse_duration(const std::string& s, int line) {
-    try {
-        if (s.size() > 2 && s.substr(s.size() - 2) == "ms") {
-            return sim::milliseconds(std::stoll(s.substr(0, s.size() - 2)));
-        }
-        if (!s.empty() && s.back() == 's') {
-            return sim::from_seconds(std::stod(s.substr(0, s.size() - 1)));
-        }
-    } catch (const std::exception&) {
+// "1M" / "64K" / "1024" -> bytes.
+std::uint64_t parse_size(const std::string& s, int line) {
+    const std::string bad = "bad size '" + s + "'";
+    std::uint64_t multiplier = 1;
+    std::string_view digits = s;
+    switch (s.empty() ? '\0' : s.back()) {
+        case 'K': multiplier = 1024; digits.remove_suffix(1); break;
+        case 'M': multiplier = 1024 * 1024; digits.remove_suffix(1); break;
+        case 'G': multiplier = 1024ull * 1024 * 1024; digits.remove_suffix(1); break;
+        default: break;
     }
-    throw ScenarioError(line, "bad duration '" + s + "' (use e.g. 30s or 500ms)");
+    const auto n = parse_number<std::uint64_t>(digits, line, bad);
+    if (n > std::numeric_limits<std::uint64_t>::max() / multiplier) {
+        throw ScenarioError(line, bad);
+    }
+    return n * multiplier;
+}
+
+// "30s" / "2.5s" / "500ms" -> Time. A billion seconds (~32 years) is far
+// past any scenario, and small enough that a start plus an offset plus a
+// length still fits sim::Time's 64-bit nanoseconds.
+sim::Time parse_duration(const std::string& s, int line) {
+    constexpr std::int64_t kMaxSeconds = 1'000'000'000;
+    const std::string bad =
+        "bad duration '" + s + "' (use a length >= 0 such as 30s or 500ms)";
+    const std::string_view v = s;
+    if (v.ends_with("ms")) {
+        const auto ms = parse_number<std::int64_t>(v.substr(0, v.size() - 2), line, bad);
+        if (ms < 0 || ms > kMaxSeconds * 1000) throw ScenarioError(line, bad);
+        return sim::milliseconds(ms);
+    }
+    if (v.ends_with('s')) {
+        const auto seconds = parse_number<double>(v.substr(0, v.size() - 1), line, bad);
+        if (!(seconds >= 0.0 && seconds <= static_cast<double>(kMaxSeconds))) {
+            throw ScenarioError(line, bad);  // also NaN
+        }
+        return sim::from_seconds(seconds);
+    }
+    throw ScenarioError(line, bad);
 }
 
 link::LinkParams technology(const std::string& name, int line) {
@@ -73,23 +98,25 @@ void apply_link_option(link::LinkParams& params, const std::string& option, int 
         throw ScenarioError(line, "bad link option '" + option + "'");
     }
     const std::string key = option.substr(0, eq);
-    const std::string value = option.substr(eq + 1);
-    try {
-        if (key == "loss") {
-            params.drop_probability = std::stod(value);
-        } else if (key == "rate") {
-            params.bits_per_second = std::stoull(value);
-        } else if (key == "delay") {
-            params.propagation_delay = sim::milliseconds(std::stoll(value));
-        } else if (key == "mtu") {
-            params.mtu = std::stoul(value);
-        } else {
-            throw ScenarioError(line, "unknown link option '" + key + "'");
-        }
-    } catch (const ScenarioError&) {
-        throw;
-    } catch (const std::exception&) {
-        throw ScenarioError(line, "bad value in '" + option + "'");
+    const std::string_view value = std::string_view(option).substr(eq + 1);
+    const std::string bad = "bad value in '" + option + "'";
+    // Range is LinkParams::validate's to judge (it names the field); the
+    // parse only has to produce the value that was written.
+    if (key == "loss") {
+        params.drop_probability = parse_number<double>(value, line, bad);
+    } else if (key == "rate") {
+        params.bits_per_second = parse_number<std::uint64_t>(value, line, bad);
+    } else if (key == "delay") {
+        // Signed, so a negative delay reaches validate; bounded so the
+        // milliseconds-to-nanoseconds scaling cannot overflow.
+        constexpr std::int64_t kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+        const auto ms = parse_number<std::int64_t>(value, line, bad);
+        if (ms < -kMaxMs || ms > kMaxMs) throw ScenarioError(line, bad);
+        params.propagation_delay = sim::milliseconds(ms);
+    } else if (key == "mtu") {
+        params.mtu = parse_number<std::size_t>(value, line, bad);
+    } else {
+        throw ScenarioError(line, "unknown link option '" + key + "'");
     }
 }
 
@@ -188,25 +215,23 @@ ScenarioReport run_scenario(const std::string& text, std::uint64_t seed) {
         if (cmd == "generate" && tokens.size() >= 5 && tokens[1] == "two_tier") {
             core::TwoTierParams params;
             params.seed = seed;
-            try {
-                params.gateways = static_cast<std::uint32_t>(std::stoul(tokens[2]));
-                params.lans = static_cast<std::uint32_t>(std::stoul(tokens[3]));
-                params.hosts_per_lan = static_cast<std::uint32_t>(std::stoul(tokens[4]));
-            } catch (const std::exception&) {
-                throw ScenarioError(line, "generate two_tier needs numeric "
-                                          "<gateways> <lans> <hosts_per_lan>");
-            }
+            auto count = [&](const std::string& token, const char* field) {
+                return parse_number<std::uint32_t>(
+                    token, line,
+                    std::string("generate two_tier: bad <") + field + "> '" + token + "'");
+            };
+            params.gateways = count(tokens[2], "gateways");
+            params.lans = count(tokens[3], "lans");
+            params.hosts_per_lan = count(tokens[4], "hosts_per_lan");
             for (std::size_t i = 5; i < tokens.size(); ++i) {
                 if (tokens[i] == "compact") {
                     params.compact_hosts = true;
                 } else if (tokens[i] == "full") {
                     params.compact_hosts = false;
-                } else if (tokens[i].rfind("seed=", 0) == 0) {
-                    try {
-                        params.seed = std::stoull(tokens[i].substr(5));
-                    } catch (const std::exception&) {
-                        throw ScenarioError(line, "bad value in '" + tokens[i] + "'");
-                    }
+                } else if (tokens[i].starts_with("seed=")) {
+                    params.seed = parse_number<std::uint64_t>(
+                        std::string_view(tokens[i]).substr(5), line,
+                        "bad value in '" + tokens[i] + "'");
                 } else {
                     throw ScenarioError(line, "unknown generate option '" + tokens[i] +
                                                   "' (compact, full, seed=N)");

@@ -103,6 +103,8 @@ std::size_t Internetwork::connect(Node& a, Node& b, const link::LinkParams& para
         entry.boundary = true;
         entry.if_a = &link->port_a().stats();
         entry.if_b = &link->port_b().stats();
+        entry.queue_a = [l = link.get()] { return &l->queue_a().stats(); };
+        entry.queue_b = [l = link.get()] { return &l->queue_b().stats(); };
         entry.chan_a_to_b = &link->stats_a_to_b();
         entry.chan_b_to_a = &link->stats_b_to_a();
         registry_.register_link(std::move(entry));
@@ -305,26 +307,33 @@ void Internetwork::enable_gauge_sampling(sim::Time period) {
     gauge_period_ = period;
     if (!link_gauges_registered_) {
         link_gauges_registered_ = true;
-        for (std::size_t i = 0; i < links_.size(); ++i) {
-            link::PointToPointLink* l = links_[i].get();
-            const std::uint32_t shard = link_shard_[i];
-            telemetry::GaugeSampler& sampler = sampler_for(shard);
+        // Each port's series go to the sampler of the shard that owns the
+        // port: reading a port from another shard's thread would race.
+        auto add_link_gauges = [this](auto* l, std::uint32_t shard_a,
+                                      std::uint32_t shard_b) {
             auto& qa = registry_.add_series(l->port_a().name() + ".qdepth");
-            sampler.add(&qa, [l]() -> std::optional<double> {
+            sampler_for(shard_a).add(&qa, [l]() -> std::optional<double> {
                 return static_cast<double>(l->queue_a().packets());
             });
             auto& qb = registry_.add_series(l->port_b().name() + ".qdepth");
-            sampler.add(&qb, [l]() -> std::optional<double> {
+            sampler_for(shard_b).add(&qb, [l]() -> std::optional<double> {
                 return static_cast<double>(l->queue_b().packets());
             });
             auto& ua = registry_.add_series(l->port_a().name() + ".util");
-            sampler.add(&ua, telemetry::make_utilization_probe(
-                                 shard_sim(shard),
-                                 [l] { return l->port_a().stats().busy_ns; }));
+            sampler_for(shard_a).add(&ua, telemetry::make_utilization_probe(
+                                              shard_sim(shard_a),
+                                              [l] { return l->port_a().stats().busy_ns; }));
             auto& ub = registry_.add_series(l->port_b().name() + ".util");
-            sampler.add(&ub, telemetry::make_utilization_probe(
-                                 shard_sim(shard),
-                                 [l] { return l->port_b().stats().busy_ns; }));
+            sampler_for(shard_b).add(&ub, telemetry::make_utilization_probe(
+                                              shard_sim(shard_b),
+                                              [l] { return l->port_b().stats().busy_ns; }));
+        };
+        for (std::size_t i = 0; i < links_.size(); ++i) {
+            add_link_gauges(links_[i].get(), link_shard_[i], link_shard_[i]);
+        }
+        for (const auto& l : boundary_links_) {
+            add_link_gauges(l.get(), l->channel_a_to_b().source_shard(),
+                            l->channel_b_to_a().source_shard());
         }
     }
     // Samplers created before this call (watch_tcp first) start here.

@@ -158,8 +158,9 @@ public:
     telemetry::FlightRecorder* flight_recorder() noexcept { return recorder_.get(); }
 
     /// Starts periodic gauge sampling: queue depth and utilization series
-    /// for every same-shard point-to-point link, sampled by a per-shard
-    /// event on that shard's own engine. Call after the topology is built.
+    /// for both ports of every point-to-point link, each sampled by a
+    /// per-shard event on the engine of the shard that owns the port. Call
+    /// after the topology is built.
     void enable_gauge_sampling(sim::Time period);
 
     /// Adds cwnd / flight-size / srtt gauge series for one TCP socket

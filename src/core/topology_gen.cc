@@ -46,6 +46,18 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
     if (params.hosts_per_lan > 253) {
         throw std::invalid_argument("two_tier: hosts_per_lan > 253 (one /24 per LAN)");
     }
+    // Trunks are numbered from 10/8 and leaf LANs from 11/8, one /24 each:
+    // neither plan holds more than 65,536, and the mesh has a trunk per
+    // gateway. Checked before anything is sized from these counts.
+    constexpr std::uint32_t kSlash24sPerSlash8 = 65536;
+    if (params.gateways > kSlash24sPerSlash8) {
+        throw std::invalid_argument("two_tier: gateways " + std::to_string(params.gateways) +
+                                    " > 65536 (one 10/8 /24 per trunk)");
+    }
+    if (params.lans > kSlash24sPerSlash8) {
+        throw std::invalid_argument("two_tier: lans " + std::to_string(params.lans) +
+                                    " > 65536 (one /24 per LAN)");
+    }
     TwoTierPlan plan;
     plan.gateways = params.gateways;
     SplitMix rng{params.seed};

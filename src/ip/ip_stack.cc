@@ -200,88 +200,10 @@ bool IpStack::send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
     const util::Ipv4Address next_hop =
         route->next_hop.is_unspecified() ? dst : route->next_hop;
     link::Packet packet = link::make_packet(std::move(wire), sim_);
-    // Both checksums are known good here: the caller vouched for the
-    // transport fold and write_ipv4_header just computed the header's.
-    packet.csum_ok = options.csum_ok;
+    // Both checksums are known good here: the caller computed the transport
+    // fold and write_ipv4_header just computed the header's.
+    packet.csum_ok = true;
     iface.netif->send(std::move(packet), next_hop);
-    return true;
-}
-
-const Route* IpStack::peek_route(util::Ipv4Address dst) {
-    const std::size_t set = route_cache_set(dst);
-    const std::uint64_t generation = routes_.generation();
-    const RouteCacheEntry* ways = &route_cache_[set * kRouteCacheWays];
-    for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
-        if (ways[w].generation == generation && ways[w].dst == dst) {
-            return ways[w].route;
-        }
-    }
-    return routes_.lookup(dst).get();
-}
-
-bool IpStack::gso_viable(util::Ipv4Address dst, std::size_t wire_segment_bytes) {
-    if (down_ || is_local_address(dst)) return false;
-    const Route* route = peek_route(dst);
-    if (route == nullptr) return false;
-    const Interface& iface = interfaces_[route->ifindex];
-    return iface.netif->is_up() && wire_segment_bytes <= iface.mtu;
-}
-
-bool IpStack::send_gso(std::uint8_t protocol, util::Ipv4Address dst,
-                       link::GsoDescriptor& d, const SendOptions& options) {
-    // Uncounted recheck of everything gso_viable promised: a false return
-    // must leave no counter trace, so the caller's per-segment fallback
-    // reproduces the failure accounting exactly.
-    if (down_ || is_local_address(dst)) return false;
-    {
-        const Route* r = peek_route(dst);
-        if (r == nullptr) return false;
-        const Interface& ifc = interfaces_[r->ifindex];
-        if (!ifc.netif->is_up() || d.proto.size() + d.seg_payload > ifc.mtu) {
-            return false;
-        }
-    }
-    const std::size_t n = d.seg_count;
-    // One counted probe stands for the train's first segment; the per-
-    // segment path's remaining n-1 probes would all hit the line the first
-    // one ensured, so they batch as hits.
-    const Route* route = lookup_route(dst);
-    Interface& iface = interfaces_[route->ifindex];
-
-    Ipv4Header header;
-    header.protocol = protocol;
-    header.tos = options.tos;
-    header.ttl = options.ttl;
-    header.dont_fragment = options.dont_fragment;
-    header.identification = next_identification_;
-    next_identification_ = static_cast<std::uint16_t>(next_identification_ + n);
-    header.src = options.source.is_unspecified() ? iface.address : options.source;
-    header.dst = dst;
-    // First wire segment's IP header becomes the template's IP half; the
-    // split advances identification/total_length per segment from it.
-    write_ipv4_header({d.proto.data(), kIpv4HeaderSize}, header,
-                      d.proto.size() + d.seg_payload);
-
-    counters_.add(telemetry::Counter::IpTx, n);
-    counters_.add(telemetry::Counter::IpRouteCacheHit, n - 1);
-    if (trace_ || recorder_ != nullptr) {
-        // Per-segment Tx notes, field-for-field what n send_with_headroom
-        // calls would note (identification advances; total_length stays
-        // defaulted there too, the wire size carries the byte count).
-        Ipv4Header h = header;
-        const std::size_t overhead = d.proto.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t off = i * d.seg_payload;
-            const std::size_t len =
-                (i + 1 == n) ? d.payload_size() - off : d.seg_payload;
-            h.identification = static_cast<std::uint16_t>(header.identification + i);
-            note(telemetry::PacketEvent::Tx, h, overhead + len);
-        }
-    }
-    d.sim = &sim_;
-    const util::Ipv4Address next_hop =
-        route->next_hop.is_unspecified() ? dst : route->next_hop;
-    iface.netif->send_gso(d, next_hop);
     return true;
 }
 

@@ -52,11 +52,6 @@ struct SendOptions {
     bool dont_fragment = false;
     /// Unspecified = pick the outgoing interface's address.
     util::Ipv4Address source;
-    /// Checksum-offload mark (DESIGN.md §12): the caller vouches that the
-    /// transport checksum in the payload was just computed and is correct,
-    /// so the non-fragmenting fast path stamps link::Packet::csum_ok and
-    /// receivers may skip re-verification. Ignored on the copying paths.
-    bool csum_ok = false;
 };
 
 class IpStack {
@@ -138,29 +133,11 @@ public:
     /// Falls back to the copying path when the datagram must fragment;
     /// recycles the buffer to the simulator pool on every failure return,
     /// so the caller never owns it afterwards. Failure conditions match
-    /// send().
+    /// send(). The segment's transport checksum must already be computed:
+    /// the in-place path stamps link::Packet::csum_ok (DESIGN.md §12), so
+    /// receivers skip re-verifying both checksums.
     bool send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
                             util::ByteBuffer&& wire, const SendOptions& options = {});
-
-    /// Advisory GSO viability probe (DESIGN.md §12): true when a unicast
-    /// train of `wire_segment_bytes`-sized datagrams to `dst` would take
-    /// send_with_headroom's non-fragmenting fast path right now. Entirely
-    /// read-only — no counters move, no cache line refills — so a transport
-    /// may probe before building a mega-segment and fall back to the
-    /// per-segment loop with exact counter parity when the answer is no.
-    bool gso_viable(util::Ipv4Address dst, std::size_t wire_segment_bytes);
-
-    /// Sends one mega-segment descriptor as `d.seg_count` wire datagrams
-    /// (the egress link performs the late split). The caller filled the
-    /// transport half of d.proto; this writes the IPv4 half (first
-    /// segment's identification; the split advances it per segment),
-    /// reserves seg_count consecutive IP ids, and accounts exactly what
-    /// seg_count send_with_headroom fast-path calls would have: IpTx per
-    /// segment, one counted route probe plus seg_count-1 cache hits, one Tx
-    /// trace/record note per segment. Returns false — having counted
-    /// nothing — when the fast path is not viable; the caller falls back.
-    bool send_gso(std::uint8_t protocol, util::Ipv4Address dst,
-                  link::GsoDescriptor& d, const SendOptions& options = {});
 
     /// Sends a payload as a link-local broadcast (dst 255.255.255.255)
     /// directly out one interface. Broadcasts are delivered to every node
@@ -289,12 +266,6 @@ private:
     /// Cached longest-prefix match (nullptr = no route), counting the
     /// cache hit or miss. Serves the lookups in send() and forward().
     const Route* lookup_route(util::Ipv4Address dst);
-
-    /// Uncounted route peek for viability probes: reads the cache line but
-    /// never refills it and scores no hit/miss — the eventual counted
-    /// lookup_route reproduces exactly the probe sequence the per-segment
-    /// path would have made.
-    const Route* peek_route(util::Ipv4Address dst);
 
     /// One observation point feeding both the text tracer and the flight
     /// recorder, so they can never disagree about which events happened.

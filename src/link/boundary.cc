@@ -1,12 +1,11 @@
 #include "link/boundary.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
 
-#include "link/queue.h"
+#include "link/transmitter.h"
 #include "util/buffer_pool.h"
 #include "util/spsc_ring.h"
 
@@ -59,9 +58,6 @@ public:
     std::uint32_t source_shard() const noexcept override { return src_shard_; }
     std::uint32_t dest_shard() const noexcept override { return dst_shard_; }
     std::int64_t lookahead_ns() const noexcept { return lookahead_ns_; }
-    const ChannelStats& channel_stats() const noexcept { return channel_stats_; }
-    void count_loss() noexcept { ++channel_stats_.packets_lost; }
-    void count_corruption() noexcept { ++channel_stats_.packets_corrupted; }
 
     // --- producer side -------------------------------------------------
     /// Accepts a transmitted datagram. FIFO into the ring (behind any
@@ -174,7 +170,6 @@ private:
     std::vector<Frame> pending_;  ///< sends awaiting ring space, FIFO from pending_head_
     std::size_t pending_head_ = 0;
     std::uint64_t next_seq_ = 0;
-    ChannelStats channel_stats_;
 
     // Consumer-owned.
     util::BufferPool& dst_pool_;
@@ -186,134 +181,41 @@ private:
     std::atomic<std::int64_t> horizon_{-1};
 };
 
-// The transmitter: the same state machine as PointToPointLink's Port —
-// idle-wire queue bypass, busy-until accounting, a wake-up event only when
-// a backlog exists, memoized serialization delay — ending in a channel
-// submit instead of a locally scheduled delivery.
-class BoundaryLink::Port final : public NetIf {
+namespace {
+// Owns a boundary port's channel-draw Rng. A base, not a member, so it is
+// built before the Transmitter base that holds a reference to it.
+struct PortRng {
+    util::Rng rng;
+};
+}  // namespace
+
+// The shared transmitter, handing each transmitted packet to the channel
+// instead of scheduling its delivery locally.
+class BoundaryLink::Port final : private PortRng, public Transmitter<Port> {
 public:
-    Port(sim::Simulator& sim, Channel& out, LinkParams params, util::Rng rng,
+    Port(sim::Simulator& sim, Channel& out, const LinkParams& params, util::Rng rng,
          std::string name)
-        : sim_(sim),
-          out_(out),
-          params_(params),
-          rng_(std::move(rng)),
-          name_(std::move(name)),
-          queue_(std::make_unique<DropTailQueue>(params.queue_capacity_packets)) {}
-
-    std::size_t mtu() const noexcept override { return params_.mtu; }
-    const std::string& name() const noexcept override { return name_; }
-
-    void send(Packet packet, util::Ipv4Address /*next_hop*/) override {
-        if (!up_) {
-            ++stats_.send_failures;
-            sim_.buffer_pool().recycle(std::move(packet.bytes));
-            return;
-        }
-        const sim::Time now = sim_.now();
-        packet.enqueued = now;
-        if (now >= busy_until_ && queue_->empty()) {
-            transmit(std::move(packet));
-            return;
-        }
-        if (!queue_->enqueue(std::move(packet))) {
-            notify_drop(packet);
-            sim_.buffer_pool().recycle(std::move(packet.bytes));
-            return;
-        }
-        if (now >= busy_until_) {
-            start_transmission();
-        } else if (!kick_scheduled_) {
-            kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - now, [this] { kick(); });
-        }
-    }
-
-    /// Carrier changes must happen while the owning shard is quiescent
-    /// (between ParallelSimulator::run_until calls): the flag is read by
-    /// this shard's thread on every send.
-    void set_up(bool up) override {
-        NetIf::set_up(up);
-        if (!up) queue_->clear();
-    }
+        : PortRng{std::move(rng)},
+          Transmitter(sim, PortRng::rng, params, std::move(name)),
+          out_(out) {}
 
     void receive_from_boundary(Packet&& packet) { deliver(std::move(packet)); }
 
 private:
-    sim::Time transmission_time(std::size_t bytes) {
-        if (bytes != tx_memo_bytes_) {
-            tx_memo_bytes_ = bytes;
-            tx_memo_ = params_.transmission_time(bytes);
-        }
-        return tx_memo_;
-    }
+    friend class Transmitter<Port>;
 
-    void transmit(Packet packet) {
-        const auto tx = transmission_time(packet.size());
+    /// The interface's own up flag is the whole carrier. Carrier changes
+    /// must happen while the owning shard is quiescent (between
+    /// ParallelSimulator::run_until calls): the flag is read by this
+    /// shard's thread on every send.
+    static constexpr bool carrier() noexcept { return true; }
+
+    void propagate(Packet&& packet, sim::Time delay) {
         const sim::Time now = sim_.now();
-        busy_until_ = now + tx;
-        ++stats_.packets_sent;
-        stats_.bytes_sent += packet.size();
-        if (rng_.chance(params_.drop_probability)) {
-            out_.count_loss();
-            sim_.buffer_pool().recycle(std::move(packet.bytes));
-            return;
-        }
-        maybe_corrupt(packet);
-        sim::Time delay = tx + params_.propagation_delay;
-        if (params_.jitter > sim::Time(0)) {
-            delay += sim::Time(static_cast<std::int64_t>(
-                rng_.uniform(0, static_cast<std::uint64_t>(params_.jitter.nanos()))));
-        }
         out_.submit(now.nanos(), (now + delay).nanos(), std::move(packet));
     }
 
-    void start_transmission() {
-        auto next = queue_->dequeue();
-        if (!next) return;
-        transmit(std::move(*next));
-        if (!queue_->empty() && !kick_scheduled_) {
-            kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - sim_.now(), [this] { kick(); });
-        }
-    }
-
-    void kick() {
-        kick_scheduled_ = false;
-        const sim::Time now = sim_.now();
-        if (now >= busy_until_) {
-            start_transmission();
-        } else if (!queue_->empty()) {
-            kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - now, [this] { kick(); });
-        }
-    }
-
-    void maybe_corrupt(Packet& packet) {
-        if (params_.bit_error_rate <= 0.0 || packet.bytes.empty()) return;
-        const double bits = static_cast<double>(packet.size()) * 8.0;
-        const double p_hit = 1.0 - std::pow(1.0 - params_.bit_error_rate, bits);
-        if (!rng_.chance(p_hit)) return;
-        out_.count_corruption();
-        // Flipped bits invalidate any encoder-computed checksum.
-        packet.csum_ok = false;
-        const auto flips = rng_.uniform(1, 3);
-        for (std::uint64_t i = 0; i < flips; ++i) {
-            const auto bit = rng_.uniform(0, packet.size() * 8 - 1);
-            packet.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        }
-    }
-
-    sim::Simulator& sim_;
     Channel& out_;
-    LinkParams params_;
-    util::Rng rng_;
-    std::string name_;
-    std::unique_ptr<PacketQueue> queue_;
-    sim::Time busy_until_;
-    bool kick_scheduled_ = false;
-    std::size_t tx_memo_bytes_ = SIZE_MAX;
-    sim::Time tx_memo_;
 };
 
 void BoundaryLink::Channel::deliver_head() {
@@ -362,11 +264,13 @@ NetIf& BoundaryLink::port_b() noexcept { return *b_; }
 sim::BoundaryChannel& BoundaryLink::channel_a_to_b() noexcept { return *ab_; }
 sim::BoundaryChannel& BoundaryLink::channel_b_to_a() noexcept { return *ba_; }
 const ChannelStats& BoundaryLink::stats_a_to_b() const noexcept {
-    return ab_->channel_stats();
+    return a_->channel_stats();
 }
 const ChannelStats& BoundaryLink::stats_b_to_a() const noexcept {
-    return ba_->channel_stats();
+    return b_->channel_stats();
 }
+PacketQueue& BoundaryLink::queue_a() noexcept { return a_->queue(); }
+PacketQueue& BoundaryLink::queue_b() noexcept { return b_->queue(); }
 std::uint64_t BoundaryLink::total_bytes_sent() const noexcept {
     return a_->stats().bytes_sent + b_->stats().bytes_sent;
 }

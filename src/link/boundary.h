@@ -1,10 +1,10 @@
 // A duplex point-to-point link whose two ends live in different shards of
 // a ParallelSimulator. Each direction is a BoundaryChannel: the sending
-// port runs the same transmitter state machine as PointToPointLink (egress
-// queue, busy-until wire, single combined serialize+propagate delay), but
-// instead of scheduling the delivery event locally it timestamps the
-// datagram and hands it to an SPSC ring; the destination shard's driver
-// injects it at exactly the computed arrival time. The link's
+// port runs link::Transmitter, the transmitter PointToPointLink's ports run
+// (egress queue, busy-until wire, single combined serialize+propagate
+// delay), but instead of scheduling the delivery event locally it
+// timestamps the datagram and hands it to an SPSC ring; the destination
+// shard's driver injects it at exactly the computed arrival time. The link's
 // propagation + serialization delay is the channel's lookahead — the
 // paper's own argument that networks are coupled only by links with real
 // latency, made load-bearing.
@@ -30,6 +30,7 @@
 
 #include "link/netif.h"
 #include "link/point_to_point.h"
+#include "link/queue.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "util/random.h"
@@ -61,6 +62,11 @@ public:
 
     const ChannelStats& stats_a_to_b() const noexcept;
     const ChannelStats& stats_b_to_a() const noexcept;
+
+    /// Each port's egress queue. Only the shard that owns the port may
+    /// touch it while the engine runs.
+    PacketQueue& queue_a() noexcept;
+    PacketQueue& queue_b() noexcept;
 
     /// Bytes clocked onto the wire in both directions (cost metrics).
     std::uint64_t total_bytes_sent() const noexcept;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,15 +49,6 @@ public:
     /// effort: the packet may be queued, dropped, corrupted or reordered
     /// downstream and the caller will never know — by design.
     virtual void send(Packet packet, util::Ipv4Address next_hop) = 0;
-
-    /// GSO hand-off (DESIGN.md §12): one mega-segment descriptor covering a
-    /// whole train of wire segments. The default implementation makes every
-    /// network GSO-capable by performing the late split here — one
-    /// gso_split_segment() per wire segment, each fed to send() in order,
-    /// which is definitionally identical to the per-segment path. Links may
-    /// override to splice the split into their own admission machinery, but
-    /// only under the same wire-identity contract.
-    virtual void send_gso(const GsoDescriptor& d, util::Ipv4Address next_hop);
 
     virtual const std::string& name() const noexcept = 0;
 

@@ -77,7 +77,6 @@ public:
 private:
     class Port;
 
-    sim::Simulator& sim_;
     util::Rng rng_;
     std::unique_ptr<Port> a_;
     std::unique_ptr<Port> b_;

@@ -315,67 +315,6 @@ void TcpSocket::try_send(bool /*ack_only_allowed*/) {
             break;
         }
 
-        // GSO build (DESIGN.md §12): the run of full-MSS segments the loop
-        // below would emit one at a time becomes ONE mega-segment
-        // descriptor; the egress link's late split produces byte-identical
-        // wire segments. Only fresh data qualifies (snd_nxt_ == snd_max_):
-        // retransmission re-reads the ring per wire segment through the
-        // classic path, repacketizing freely as byte sequencing allows.
-        if (config_.segmentation_offload && len == mss && snd_nxt_ == snd_max_) {
-            std::size_t n = std::min({unsent / mss,
-                                      static_cast<std::size_t>(usable) / mss,
-                                      config_.gso_segs, link::kGsoSegs});
-            // A FIN-carrying drain stays with the classic loop: the FIN
-            // consumes sequence space and moves the state machine.
-            if (fin_queued_ && n * mss == unsent) --n;
-            if (n >= 2 &&
-                stack_.ip().gso_viable(remote_addr_, kIpTcpOverhead + mss)) {
-                const bool drains_all = (n * mss == unsent);
-                link::GsoDescriptor d;
-                TcpHeader h;
-                h.src_port = local_port_;
-                h.dst_port = remote_port_;
-                h.seq = snd_nxt_;
-                h.ack = rcv_nxt_;
-                h.flags.ack = true;
-                h.window = advertised_window();
-                write_tcp_header(
-                    {d.proto.data() + ip::kIpv4HeaderSize, kTcpHeaderSize}, h);
-                const auto spans = send_ring_.peek(snd_nxt_ - snd_una_, n * mss);
-                d.payload_a = spans.first;
-                d.payload_b = spans.second;
-                d.seg_payload = mss;
-                d.seg_count = n;
-                // The split ORs PSH onto the final wire segment iff the
-                // per-segment loop's drains-and-push rule would have.
-                d.last_flags_or =
-                    (push_requested_ && drains_all) ? std::uint8_t{0x08}
-                                                    : std::uint8_t{0};
-                ip::SendOptions opts;
-                opts.tos = config_.tos;
-                opts.source = local_addr_;
-                if (stack_.ip().send_gso(ip::kProtoTcp, remote_addr_, d, opts)) {
-                    // Bookkeeping for exactly what n classic iterations
-                    // would have recorded, in one pass.
-                    stats_.bytes_sent += n * mss;
-                    if (!timing_ && config_.adaptive_rto) {
-                        timing_ = true;
-                        timed_seq_ = snd_nxt_;
-                        timed_sent_at_ = stack_.ip().simulator().now();
-                    }
-                    snd_nxt_ = snd_nxt_ + static_cast<std::uint32_t>(n * mss);
-                    snd_max_ = snd_nxt_;
-                    if (drains_all) push_requested_ = false;
-                    stats_.segments_sent += n;
-                    stack_.counters_.add(telemetry::Counter::TcpSegsOut, n);
-                    stack_.counters_.inc(telemetry::Counter::TcpGsoBuilds);
-                    stack_.counters_.add(telemetry::Counter::TcpGsoSegs, n);
-                    sent_any = true;
-                    continue;
-                }
-            }
-        }
-
         const bool drains = (len == unsent);
         const bool fin_now = want_fin || (fin_queued_ && drains &&
                                           (state_ == TcpState::FinWait1 ||
@@ -500,9 +439,8 @@ void TcpSocket::transmit(const TcpHeader& header, std::span<const std::uint8_t> 
     ip::SendOptions opts;
     opts.tos = config_.tos;
     opts.source = local_addr_;
-    // encode_tcp_segment just computed the transport checksum; vouch for it
-    // so offload-aware receivers skip the re-verification fold.
-    opts.csum_ok = config_.segmentation_offload;
+    // encode_tcp_segment just computed the transport checksum, which is
+    // what send_with_headroom's checksum vouch requires of its caller.
     stack_.ip().send_with_headroom(ip::kProtoTcp, remote_addr_, std::move(wire), opts);
     ++stats_.segments_sent;
     stack_.counters_.inc(telemetry::Counter::TcpSegsOut);

@@ -89,17 +89,6 @@ struct TcpConfig {
 
     /// IP type-of-service bits for this connection (goal 2).
     std::uint8_t tos = 0;
-
-    /// Segmentation offload (DESIGN.md §12). On: a transmission
-    /// opportunity the per-segment loop would spend on a train of full-MSS
-    /// segments is spent on ONE mega-segment descriptor, split late at the
-    /// egress link; outbound segments are stamped checksum-vouched so the
-    /// receiving stack may skip re-verifying them. Wire bytes, ACK cadence,
-    /// and every counter but the GSO diagnostics are identical either way —
-    /// off reproduces the seed's per-segment pipeline end to end.
-    bool segmentation_offload = true;
-    /// Cap on wire segments per GSO build (clamped to link::kGsoSegs).
-    std::size_t gso_segs = link::kGsoSegs;
 };
 
 struct TcpSocketStats {

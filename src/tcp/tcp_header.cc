@@ -117,10 +117,6 @@ util::ByteBuffer encode_tcp_segment(const TcpHeader& header, util::Ipv4Address s
     return out;
 }
 
-void write_tcp_header(std::span<std::uint8_t> out, const TcpHeader& header) {
-    write_header_fields(out.data(), kTcpHeaderSize, header);
-}
-
 std::optional<TcpHeader> decode_tcp(util::Ipv4Address src, util::Ipv4Address dst,
                                     std::span<const std::uint8_t> segment,
                                     std::span<const std::uint8_t>& payload_out) {

@@ -51,13 +51,6 @@ util::ByteBuffer encode_tcp_segment(const TcpHeader& header, util::Ipv4Address s
                                     std::span<const std::uint8_t> payload_b,
                                     std::size_t headroom, util::BufferPool& pool);
 
-/// Writes the 20-byte option-less header image (checksum field zero) at
-/// `out` — the GSO descriptor's TCP template (link::GsoDescriptor). Shares
-/// the field writer with both encoders, so the template cannot drift from
-/// the per-segment wire bytes. `header.mss` must be empty: data segments
-/// never carry options.
-void write_tcp_header(std::span<std::uint8_t> out, const TcpHeader& header);
-
 /// Decodes and checksum-verifies a segment. Returns nullopt on checksum
 /// failure; throws util::DecodeError when structurally malformed.
 std::optional<TcpHeader> decode_tcp(util::Ipv4Address src, util::Ipv4Address dst,

@@ -68,18 +68,17 @@ enum class Counter : std::uint16_t {
     UdpDropChecksum,
     UdpDropNoSocket,
     // --- segmentation offload (appended: slot order is wire order) --------
-    // Diagnostics for GSO (DESIGN.md §12). Like the event count, the train
-    // shape is an engine artifact, not a semantic: twin comparisons across
-    // offload modes mask these slots.
-    TcpGsoBuilds,  ///< mega-segment descriptors emitted by the send path
-    TcpGsoSegs,    ///< wire segments produced by late splits at the link
-    /// Nothing increments this slot (the receive side coalesces no runs);
-    /// it is kept only because perfbench's tcp.gro.share metric reads it.
+    // Nothing increments these three slots: TCP sends one segment at a time
+    // and the receive side coalesces no runs (DESIGN.md §12). They are kept
+    // only because perfbench's tcp.gso.segs_per_build and tcp.gro.share
+    // metrics and its digest mask read them.
+    TcpGsoBuilds,
+    TcpGsoSegs,
     TcpGroSegs,
     kCount,
 };
 
-/// True for the offload-shape diagnostics that engine-mode twins mask.
+/// True for the retired offload slots that perfbench's digest masks.
 constexpr bool offload_diagnostic(Counter c) noexcept {
     return c == Counter::TcpGsoBuilds || c == Counter::TcpGsoSegs ||
            c == Counter::TcpGroSegs;

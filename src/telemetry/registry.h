@@ -34,8 +34,7 @@ struct NodeEntry {
 /// both channel directions already keep. Queues are reached through an
 /// accessor rather than a raw pointer because experiments may swap a
 /// port's queue discipline after the link is built (set_queue_a), which
-/// would dangle a cached pointer. Queue accessors are empty for boundary
-/// links (their queueing lives inside the SPSC channel).
+/// would dangle a cached pointer.
 struct LinkEntry {
     std::string name;
     bool boundary = false;

@@ -32,7 +32,7 @@ struct MetricsReport {
         std::uint64_t queue_drops = 0, queue_bytes_dropped = 0;
         std::uint64_t channel_lost = 0, channel_corrupted = 0;
         /// Fraction of the run each direction's transmitter was busy;
-        /// negative when unknown (boundary ports don't track busy time).
+        /// negative (null in JSON) when it never transmitted.
         double util_a_to_b = -1.0, util_b_to_a = -1.0;
     };
     struct GaugeRow {

@@ -96,73 +96,6 @@ public:
         sum_ += le;
     }
 
-    /// Fused copy + sum: memcpy(dst, src, n) while folding the copied
-    /// bytes into the running sum in the same pass — the GSO split's way
-    /// of paying one payload traversal instead of two. Same chunking rule
-    /// as add(): every chunk except the last must have even length.
-    /// Produces the identical sum to memcpy-then-add (the arithmetic only
-    /// sees the byte values).
-    void add_copy(std::uint8_t* dst, std::span<const std::uint8_t> bytes) {
-        const std::uint8_t* p = bytes.data();
-        const std::size_t n = bytes.size();
-        std::size_t i = 0;
-        std::uint64_t le = 0;
-        if (n >= 32) {
-            std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-            std::uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-            for (; i + 32 <= n; i += 32) {
-                std::uint64_t w0, w1, w2, w3;
-                std::memcpy(&w0, p + i, 8);
-                std::memcpy(&w1, p + i + 8, 8);
-                std::memcpy(&w2, p + i + 16, 8);
-                std::memcpy(&w3, p + i + 24, 8);
-                std::memcpy(dst + i, &w0, 8);
-                std::memcpy(dst + i + 8, &w1, 8);
-                std::memcpy(dst + i + 16, &w2, 8);
-                std::memcpy(dst + i + 24, &w3, 8);
-                s0 += w0;
-                c0 += (s0 < w0);
-                s1 += w1;
-                c1 += (s1 < w1);
-                s2 += w2;
-                c2 += (s2 < w2);
-                s3 += w3;
-                c3 += (s3 < w3);
-            }
-            le += (s0 >> 32) + (s0 & 0xffffffffu) + c0;
-            le += (s1 >> 32) + (s1 & 0xffffffffu) + c1;
-            le += (s2 >> 32) + (s2 & 0xffffffffu) + c2;
-            le += (s3 >> 32) + (s3 & 0xffffffffu) + c3;
-        }
-        for (; i + 8 <= n; i += 8) {
-            std::uint64_t w;
-            std::memcpy(&w, p + i, 8);
-            std::memcpy(dst + i, &w, 8);
-            le += (w >> 32) + (w & 0xffffffffu);
-        }
-        for (; i + 1 < n; i += 2) {
-            std::uint16_t w;
-            std::memcpy(&w, p + i, 2);
-            std::memcpy(dst + i, &w, 2);
-            le += w;
-        }
-        if (i < n) {
-            dst[i] = p[i];
-            if constexpr (std::endian::native == std::endian::little) {
-                le += p[i];
-            } else {
-                le += static_cast<std::uint32_t>(p[i]) << 8;
-            }
-        }
-        while (le >> 16) {
-            le = (le & 0xffff) + (le >> 16);
-        }
-        if constexpr (std::endian::native == std::endian::little) {
-            le = static_cast<std::uint16_t>((le << 8) | (le >> 8));
-        }
-        sum_ += le;
-    }
-
     /// Adds a single 16-bit value in host order.
     void add_u16(std::uint16_t v) { sum_ += v; }
 

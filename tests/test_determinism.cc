@@ -3,7 +3,11 @@
 // packet-level behaviour, and different seeds must actually differ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "app/bulk.h"
 #include "app/voice.h"
@@ -13,6 +17,55 @@
 
 namespace catenet {
 namespace {
+
+/// One MetricsReport link row without its boundary flag: a sharded run's
+/// cross-shard link is a BoundaryLink where the sequential twin has a
+/// PointToPointLink, and everything else the two report must agree.
+struct LinkSignature {
+    std::string name;
+    std::uint64_t pkts_a_to_b, bytes_a_to_b, pkts_b_to_a, bytes_b_to_a;
+    double util_a_to_b, util_b_to_a;
+    std::uint64_t queue_drops, channel_lost, channel_corrupted;
+
+    bool operator==(const LinkSignature&) const = default;
+    friend void PrintTo(const LinkSignature& l, std::ostream* os) {
+        *os << l.name << " a>b " << l.pkts_a_to_b << "p/" << l.bytes_a_to_b << "B util "
+            << l.util_a_to_b << ", b>a " << l.pkts_b_to_a << "p/" << l.bytes_b_to_a
+            << "B util " << l.util_b_to_a << ", qdrop " << l.queue_drops << ", lost "
+            << l.channel_lost << ", corrupt " << l.channel_corrupted;
+    }
+};
+
+std::vector<LinkSignature> link_rows(const core::Internetwork& net) {
+    std::vector<LinkSignature> rows;
+    for (const auto& l : net.metrics_report().links) {
+        rows.push_back(LinkSignature{l.name, l.pkts_a_to_b, l.bytes_a_to_b, l.pkts_b_to_a,
+                                     l.bytes_b_to_a, l.util_a_to_b, l.util_b_to_a,
+                                     l.queue_drops, l.channel_lost, l.channel_corrupted});
+    }
+    return rows;
+}
+
+/// One MetricsReport gauge row.
+struct GaugeSignature {
+    std::string name;
+    std::uint64_t samples;
+    double min, max, mean, last;
+
+    bool operator==(const GaugeSignature&) const = default;
+    friend void PrintTo(const GaugeSignature& g, std::ostream* os) {
+        *os << g.name << " n=" << g.samples << " min=" << g.min << " max=" << g.max
+            << " mean=" << g.mean << " last=" << g.last;
+    }
+};
+
+std::vector<GaugeSignature> gauge_rows(const core::Internetwork& net) {
+    std::vector<GaugeSignature> rows;
+    for (const auto& g : net.metrics_report().gauges) {
+        rows.push_back(GaugeSignature{g.name, g.samples, g.min, g.max, g.mean, g.last});
+    }
+    return rows;
+}
 
 struct RunSignature {
     std::uint64_t events;
@@ -24,6 +77,10 @@ struct RunSignature {
     /// Slot-for-slot equality across replays (and across the sequential /
     /// sharded twins) is the counter registry's determinism contract.
     telemetry::CounterBlock counters;
+    /// The report's link rows, in registration order.
+    std::vector<LinkSignature> links;
+    /// The report's gauge rows (empty unless sampling was enabled).
+    std::vector<GaugeSignature> gauges;
 
     bool operator==(const RunSignature&) const = default;
 };
@@ -54,6 +111,7 @@ RunSignature run_scenario(std::uint64_t seed) {
     sig.retransmits = sender.socket_stats().retransmitted_segments;
     sig.voice_received = voice.report().frames_received;
     sig.counters = net.metrics().totals();
+    sig.links = link_rows(net);
     return sig;
 }
 
@@ -76,8 +134,8 @@ TEST(Determinism, DifferentSeedsDiverge) {
 // confined to the intra-shard hop; the boundary link is deterministic, so
 // parallel and sequential draw identical streams) must equal its
 // sequential twin AND replay itself exactly under real threads.
-RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel,
-                                  std::size_t threads) {
+RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t threads,
+                                  sim::Time gauge_period = sim::Time(0)) {
     std::unique_ptr<sim::ParallelSimulator> psim;
     std::unique_ptr<core::Internetwork> owned;
     if (parallel) {
@@ -98,6 +156,7 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel,
     net.connect(a, g, lossy);   // randomness stays inside shard 0
     net.connect(g, b, wide);    // the deterministic shard boundary
     net.use_static_routes();
+    if (gauge_period > sim::Time(0)) net.enable_gauge_sampling(gauge_period);
 
     app::BulkServer server(b, 21);
     app::BulkSender sender(a, b.address(), 21, 256 * 1024);
@@ -113,6 +172,8 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel,
     sig.retransmits = sender.socket_stats().retransmitted_segments;
     sig.voice_received = voice.report().frames_received;
     sig.counters = net.metrics().totals();
+    sig.links = link_rows(net);
+    sig.gauges = gauge_rows(net);
     return sig;
 }
 
@@ -128,6 +189,12 @@ TEST(Determinism, ShardedRunEqualsSequentialTwin) {
     EXPECT_EQ(sequential.counters.slots, sharded.counters.slots);
     EXPECT_GT(sharded.counters.get(telemetry::Counter::IpFwd), 0u);
     EXPECT_GT(sharded.counters.get(telemetry::Counter::TcpRetransSegs), 0u);
+    // Both kinds of port run one transmitter, so the cross-shard link
+    // reports what the same-shard link does: packets, bytes, utilization
+    // and queue drops.
+    ASSERT_EQ(sharded.links.size(), 2u);
+    EXPECT_EQ(sequential.links, sharded.links);
+    EXPECT_GT(sharded.links[1].util_a_to_b, 0.0) << "the boundary link never reported busy time";
 }
 
 TEST(Determinism, ShardedRunReplaysExactlyUnderThreads) {
@@ -136,6 +203,27 @@ TEST(Determinism, ShardedRunReplaysExactlyUnderThreads) {
     const auto cooperative = run_sharded_scenario(555, true, 1);
     EXPECT_EQ(first, second);
     EXPECT_EQ(first, cooperative);
+}
+
+TEST(Determinism, ShardedGaugesSampleEachPortOnItsOwnShard) {
+    // Each boundary port's queue-depth and utilization series are sampled
+    // by the engine of the shard that owns the port, so a threaded run
+    // reads no port from the other shard's thread, and it replays exactly.
+    const sim::Time period = sim::milliseconds(10);
+    const auto threaded = run_sharded_scenario(555, true, 0, period);
+    const auto again = run_sharded_scenario(555, true, 0, period);
+    const auto cooperative = run_sharded_scenario(555, true, 1, period);
+    EXPECT_EQ(threaded, again);
+    EXPECT_EQ(threaded, cooperative);
+    for (const char* name : {"g-b:a.qdepth", "g-b:b.qdepth", "g-b:a.util", "g-b:b.util"}) {
+        const auto it = std::find_if(threaded.gauges.begin(), threaded.gauges.end(),
+                                     [name](const GaugeSignature& g) { return g.name == name; });
+        ASSERT_NE(it, threaded.gauges.end()) << name << " was never registered";
+        EXPECT_GT(it->samples, 0u) << name;
+        if (std::string(name) == "g-b:a.util") {
+            EXPECT_GT(it->max, 0.0) << "the data direction never showed busy time";
+        }
+    }
 }
 
 // Property: replay stability across many seeds (each seed replays itself).

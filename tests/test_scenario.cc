@@ -277,7 +277,23 @@ INSTANTIATE_TEST_SUITE_P(
                       "already taken"},
         MalformedCase{"HostReusesGeneratedName",
                       "generate two_tier 2 2 1 compact\nhost gw0\nrun 1s\n", 2,
-                      "already taken"}));
+                      "already taken"},
+        MalformedCase{"FailureInThePast", "gateway g\nfail g at -5s for 1s\nrun 1s\n", 2,
+                      "bad duration"},
+        MalformedCase{"NegativeLanCount", "generate two_tier 4 -1 3\nrun 1s\n", 1, "lans"},
+        MalformedCase{"LanCountBeyondSubnetPlan", "generate two_tier 4 70000 1\nrun 1s\n",
+                      1, "lans"},
+        MalformedCase{"NegativeRate", "host a\nhost b\nlink a b ethernet rate=-1\nrun 1s\n",
+                      3, "bad value"},
+        MalformedCase{"MtuWithTrailingJunk",
+                      "host a\nhost b\nlink a b ethernet mtu=1500x\nrun 1s\n", 3,
+                      "bad value"},
+        MalformedCase{"NegativeTransferSize",
+                      "host a\nhost b\nlink a b ethernet\ntransfer a b -1K\nrun 1s\n", 4,
+                      "bad size"},
+        MalformedCase{"NegativeVoiceDuration",
+                      "host a\nhost b\nlink a b ethernet\nvoice a b -5s\nrun 1s\n", 4,
+                      "bad duration"}));
 
 }  // namespace
 }  // namespace catenet::app

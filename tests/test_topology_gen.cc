@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "app/bulk.h"
 #include "app/voice.h"
@@ -51,6 +53,29 @@ TEST(TwoTierPlan, RingGuaranteesConnectivity) {
         ++degree[b];
     }
     EXPECT_TRUE(std::ranges::all_of(degree, [](int d) { return d >= 2; }));
+}
+
+TEST(TwoTierPlan, RejectsCountsBeyondTheSubnetPlans) {
+    // 10/8 numbers the trunks and 11/8 the leaf LANs, 65,536 /24s each;
+    // a count past that is refused, naming the field, before any plan
+    // storage is sized from it.
+    auto rejects = [](TwoTierParams p, const std::string& field) {
+        try {
+            plan_two_tier(p);
+            ADD_FAILURE() << "accepted " << field;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    TwoTierParams p = small_params(1);
+    p.lans = 0xffffffffu;  // what "-1" used to wrap to
+    rejects(p, "lans");
+    p = small_params(1);
+    p.gateways = 65537;
+    rejects(p, "gateways");
+    p = small_params(1);
+    p.lans = 65536;
+    EXPECT_EQ(plan_two_tier(p).lan_home.size(), 65536u) << "the full plan is allowed";
 }
 
 TEST(TwoTierBuild, SameSeedByteIdenticalTopology) {

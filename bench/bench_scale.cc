@@ -9,14 +9,14 @@
 //     per-hop rate (gateway forwards/s) alongside the end-to-end rate,
 //   - a raw LPM lookup rate: a tight loop probing one transit gateway's
 //     full routing table across a spread of leaf destinations — the
-//     route-cache *miss* path. The soak alone cannot see the FIB (the
+//     route-cache *miss* path, which the soak alone cannot see (the
 //     set-associative cache absorbs nearly every train lookup, by
-//     design), so this is the number gate_scale.sh ablates,
+//     design),
 // and writes BENCH_scale.json. With --gate, exits nonzero unless the
-// ISSUE-7 budgets hold: build <= 5 s and <= 150 bytes/host; --min-pps adds
-// a floor on the steady-state end-to-end rate (the ISSUE-9 regression
-// gate; 0 disables it, and the A/B harness in bench/gate_scale.sh is the
-// primary guard — absolute floors are only a backstop on a noisy box).
+// scale budgets hold: build <= 5 s and <= 150 bytes/host; --min-pps adds
+// a floor on the steady-state end-to-end rate (0 disables it; absolute
+// floors are only a backstop on a noisy box, and perf claims go through
+// the interleaved A/B harness in bench/ab_compare.sh).
 //
 // Methodology notes. Bytes/host is *marginal*, not amortized: the heap is
 // snapshotted after the mesh (gateways + trunks) is built and again after
@@ -28,24 +28,12 @@
 // stub), not per-hop forwards; hops_per_second is the per-hop companion
 // (Σ gateway IpFwd over the soak), the number comparable to the micro
 // forwarding benchmarks.
-//
-// Ablation: CATENET_NO_FIBFLAT=1 pins every gateway table's flat
-// threshold to SIZE_MAX, forcing the binary-search LPM — one binary, two
-// configurations, so gate_scale.sh can A/B the flattened FIB with shared
-// code placement.
-//
-// Compile-compat: this source also builds against the pre-ISSUE-9 tree
-// (bench/ab_compare.sh compiles the same bench into both worktrees), so
-// the train-inject and flat-threshold calls go through SFINAE shims that
-// fall back to the per-packet inject / a no-op when the API is absent.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -132,41 +120,6 @@ Options parse(int argc, char** argv) {
     return opt;
 }
 
-// --- pre-ISSUE-9 compile shims (see header comment) ---------------------
-
-/// Train inject via TopologyStore::leaf_inject_train when present...
-template <typename Topo>
-auto inject_train(Topo& topo, core::NodeId src, util::Ipv4Address dst,
-                  std::span<const std::uint8_t> payload, std::uint32_t count,
-                  int)
-    -> decltype(topo.leaf_inject_train(src, dst, std::uint8_t{253}, payload,
-                                       count, std::uint8_t{255})) {
-    return topo.leaf_inject_train(src, dst, 253, payload, count, 255);
-}
-
-/// ...else the equivalent loop of single injects.
-template <typename Topo>
-std::uint32_t inject_train(Topo& topo, core::NodeId src, util::Ipv4Address dst,
-                           std::span<const std::uint8_t> payload,
-                           std::uint32_t count, long) {
-    std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (topo.leaf_inject(src, dst, 253, payload, 255)) ++n;
-    }
-    return n;
-}
-
-/// CATENET_NO_FIBFLAT: pin the flat threshold past any table size...
-template <typename Table>
-auto disable_flat_fib(Table& table, int)
-    -> decltype(table.set_flat_threshold(std::size_t{})) {
-    return table.set_flat_threshold(std::numeric_limits<std::size_t>::max());
-}
-
-/// ...a no-op on a tree without the flattened FIB.
-template <typename Table>
-void disable_flat_fib(Table&, long) {}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -221,18 +174,10 @@ int main(int argc, char** argv) {
     const double route_seconds = seconds_since(t_routes);
     const double build_seconds = seconds_since(t_build);
 
-    const bool no_fibflat = std::getenv("CATENET_NO_FIBFLAT") != nullptr;
-    if (no_fibflat) {
-        for (core::Gateway* gw : gateways) {
-            disable_flat_fib(gw->ip().routing_table(), 0);
-        }
-    }
-
     // Phase 3.5: raw LPM rate on one transit gateway's full table. One
     // probe per destination, destinations striped across every leaf LAN,
     // so consecutive probes land in different /24s — each lookup is the
-    // cold path the flattened FIB exists for. The first pass is untimed
-    // warmup (it also absorbs the lazy flat build).
+    // path a route-cache miss takes. The first pass is untimed warmup.
     core::TopologyStore& topo = net.topology();
     const auto& lpm_table =
         gateways[params.gateways / 2]->ip().routing_table();
@@ -294,8 +239,8 @@ int main(int argc, char** argv) {
             if (dst_lan == l) continue;
             const core::NodeId src = topo.leaf_host(leaf_lans[l], host_index);
             const core::NodeId dst = topo.leaf_host(leaf_lans[dst_lan], host_index);
-            injected += inject_train(topo, src, topo.address(dst), payload,
-                                     opt.train, 0);
+            injected += topo.leaf_inject_train(src, topo.address(dst), 253, payload,
+                                               opt.train, 255);
         }
         inject_seconds += seconds_since(t_inject);
         const auto t_drain = std::chrono::steady_clock::now();
@@ -318,9 +263,8 @@ int main(int argc, char** argv) {
     const bool memory_ok = !CATENET_HAVE_MALLINFO2 || bytes_per_host <= 150.0;
     const bool pps_ok = opt.min_pps <= 0.0 || pkts_per_second >= opt.min_pps;
 
-    std::printf("bench_scale: %zu nodes (%u gateways, %u LANs x %u hosts)%s\n",
-                total_nodes, params.gateways, params.lans, params.hosts_per_lan,
-                no_fibflat ? "  [CATENET_NO_FIBFLAT]" : "");
+    std::printf("bench_scale: %zu nodes (%u gateways, %u LANs x %u hosts)\n",
+                total_nodes, params.gateways, params.lans, params.hosts_per_lan);
     std::printf("  build: %.3f s (routes %.3f s)  [budget 5 s: %s]\n", build_seconds,
                 route_seconds, build_ok ? "ok" : "FAIL");
     std::printf("  marginal bytes/host: %.1f  [budget 150: %s]\n", bytes_per_host,
@@ -351,7 +295,6 @@ int main(int argc, char** argv) {
                      "  \"hosts_per_lan\": %u,\n"
                      "  \"total_nodes\": %zu,\n"
                      "  \"seed\": %llu,\n"
-                     "  \"no_fibflat\": %s,\n"
                      "  \"build_seconds\": %.6f,\n"
                      "  \"route_seconds\": %.6f,\n"
                      "  \"bytes_per_host\": %.2f,\n"
@@ -376,8 +319,7 @@ int main(int argc, char** argv) {
                      "  \"gate_min_pps\": %s\n"
                      "}\n",
                      params.gateways, params.lans, params.hosts_per_lan, total_nodes,
-                     static_cast<unsigned long long>(opt.seed),
-                     no_fibflat ? "true" : "false", build_seconds,
+                     static_cast<unsigned long long>(opt.seed), build_seconds,
                      route_seconds, bytes_per_host,
                      CATENET_HAVE_MALLINFO2 ? "true" : "false", opt.rounds,
                      opt.train, static_cast<unsigned long long>(injected),

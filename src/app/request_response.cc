@@ -66,7 +66,9 @@ void RpcClient::start() {
     running_ = true;
     if (!config_.connection_per_request) {
         socket_ = host_.tcp().connect(dst_, port_, config_.tcp);
-        socket_->on_data = [this](std::span<const std::uint8_t> data) { on_bytes(data); };
+        socket_->on_data = [this](std::span<const std::uint8_t> data) {
+            on_bytes(accum_, data);
+        };
         socket_->on_connected = [this] { schedule_next(); };
     } else {
         schedule_next();
@@ -107,9 +109,12 @@ void RpcClient::issue_request() {
             raw->send(request);
             raw->push();
         };
-        socket->on_data = [this, raw](std::span<const std::uint8_t> data) {
+        // Each connection reassembles its own response: interleaved
+        // segments from concurrent transients must not share a buffer.
+        socket->on_data = [this, raw, accum = util::ByteBuffer{}](
+                              std::span<const std::uint8_t> data) mutable {
             const auto before = received_;
-            on_bytes(data);
+            on_bytes(accum, data);
             if (received_ > before) raw->close();
         };
         socket->on_closed = [this, raw] {
@@ -122,14 +127,14 @@ void RpcClient::issue_request() {
     schedule_next();
 }
 
-void RpcClient::on_bytes(std::span<const std::uint8_t> data) {
-    accum_.insert(accum_.end(), data.begin(), data.end());
+void RpcClient::on_bytes(util::ByteBuffer& accum, std::span<const std::uint8_t> data) {
+    accum.insert(accum.end(), data.begin(), data.end());
     // Responses are fixed-size (config_.response_bytes, min 4).
     const std::size_t size = std::max<std::size_t>(config_.response_bytes, 4);
-    while (accum_.size() >= size) {
-        util::BufferReader r(accum_);
+    while (accum.size() >= size) {
+        util::BufferReader r(accum);
         const std::uint32_t id = r.get_u32();
-        accum_.erase(accum_.begin(), accum_.begin() + static_cast<std::ptrdiff_t>(size));
+        accum.erase(accum.begin(), accum.begin() + static_cast<std::ptrdiff_t>(size));
         auto it = outstanding_.find(id);
         if (it != outstanding_.end()) {
             latencies_.add((host_.simulator().now() - it->second).millis());

@@ -58,7 +58,9 @@ public:
 private:
     void issue_request();
     void schedule_next();
-    void on_bytes(std::span<const std::uint8_t> data);
+    /// Appends `data` to one connection's reassembly buffer and consumes
+    /// every complete response in it.
+    void on_bytes(util::ByteBuffer& accum, std::span<const std::uint8_t> data);
 
     core::Host& host_;
     util::Ipv4Address dst_;
@@ -68,7 +70,7 @@ private:
     std::vector<std::shared_ptr<tcp::TcpSocket>> transient_;  ///< per-request mode
     sim::Timer timer_;
     std::map<std::uint32_t, sim::Time> outstanding_;
-    util::ByteBuffer accum_;
+    util::ByteBuffer accum_;  ///< persistent-mode reassembly buffer
     util::Percentiles latencies_;
     std::uint32_t next_id_ = 1;
     std::uint64_t sent_ = 0;

@@ -46,9 +46,11 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
     if (params.hosts_per_lan > 253) {
         throw std::invalid_argument("two_tier: hosts_per_lan > 253 (one /24 per LAN)");
     }
-    // Trunks are numbered from 10/8 and leaf LANs from 11/8, one /24 each:
-    // neither plan holds more than 65,536, and the mesh has a trunk per
-    // gateway. Checked before anything is sized from these counts.
+    // Trunks and materialized LANs are numbered from 10/8, compact leaf
+    // LANs from 11/8, one /24 each, and a /8 holds 65,536 /24s. The mesh
+    // has a trunk per gateway plus one per chord drawn, so each count is
+    // bounded before anything is sized or drawn from it, and the drawn
+    // plan's total is checked below.
     constexpr std::uint32_t kSlash24sPerSlash8 = 65536;
     if (params.gateways > kSlash24sPerSlash8) {
         throw std::invalid_argument("two_tier: gateways " + std::to_string(params.gateways) +
@@ -57,6 +59,11 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
     if (params.lans > kSlash24sPerSlash8) {
         throw std::invalid_argument("two_tier: lans " + std::to_string(params.lans) +
                                     " > 65536 (one /24 per LAN)");
+    }
+    if (params.extra_chords > kSlash24sPerSlash8) {
+        throw std::invalid_argument("two_tier: extra_chords " +
+                                    std::to_string(params.extra_chords) +
+                                    " > 65536 (one 10/8 /24 per trunk)");
     }
     TwoTierPlan plan;
     plan.gateways = params.gateways;
@@ -86,6 +93,12 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
         if (a == b || have.contains(edge_key(a, b))) continue;
         plan.trunks.emplace_back(a, b);
         have.insert(edge_key(a, b));
+    }
+    const std::size_t lan_slash24s = params.compact_hosts ? 0 : params.lans;
+    if (plan.trunks.size() + lan_slash24s > kSlash24sPerSlash8) {
+        throw std::invalid_argument("two_tier: " + std::to_string(plan.trunks.size()) +
+                                    " trunks + " + std::to_string(lan_slash24s) +
+                                    " materialized lans > 65536 (10/8 /24s)");
     }
 
     // Tier 2: each stub LAN homes onto a seeded gateway.

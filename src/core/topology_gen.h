@@ -65,8 +65,10 @@ struct TwoTierPlan {
 
 /// Derives the deterministic plan; `shards` > 1 also partitions the mesh.
 /// Throws std::invalid_argument naming the field when gateways is 0 or
-/// above 65,536, lans is above 65,536 (the /24s a /8 holds), or
-/// hosts_per_lan is above 253.
+/// above 65,536, lans or extra_chords is above 65,536 (the /24s a /8
+/// holds), or hosts_per_lan is above 253; and naming the count when the
+/// drawn trunks, plus the LANs when hosts are materialized, need more
+/// than the 65,536 /24s of 10/8.
 TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards = 1);
 
 /// What generate_two_tier built, for driving traffic and assertions.

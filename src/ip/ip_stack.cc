@@ -1,7 +1,6 @@
 #include "ip/ip_stack.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "ip/protocols.h"
 #include "util/logging.h"
@@ -10,15 +9,6 @@ namespace catenet::ip {
 
 namespace {
 const util::Logger kLog("ip");
-
-inline std::uint16_t load_u16(const std::uint8_t* p) noexcept {
-    return static_cast<std::uint16_t>((std::uint16_t{p[0]} << 8) | p[1]);
-}
-
-inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
-    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-           (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
 }  // namespace
 
 IpStack::IpStack(sim::Simulator& sim, std::string name)
@@ -31,7 +21,6 @@ std::size_t IpStack::add_interface(link::NetIf& netif, util::Ipv4Address addr,
     const std::size_t ifindex = interfaces_.size();
     interfaces_.push_back(Interface{&netif, addr, subnet, netif.mtu()});
     local_addrs_.push_back(addr.value());
-    min_mtu_ = std::min(min_mtu_, interfaces_.back().mtu);
     netif.set_address(addr);
     netif.set_receiver([this, ifindex](link::Packet&& packet) {
         receive(ifindex, std::move(packet));
@@ -69,10 +58,7 @@ void IpStack::flush_routes() {
 }
 
 void IpStack::register_protocol(std::uint8_t protocol, ProtocolHandler handler) {
-    ProtocolHandler& slot = protocols_[protocol];
-    slot = std::move(handler);
-    // Map nodes never move, so the receive quick lane can keep a pointer.
-    if (protocol == kProtoTcp) tcp_handler_ = &slot;
+    protocols_[protocol] = std::move(handler);
 }
 
 const Route* IpStack::lookup_route(util::Ipv4Address dst) {
@@ -309,65 +295,6 @@ void IpStack::receive(std::size_t ifindex, link::Packet packet) {
         return;
     }
     counters_.inc(telemetry::Counter::IpRx);
-
-    // Quick lanes. With no tracer or recorder attached, the only header
-    // fields a checksum-vouched datagram feeds downstream are src, dst,
-    // protocol, TTL, DF and total length — every other field exists to
-    // feed note(), which both observers being absent makes a no-op. Four
-    // loads screen for the common shape (fixed 20-byte header, not a
-    // fragment, total length == wire length), and only the fields the
-    // lane's consumer reads are unpacked (DESIGN.md §13).
-    if (!trace_ && recorder_ == nullptr && packet.csum_ok &&
-        packet.bytes.size() >= kIpv4HeaderSize && packet.bytes[0] == 0x45 &&
-        (load_u16(packet.bytes.data() + 6) & 0x3fffu) == 0 &&
-        load_u16(packet.bytes.data() + 2) == packet.bytes.size()) {
-        const std::uint8_t* p = packet.bytes.data();
-        const util::Ipv4Address dst(load_u32(p + 16));
-        if (is_local_address(dst)) {
-            // Local lane: a TCP segment for this host goes straight to the
-            // handler TCP registered, with the count and checksum vouch the
-            // full dispatch below would give it. TCP reads only src, dst,
-            // protocol and total length from the header.
-            if (p[9] == kProtoTcp && tcp_handler_ != nullptr) {
-                Ipv4Header h{};
-                h.src = util::Ipv4Address(load_u32(p + 12));
-                h.dst = dst;
-                h.protocol = kProtoTcp;
-                h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-                const auto payload =
-                    std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize);
-                counters_.inc(telemetry::Counter::IpDeliver);
-                rx_csum_ok_ = true;
-                (*tcp_handler_)(h, payload, ifindex);
-                rx_csum_ok_ = false;
-                recycle_wire(packet);
-                return;
-            }
-        } else if (dst != kBroadcastAddress && forwarding_ && forward_tap_ == nullptr &&
-                   packet.bytes.size() <= min_mtu_) {
-            // Transit lane: a datagram for another host at a forwarding
-            // node goes straight to forward() with only the fields its fast
-            // path reads unpacked. The min_mtu_ fence guarantees the wire
-            // fits every egress, so the fragmenting slow path — the one
-            // consumer of the fields left blank — is unreachable; a forward
-            // tap wants the full header, so its presence (like the
-            // tracer's and recorder's) disqualifies. TTL-expired / no-route
-            // ICMP errors rebuild from the wire bytes and never read the
-            // decoded header.
-            DecodedDatagram d;
-            Ipv4Header& h = d.header;
-            h.src = util::Ipv4Address(load_u32(p + 12));
-            h.dst = dst;
-            h.ttl = p[8];
-            h.protocol = p[9];
-            h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-            h.dont_fragment = (load_u16(p + 6) & 0x4000u) != 0;
-            d.header_length = kIpv4HeaderSize;
-            forward(d, packet);
-            recycle_wire(packet);  // no-op when the fast path moved the buffer on
-            return;
-        }
-    }
 
     DecodedDatagram d;
     bool checksum_ok = false;

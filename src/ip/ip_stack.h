@@ -306,10 +306,6 @@ private:
     /// interfaces_[i].address.value(), index-aligned — the hot-path shadow
     /// behind is_local_address() (addresses are fixed at attach time).
     std::vector<std::uint32_t> local_addrs_;
-    /// Smallest attached-interface MTU. A wire datagram no larger than
-    /// this can never need fragmentation on any egress, which is what
-    /// lets the transit quick lane skip the full header decode.
-    std::size_t min_mtu_ = SIZE_MAX;
     RoutingTable routes_;
     /// kRouteCacheSets × kRouteCacheWays, set-major: the set's ways are
     /// contiguous (one or two cache lines), so a probe walks them without
@@ -321,9 +317,6 @@ private:
     std::array<std::uint8_t, kRouteCacheSets> route_cache_rr_{};
     Reassembler reassembler_;
     std::unordered_map<std::uint8_t, ProtocolHandler> protocols_;
-    /// protocols_[kProtoTcp] once registered: the receive quick lane's
-    /// local consumer, reached without a map probe.
-    const ProtocolHandler* tcp_handler_ = nullptr;
     bool rx_csum_ok_ = false;  ///< ambient flag: current inbound datagram is vouched
     std::vector<IcmpErrorHandler> icmp_error_handlers_;
     ForwardTap forward_tap_;

@@ -9,22 +9,6 @@ namespace catenet::ip {
 
 namespace {
 
-inline std::uint16_t load_u16(const std::uint8_t* p) noexcept {
-    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-inline void store_u16(std::uint8_t* p, std::uint16_t v) noexcept {
-    p[0] = static_cast<std::uint8_t>(v >> 8);
-    p[1] = static_cast<std::uint8_t>(v & 0xff);
-}
-
-inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v & 0xff);
-}
-
 // Writes the full wire image into `out` (resized to fit). Shared by the
 // fresh-allocation and pool-recycling entry points; every byte of `out` is
 // stored, so a recycled buffer's previous contents can never leak through.
@@ -48,18 +32,18 @@ void write_ipv4_header(std::span<std::uint8_t> out, const Ipv4Header& header,
     std::uint8_t* p = out.data();
     p[0] = 0x45;  // version 4, IHL 5 words
     p[1] = header.tos;
-    store_u16(p + 2, static_cast<std::uint16_t>(total_length));
-    store_u16(p + 4, header.identification);
+    util::store_be16(p + 2, static_cast<std::uint16_t>(total_length));
+    util::store_be16(p + 4, header.identification);
     std::uint16_t frag = header.fragment_offset & 0x1fff;
     if (header.dont_fragment) frag |= 0x4000;
     if (header.more_fragments) frag |= 0x2000;
-    store_u16(p + 6, frag);
+    util::store_be16(p + 6, frag);
     p[8] = header.ttl;
     p[9] = header.protocol;
-    store_u16(p + 10, 0);  // checksum placeholder
-    store_u32(p + 12, header.src.value());
-    store_u32(p + 16, header.dst.value());
-    store_u16(p + 10, util::internet_checksum({p, kIpv4HeaderSize}));
+    util::store_be16(p + 10, 0);  // checksum placeholder
+    util::store_be32(p + 12, header.src.value());
+    util::store_be32(p + 16, header.dst.value());
+    util::store_be16(p + 10, util::internet_checksum({p, kIpv4HeaderSize}));
 }
 
 util::ByteBuffer encode_datagram(const Ipv4Header& header,
@@ -102,23 +86,19 @@ bool decode_datagram(std::span<const std::uint8_t> wire, DecodedDatagram& out,
     }
     Ipv4Header& h = out.header;
     h.tos = p[1];
-    h.total_length = load_u16(p + 2);
+    h.total_length = util::load_be16(p + 2);
     if (h.total_length < header_len || h.total_length > wire.size()) {
         throw util::DecodeError("bad total length");
     }
-    h.identification = load_u16(p + 4);
-    const std::uint16_t frag = load_u16(p + 6);
+    h.identification = util::load_be16(p + 4);
+    const std::uint16_t frag = util::load_be16(p + 6);
     h.dont_fragment = (frag & 0x4000) != 0;
     h.more_fragments = (frag & 0x2000) != 0;
     h.fragment_offset = frag & 0x1fff;
     h.ttl = p[8];
     h.protocol = p[9];
-    h.src = util::Ipv4Address(
-        (std::uint32_t{p[12]} << 24) | (std::uint32_t{p[13]} << 16) |
-        (std::uint32_t{p[14]} << 8) | std::uint32_t{p[15]});
-    h.dst = util::Ipv4Address(
-        (std::uint32_t{p[16]} << 24) | (std::uint32_t{p[17]} << 16) |
-        (std::uint32_t{p[18]} << 8) | std::uint32_t{p[19]});
+    h.src = util::Ipv4Address(util::load_be32(p + 12));
+    h.dst = util::Ipv4Address(util::load_be32(p + 16));
 
     out.header_length = header_len;
     out.payload_offset = header_len;
@@ -132,10 +112,11 @@ void decrement_ttl(std::span<std::uint8_t> wire) {
     // TTL shares a 16-bit checksum word with the protocol field; ttl-1 in
     // the high byte is a -0x0100 word delta the checksum absorbs without
     // re-reading the other nine words.
-    const std::uint16_t old_word = load_u16(p + 8);
+    const std::uint16_t old_word = util::load_be16(p + 8);
     p[8] = static_cast<std::uint8_t>(p[8] - 1);
-    const std::uint16_t new_word = load_u16(p + 8);
-    store_u16(p + 10, util::checksum_update_u16(load_u16(p + 10), old_word, new_word));
+    const std::uint16_t new_word = util::load_be16(p + 8);
+    util::store_be16(p + 10,
+                     util::checksum_update_u16(util::load_be16(p + 10), old_word, new_word));
 }
 
 }  // namespace catenet::ip

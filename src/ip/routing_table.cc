@@ -170,96 +170,7 @@ void RoutingTable::remove_by_origin(std::string_view origin) {
     if (ordered_.size() != before) ++generation_;
 }
 
-void FibFlat::clear() noexcept {
-    l0_.clear();
-    l0_.shrink_to_fit();
-    chunks_.clear();
-    chunks_.shrink_to_fit();
-    tbl8_.clear();
-    tbl8_.shrink_to_fit();
-}
-
-std::size_t FibFlat::bytes() const noexcept {
-    return l0_.capacity() * sizeof(std::uint16_t) +
-           chunks_.capacity() * sizeof(chunks_[0]) +
-           tbl8_.capacity() * sizeof(tbl8_[0]);
-}
-
-std::uint16_t* FibFlat::ensure_chunk(std::uint32_t slot) {
-    std::uint16_t v = l0_[slot];
-    if (v & kPtr) return chunks_[v & kIdx].data();
-    // Promote the leaf: the new chunk inherits the slot's current answer
-    // in every entry, so addresses the finer prefix does not cover keep
-    // resolving to the shorter match.
-    const auto index = static_cast<std::uint16_t>(chunks_.size());
-    chunks_.emplace_back();
-    chunks_.back().fill(v);
-    l0_[slot] = static_cast<std::uint16_t>(kPtr | index);
-    return chunks_.back().data();
-}
-
-std::uint16_t* FibFlat::ensure_tbl8(std::uint16_t* chunk, std::uint32_t entry) {
-    std::uint16_t v = chunk[entry];
-    if (v & kPtr) return tbl8_[v & kIdx].data();
-    const auto index = static_cast<std::uint16_t>(tbl8_.size());
-    tbl8_.emplace_back();
-    tbl8_.back().fill(v);
-    chunk[entry] = static_cast<std::uint16_t>(kPtr | index);
-    return tbl8_.back().data();
-}
-
-void FibFlat::build(std::span<Route* const> ordered) {
-    chunks_.clear();
-    tbl8_.clear();
-    l0_.assign(4096, npos);
-    // Paint shortest prefix first — reverse order over the (descending
-    // length, ascending address) array. Ascending-length painting means a
-    // span write only ever overwrites leaves laid down by shorter
-    // prefixes; it can never land on top of a pointer entry, because a
-    // child array is only created by a strictly longer prefix.
-    for (std::size_t i = ordered.size(); i-- > 0;) {
-        const Route* r = ordered[i];
-        const auto value = static_cast<std::uint16_t>(i);
-        const std::uint32_t addr = r->prefix.address().value();
-        const int len = r->prefix.length();
-        if (len <= 12) {
-            const std::uint32_t first = addr >> 20;
-            const std::uint32_t count = 1u << (12 - len);
-            std::fill_n(l0_.begin() + first, count, value);
-        } else if (len <= 24) {
-            std::uint16_t* chunk = ensure_chunk(addr >> 20);
-            const std::uint32_t first = (addr >> 8) & 0xFFF;
-            const std::uint32_t count = 1u << (24 - len);
-            std::fill_n(chunk + first, count, value);
-        } else {
-            std::uint16_t* chunk = ensure_chunk(addr >> 20);
-            std::uint16_t* leaf = ensure_tbl8(chunk, (addr >> 8) & 0xFFF);
-            const std::uint32_t first = addr & 0xFF;
-            const std::uint32_t count = 1u << (32 - len);
-            std::fill_n(leaf + first, count, value);
-        }
-    }
-}
-
 RouteRef RoutingTable::lookup(util::Ipv4Address dst) const {
-    if (ordered_.size() >= flat_threshold_ && ordered_.size() <= FibFlat::kMaxRoutes) {
-        if (fib_generation_ != generation_) {
-            fib_.build(ordered_);
-            fib_generation_ = generation_;
-        }
-        const std::uint16_t v = fib_.lookup(dst.value());
-        return RouteRef(v == FibFlat::npos ? nullptr : ordered_[v]);
-    }
-    if (fib_.built()) {
-        // Shrank (or was re-thresholded) below the flat regime: release
-        // the stride arrays rather than keeping dead soft state around.
-        fib_.clear();
-        fib_generation_ = 0;
-    }
-    return lookup_scan(dst);
-}
-
-RouteRef RoutingTable::lookup_scan(util::Ipv4Address dst) const {
     // Probe each populated prefix length, longest first: mask the
     // destination down to that length and binary-search for the exact
     // prefix. First hit is the longest match.

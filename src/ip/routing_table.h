@@ -6,22 +6,16 @@
 // so lookup() hands out a pointer (no Route copy, no string copy per
 // packet), and a generation counter — bumped on every mutation — lets
 // callers layer soft-state caches on top that can never serve a stale
-// route (see IpStack's destination cache).
+// route (see IpStack's destination cache, which absorbs nearly every
+// lookup a busy gateway makes; DESIGN.md §13).
 //
-// Storage is a flat pointer array kept sorted by (descending prefix
+// Storage is one flat pointer array kept sorted by (descending prefix
 // length, ascending prefix address): every operation — exact find,
 // install, remove, and each per-length probe of the longest-prefix match —
 // is a binary search, and a 33-bit occupancy mask skips empty lengths, so
 // lookup costs O(distinct-lengths × log n) instead of a linear scan.
 // Population-scale builds go through bulk_load(): one sort per batch
 // rather than one ordered insertion per route.
-//
-// Above a size threshold, lookup() switches to FibFlat — a lazily built
-// DIR-24-8-style stride structure (DESIGN.md §13) that answers any LPM in
-// at most three dependent array loads, with no pointer-chasing
-// comparisons. The flat form is pure soft state over the sorted array: it
-// is rebuilt on the first lookup after the table generation moved, so it
-// can never serve a route the authoritative array no longer holds.
 #pragma once
 
 #include <array>
@@ -116,59 +110,6 @@ private:
     const Route* route_ = nullptr;
 };
 
-/// Flattened longest-prefix-match index (DIR-24-8 style, DESIGN.md §13):
-/// a 4096-entry root array over address bits [31:20], lazily grown 4096-
-/// entry chunks over bits [19:8] (one per populated /12), and 256-entry
-/// tbl8 leaves over bits [7:0] (one per /24 containing a >24-bit prefix).
-/// Every entry is a 16-bit value: either a leaf (index into the owning
-/// table's sorted route array, or the no-route sentinel) or, tagged by the
-/// high bit, the index of the next-level array. A lookup is therefore one
-/// to three dependent loads and zero comparisons against route keys —
-/// O(1) in the table size — while memory stays proportional to the
-/// populated address space, not to 2^24 (the catenet's 10.x/11.x subnets
-/// fit in a handful of chunks). Built in one pass over the routes,
-/// shortest prefix first, so painting a route's span only ever overwrites
-/// entries written by shorter (less specific) prefixes.
-class FibFlat {
-public:
-    /// Route indices must fit in 15 bits alongside the sentinel; tables
-    /// beyond this stay on the binary-search path.
-    static constexpr std::size_t kMaxRoutes = 0x7FFE;
-
-    /// Rebuilds from a route array sorted by (descending length,
-    /// ascending address) — RoutingTable's invariant order.
-    void build(std::span<Route* const> ordered);
-
-    /// Index into the `ordered` array build() saw, or npos for no route.
-    static constexpr std::uint16_t npos = 0x7FFF;
-    std::uint16_t lookup(std::uint32_t addr) const noexcept {
-        std::uint16_t v = l0_[addr >> 20];
-        if (v & kPtr) {
-            v = chunks_[v & kIdx][(addr >> 8) & 0xFFF];
-            if (v & kPtr) v = tbl8_[v & kIdx][addr & 0xFF];
-        }
-        return v;
-    }
-
-    bool built() const noexcept { return !l0_.empty(); }
-    void clear() noexcept;
-    /// Resident footprint of the stride arrays (telemetry/tests).
-    std::size_t bytes() const noexcept;
-
-private:
-    static constexpr std::uint16_t kPtr = 0x8000;  ///< entry tags a child index
-    static constexpr std::uint16_t kIdx = 0x7FFF;
-
-    std::uint16_t* ensure_chunk(std::uint32_t slot);
-    std::uint16_t* ensure_tbl8(std::uint16_t* chunk, std::uint32_t entry);
-
-    /// Root: bits [31:20]. Empty until the first build — a host table that
-    /// never crosses the threshold allocates nothing here.
-    std::vector<std::uint16_t> l0_;
-    std::vector<std::array<std::uint16_t, 4096>> chunks_;
-    std::vector<std::array<std::uint16_t, 256>> tbl8_;
-};
-
 class RoutingTable {
 public:
     /// Installs or replaces the route for exactly this prefix. A replaced
@@ -191,31 +132,10 @@ public:
     /// Removes every route whose origin matches (e.g. flush "dv" routes).
     void remove_by_origin(std::string_view origin);
 
-    /// Longest-prefix match. The referenced Route is interned: valid for
-    /// the table's lifetime, never copied per lookup. Tables at or above
-    /// flat_threshold() answer through FibFlat (rebuilt lazily after any
-    /// mutation); smaller tables use the per-length binary search, so host
-    /// tables of two or three routes never pay for stride arrays.
+    /// Longest-prefix match: probes each populated prefix length, longest
+    /// first, with one binary search per length. The referenced Route is
+    /// interned: valid for the table's lifetime, never copied per lookup.
     RouteRef lookup(util::Ipv4Address dst) const;
-
-    /// The per-length binary-search LPM over the sorted array — the
-    /// reference implementation the flattened path must agree with (the
-    /// differential property test drives both) and the small-table path.
-    RouteRef lookup_scan(util::Ipv4Address dst) const;
-
-    /// Route-count floor at which lookup() switches to the flattened FIB.
-    /// Tests pin it low to force the flat path; bench ablations pin it to
-    /// SIZE_MAX to disable it. Dropping below the threshold releases the
-    /// stride arrays.
-    std::size_t flat_threshold() const noexcept { return flat_threshold_; }
-    void set_flat_threshold(std::size_t threshold) noexcept {
-        flat_threshold_ = threshold;
-    }
-    /// True when the last lookup() was answered by the flattened FIB
-    /// (introspection for tests and the scale bench).
-    bool flat_active() const noexcept {
-        return fib_generation_ == generation_ && fib_.built();
-    }
 
     /// Exact-prefix fetch (for routing protocols comparing metrics).
     RouteRef find(const util::Ipv4Prefix& prefix) const;
@@ -256,19 +176,6 @@ private:
     std::array<std::uint32_t, 33> len_count_{};
     std::uint64_t len_mask_ = 0;
     std::uint64_t generation_ = 1;
-
-    /// Default flat threshold: comfortably above every host and toy-test
-    /// table (which keep the allocation-free binary search) and far below
-    /// a population-scale gateway FIB (~1.5k routes in the two-tier
-    /// internet), where the O(1) probes pay for the rebuild many times
-    /// over between route changes.
-    static constexpr std::size_t kFlatThresholdDefault = 64;
-    std::size_t flat_threshold_ = kFlatThresholdDefault;
-    /// Soft state: rebuilt inside const lookup() when stale (single-writer
-    /// per shard, like every other per-node structure). Generation 0 means
-    /// "never built" — real generations start at 1.
-    mutable FibFlat fib_;
-    mutable std::uint64_t fib_generation_ = 0;
 };
 
 }  // namespace catenet::ip

@@ -9,34 +9,13 @@ namespace catenet::tcp {
 
 namespace {
 
-inline std::uint16_t load_u16(const std::uint8_t* p) noexcept {
-    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
-    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-           (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
-inline void store_u16(std::uint8_t* p, std::uint16_t v) noexcept {
-    p[0] = static_cast<std::uint8_t>(v >> 8);
-    p[1] = static_cast<std::uint8_t>(v & 0xff);
-}
-
-inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v & 0xff);
-}
-
 // Stores the fixed header fields (checksum left zero) at `p`. Shared by
 // both encoders so their wire bytes cannot drift apart.
 void write_header_fields(std::uint8_t* p, std::size_t header_len, const TcpHeader& header) {
-    store_u16(p, header.src_port);
-    store_u16(p + 2, header.dst_port);
-    store_u32(p + 4, header.seq);
-    store_u32(p + 8, header.ack);
+    util::store_be16(p, header.src_port);
+    util::store_be16(p + 2, header.dst_port);
+    util::store_be32(p + 4, header.seq);
+    util::store_be32(p + 8, header.ack);
     p[12] = static_cast<std::uint8_t>((header_len / 4) << 4);
     std::uint8_t flags = 0;
     if (header.flags.fin) flags |= 0x01;
@@ -46,13 +25,13 @@ void write_header_fields(std::uint8_t* p, std::size_t header_len, const TcpHeade
     if (header.flags.ack) flags |= 0x10;
     if (header.flags.urg) flags |= 0x20;
     p[13] = flags;
-    store_u16(p + 14, header.window);
-    store_u16(p + 16, 0);  // checksum placeholder
-    store_u16(p + 18, header.urgent_pointer);
+    util::store_be16(p + 14, header.window);
+    util::store_be16(p + 16, 0);  // checksum placeholder
+    util::store_be16(p + 18, header.urgent_pointer);
     if (header.mss) {
         p[20] = 2;  // kind: MSS
         p[21] = 4;  // length
-        store_u16(p + 22, *header.mss);
+        util::store_be16(p + 22, *header.mss);
     }
 }
 
@@ -63,7 +42,7 @@ void write_header_fields(std::uint8_t* p, std::size_t header_len, const TcpHeade
 // ring wrapped.
 void patch_checksum(std::uint8_t* p, std::size_t total, util::Ipv4Address src,
                     util::Ipv4Address dst) {
-    store_u16(p + 16, util::transport_checksum(src, dst, ip::kProtoTcp, {p, total}));
+    util::store_be16(p + 16, util::transport_checksum(src, dst, ip::kProtoTcp, {p, total}));
 }
 
 // Writes header + gathered payload at `p` (which must have room for
@@ -140,10 +119,10 @@ std::optional<TcpHeader> decode_tcp(util::Ipv4Address src, util::Ipv4Address dst
     }
     const std::uint8_t* p = segment.data();
     TcpHeader h;
-    h.src_port = load_u16(p);
-    h.dst_port = load_u16(p + 2);
-    h.seq = load_u32(p + 4);
-    h.ack = load_u32(p + 8);
+    h.src_port = util::load_be16(p);
+    h.dst_port = util::load_be16(p + 2);
+    h.seq = util::load_be32(p + 4);
+    h.ack = util::load_be32(p + 8);
     const std::size_t header_len = std::size_t{static_cast<std::uint8_t>(p[12] >> 4)} * 4;
     if (header_len < kTcpHeaderSize || header_len > segment.size()) {
         throw util::DecodeError("bad TCP data offset");
@@ -155,9 +134,9 @@ std::optional<TcpHeader> decode_tcp(util::Ipv4Address src, util::Ipv4Address dst
     h.flags.psh = (flags & 0x08) != 0;
     h.flags.ack = (flags & 0x10) != 0;
     h.flags.urg = (flags & 0x20) != 0;
-    h.window = load_u16(p + 14);
+    h.window = util::load_be16(p + 14);
     // p[16..18): checksum, already validated above.
-    h.urgent_pointer = load_u16(p + 18);
+    h.urgent_pointer = util::load_be16(p + 18);
 
     // Parse options up to the data offset.
     std::size_t pos = kTcpHeaderSize;
@@ -173,7 +152,7 @@ std::optional<TcpHeader> decode_tcp(util::Ipv4Address src, util::Ipv4Address dst
             throw util::DecodeError("bad TCP option length");
         }
         if (kind == 2 && len == 4) {
-            h.mss = load_u16(p + pos);
+            h.mss = util::load_be16(p + pos);
         }
         pos += len - 2;
     }

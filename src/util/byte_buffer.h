@@ -24,6 +24,30 @@ public:
     explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Unchecked network-byte-order loads and stores at a raw pointer, for
+/// codecs whose fixed-offset fields were already bounds-checked as a
+/// block (the IPv4 and TCP header fast paths).
+inline std::uint16_t load_be16(const std::uint8_t* p) noexcept {
+    return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+           (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+inline void store_be16(std::uint8_t* p, std::uint16_t v) noexcept {
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v & 0xff);
+}
+
+inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
+    p[0] = static_cast<std::uint8_t>(v >> 24);
+    p[1] = static_cast<std::uint8_t>(v >> 16);
+    p[2] = static_cast<std::uint8_t>(v >> 8);
+    p[3] = static_cast<std::uint8_t>(v & 0xff);
+}
+
 /// Serializes integers and byte ranges in network byte order, appending to
 /// an internal buffer. `take()` moves the result out.
 class BufferWriter {

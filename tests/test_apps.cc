@@ -164,5 +164,29 @@ TEST_F(AppFixture, RpcConnectionPerRequestPaysHandshake) {
         << "per-request connections must pay roughly one extra RTT";
 }
 
+TEST_F(AppFixture, RpcConnectionPerRequestReassemblesEachResponseApart) {
+    // Multi-segment responses on transient connections that overlap in
+    // time (a 40 ms RTT against 5 ms mean arrivals): segments of different
+    // responses interleave at the client, so each connection must
+    // reassemble its own response.
+    link::LinkParams params = link::presets::ethernet_hop();
+    params.propagation_delay = sim::milliseconds(20);
+    wire(params);
+    RpcServer server(b, 111);
+    RpcClientConfig config;
+    config.response_bytes = 4000;  // several MSS-sized segments
+    config.mean_interarrival = sim::milliseconds(5);
+    config.connection_per_request = true;
+    RpcClient client(a, b.address(), 111, config);
+    client.start();
+    net.run_for(sim::seconds(5));
+    client.stop();
+    net.run_for(sim::seconds(30));  // drain every open transaction
+
+    ASSERT_GT(client.requests_sent(), 500u);
+    EXPECT_EQ(server.requests_served(), client.requests_sent());
+    EXPECT_EQ(client.responses_received(), client.requests_sent());
+}
+
 }  // namespace
 }  // namespace catenet::app

@@ -56,9 +56,11 @@ TEST(TwoTierPlan, RingGuaranteesConnectivity) {
 }
 
 TEST(TwoTierPlan, RejectsCountsBeyondTheSubnetPlans) {
-    // 10/8 numbers the trunks and 11/8 the leaf LANs, 65,536 /24s each;
-    // a count past that is refused, naming the field, before any plan
-    // storage is sized from it.
+    // 10/8 numbers the trunks (and materialized LANs) and 11/8 the compact
+    // leaf LANs, 65,536 /24s each; a count past that is refused, naming
+    // the field, before any plan storage is sized from it, and a drawn
+    // plan that needs more of 10/8 than it holds is refused, naming the
+    // count, before the build can run out of subnets part way.
     auto rejects = [](TwoTierParams p, const std::string& field) {
         try {
             plan_two_tier(p);
@@ -76,6 +78,16 @@ TEST(TwoTierPlan, RejectsCountsBeyondTheSubnetPlans) {
     p = small_params(1);
     p.lans = 65536;
     EXPECT_EQ(plan_two_tier(p).lan_home.size(), 65536u) << "the full plan is allowed";
+    p = small_params(1);
+    p.gateways = 50000;  // a ring of 50,000 plus up to 25,000 chords
+    rejects(p, "trunks");
+    p = small_params(1);
+    p.lans = 65536;
+    p.compact_hosts = false;  // materialized LANs share 10/8 with the trunks
+    rejects(p, "materialized lans");
+    p = small_params(1);
+    p.extra_chords = 70000;
+    rejects(p, "extra_chords");
 }
 
 TEST(TwoTierBuild, SameSeedByteIdenticalTopology) {

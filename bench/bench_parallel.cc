@@ -131,7 +131,7 @@ void BM_ParallelPps(benchmark::State& state) {
                 sim::milliseconds(20)));
         }
         for (auto& s : sources) s->start();
-        // Warm pools and rings outside the timed region.
+        // Warm pools and outboxes outside the timed region.
         f.net->run_for(sim::milliseconds(50));
         state.ResumeTiming();
 

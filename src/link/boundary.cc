@@ -7,7 +7,6 @@
 
 #include "link/transmitter.h"
 #include "util/buffer_pool.h"
-#include "util/spsc_ring.h"
 
 namespace catenet::link {
 
@@ -18,54 +17,41 @@ std::int64_t lookahead_of(const LinkParams& params) {
     // The hard minimum between a send and its delivery: propagation plus
     // clocking one byte. transmission_time's integer ceiling guarantees
     // >= 1ns at any rate, so lookahead is always strictly positive — the
-    // conservative engine's liveness condition.
+    // window rule's liveness condition.
     return params.propagation_delay.nanos() + params.transmission_time(1).nanos();
 }
 }  // namespace
 
-// One direction's synchronization state. Producer fields are touched only
-// by the source shard's thread, consumer fields only by the destination
-// shard's; the SPSC ring and the horizon atomic are the entire interface
-// between them.
+// One direction's handoff. The producer appends to the outbox on the
+// source shard's thread while a window runs (or between run_until calls);
+// the consumer empties it only between windows, on the destination
+// shard's. The driver's barriers order the two, so the outbox is the whole
+// interface and needs no atomics.
 class BoundaryLink::Channel final : public sim::BoundaryChannel {
 public:
     Channel(std::uint32_t src_shard, std::uint32_t dst_shard, std::int64_t lookahead_ns,
-            util::BufferPool& src_pool, util::BufferPool& dst_pool,
-            std::size_t prewarm_bytes)
+            util::BufferPool& src_pool, util::BufferPool& dst_pool)
         : src_shard_(src_shard),
           dst_shard_(dst_shard),
           lookahead_ns_(lookahead_ns),
           src_pool_(src_pool),
-          dst_pool_(dst_pool),
-          ring_(1024) {
-        // Spin one idle lap at construction, leaving an MTU-sized carcass
-        // in every slot. The swap-backwards capacity flow otherwise only
-        // begins once the ring wraps: until then each producer harvest is
-        // the slot's default-constructed (capacity-zero) buffer, and every
-        // send re-allocates — a full lap of heap traffic before the path
-        // actually goes allocation-free.
-        for (std::size_t i = 0; i < ring_.capacity(); ++i) {
-            Frame in;
-            ring_.push(in);
-            Frame out;
-            out.bytes.reserve(prewarm_bytes);
-            ring_.pop(out);
-        }
-    }
+          dst_pool_(dst_pool) {}
 
     void set_dest_port(Port* port) noexcept { dst_port_ = port; }
 
     std::uint32_t source_shard() const noexcept override { return src_shard_; }
     std::uint32_t dest_shard() const noexcept override { return dst_shard_; }
-    std::int64_t lookahead_ns() const noexcept { return lookahead_ns_; }
+    std::int64_t lookahead_ns() const noexcept override { return lookahead_ns_; }
 
     // --- producer side -------------------------------------------------
-    /// Accepts a transmitted datagram. FIFO into the ring (behind any
-    /// backlogged frames); the swap-push leaves the slot's previous
-    /// occupant — a buffer the consumer retired — in frame.bytes, which is
-    /// recycled into the source pool: capacity flows against the stream.
+    /// Accepts a transmitted datagram into the next outbox slot. The slot
+    /// still holds the buffer the consumer left there when it staged the
+    /// slot's previous frame; recycling it into the source pool makes
+    /// buffer capacity flow against the stream.
     void submit(std::int64_t send_ns, std::int64_t deliver_ns, Packet&& packet) {
-        Frame f;
+        if (sent_ == outbox_.size()) outbox_.emplace_back();
+        Frame& f = outbox_[sent_++];
+        src_pool_.recycle(std::move(f.bytes));
         f.deliver_ns = std::max(deliver_ns, send_ns + lookahead_ns_);
         f.seq = next_seq_++;
         f.uid = packet.uid;
@@ -73,61 +59,18 @@ public:
         f.send_ns = send_ns;
         f.csum_ok = packet.csum_ok;
         f.bytes = std::move(packet.bytes);
-        if (pending_head_ == pending_.size() && ring_.push(f)) {
-            src_pool_.recycle(std::move(f.bytes));
-            return;
-        }
-        pending_.push_back(std::move(f));
-    }
-
-    void flush(std::int64_t horizon_ns) override {
-        while (pending_head_ < pending_.size()) {
-            Frame& f = pending_[pending_head_];
-            if (!ring_.push(f)) break;
-            src_pool_.recycle(std::move(f.bytes));
-            ++pending_head_;
-        }
-        if (pending_head_ == pending_.size()) {
-            pending_.clear();
-            pending_head_ = 0;
-        } else if (pending_head_ > 32 && pending_head_ * 2 >= pending_.size()) {
-            pending_.erase(pending_.begin(),
-                           pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
-            pending_head_ = 0;
-        }
-        // Under backpressure the promise must shrink to just before the
-        // first send still waiting for ring space (that send has already
-        // happened, so "all sends <= h are in the ring" would otherwise be
-        // false). Monotone: sends arrive in time order and the previous
-        // publication was below this send's time.
-        std::int64_t h = horizon_ns;
-        if (pending_head_ < pending_.size()) {
-            h = std::min(h, pending_[pending_head_].send_ns - 1);
-        }
-        if (h > horizon_.load(std::memory_order_relaxed)) {
-            horizon_.store(h, std::memory_order_release);
-        }
-    }
-
-    bool fully_flushed() const noexcept override {
-        return pending_head_ == pending_.size();
     }
 
     // --- consumer side -------------------------------------------------
-    std::int64_t safe_ns() override {
-        return horizon_.load(std::memory_order_acquire) + lookahead_ns_;
-    }
-
     void stage() override {
-        while (!ring_.empty()) {
-            Frame f;
-            // Deposit a retired buffer into the slot as we take the packet
-            // out; an empty deposit just means the pool was dry.
-            f.bytes = dst_pool_.take_any();
-            ring_.pop(f);
-            staged_.push_back(std::move(f));
+        for (std::size_t i = 0; i < sent_; ++i) {
+            staged_.push_back(std::move(outbox_[i]));
             std::push_heap(staged_.begin(), staged_.end(), later_);
+            // Any retired buffer will do: its capacity is headed for the
+            // source shard's pool. An empty one just means the pool was dry.
+            outbox_[i].bytes = dst_pool_.take_any();
         }
+        sent_ = 0;
     }
 
     bool peek(std::int64_t& deliver_ns, std::uint64_t& seq) const override {
@@ -167,8 +110,6 @@ private:
 
     // Producer-owned.
     util::BufferPool& src_pool_;
-    std::vector<Frame> pending_;  ///< sends awaiting ring space, FIFO from pending_head_
-    std::size_t pending_head_ = 0;
     std::uint64_t next_seq_ = 0;
 
     // Consumer-owned.
@@ -176,9 +117,10 @@ private:
     Port* dst_port_ = nullptr;
     std::vector<Frame> staged_;  ///< binary min-heap by (deliver_ns, seq)
 
-    // Shared.
-    util::SpscRing<Frame> ring_;
-    std::atomic<std::int64_t> horizon_{-1};
+    // Filled by the producer, emptied by the consumer between windows.
+    // Slots past sent_ keep the consumer's retired buffers.
+    std::vector<Frame> outbox_;
+    std::size_t sent_ = 0;
 };
 
 namespace {
@@ -246,11 +188,9 @@ BoundaryLink::BoundaryLink(sim::Simulator& sim_a, std::uint32_t shard_a,
     b_to_a.validate();
     util::Rng link_rng = parent_rng.fork();  // one fork, same as PointToPointLink
     ab_ = std::make_unique<Channel>(shard_a, shard_b, lookahead_of(a_to_b),
-                                    sim_a.buffer_pool(), sim_b.buffer_pool(),
-                                    a_to_b.mtu);
+                                    sim_a.buffer_pool(), sim_b.buffer_pool());
     ba_ = std::make_unique<Channel>(shard_b, shard_a, lookahead_of(b_to_a),
-                                    sim_b.buffer_pool(), sim_a.buffer_pool(),
-                                    b_to_a.mtu);
+                                    sim_b.buffer_pool(), sim_a.buffer_pool());
     a_ = std::make_unique<Port>(sim_a, *ab_, a_to_b, link_rng.fork(), name + ":a");
     b_ = std::make_unique<Port>(sim_b, *ba_, b_to_a, link_rng.fork(), name + ":b");
     ab_->set_dest_port(b_.get());

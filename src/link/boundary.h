@@ -3,17 +3,19 @@
 // port runs link::Transmitter, the transmitter PointToPointLink's ports run
 // (egress queue, busy-until wire, single combined serialize+propagate
 // delay), but instead of scheduling the delivery event locally it
-// timestamps the datagram and hands it to an SPSC ring; the destination
-// shard's driver injects it at exactly the computed arrival time. The link's
-// propagation + serialization delay is the channel's lookahead — the
-// paper's own argument that networks are coupled only by links with real
-// latency, made load-bearing.
+// timestamps the datagram and appends it to the channel's outbox; between
+// windows the destination shard stages it, and the driver injects it at
+// exactly the computed arrival time. The link's propagation +
+// serialization delay is the channel's lookahead — the paper's own
+// argument that networks are coupled only by links with real latency,
+// made load-bearing.
 //
 // Datagrams are self-contained (fate-sharing: no connection state in the
 // network), so the handoff moves nothing but the wire bytes and trace
-// metadata. Buffer capacity flows back against the packet stream via the
-// ring's swap protocol (see util/spsc_ring.h), keeping a one-way flow
-// allocation-free in steady state on both shards.
+// metadata. Buffer capacity flows back against the packet stream: staging
+// leaves a retired destination-pool buffer in each outbox slot, and the
+// producer recycles it into the source pool when it reuses the slot,
+// keeping a one-way flow allocation-free in steady state on both shards.
 //
 // Channel-model randomness (drop, jitter, corruption) draws from one Rng
 // per direction, forked at construction — each is owned by exactly one

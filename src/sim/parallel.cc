@@ -9,28 +9,49 @@ namespace catenet::sim {
 
 namespace {
 constexpr std::int64_t kInfNs = std::numeric_limits<std::int64_t>::max();
+constexpr int kYieldsBeforeBlocking = 1000;
+
+std::size_t worker_count(std::size_t shards, std::size_t threads) {
+    if (shards == 0) throw std::invalid_argument("ParallelSimulator: zero shards");
+    return threads == 0 ? shards : std::min(threads, shards);
 }
+}  // namespace
 
 ParallelSimulator::ParallelSimulator(std::size_t shards, std::size_t threads)
-    : threads_(threads) {
-    if (shards == 0) throw std::invalid_argument("ParallelSimulator: zero shards");
+    : workers_(worker_count(shards, threads)),
+      lookahead_ns_(kInfNs),
+      lows_(workers_, kInfNs),
+      barrier_(workers_) {
     shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-        auto s = std::make_unique<ShardState>();
-        s->id = static_cast<std::uint32_t>(i);
-        shards_.push_back(std::move(s));
-    }
+    for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<ShardState>());
 }
 
 ParallelSimulator::~ParallelSimulator() = default;
 
+void ParallelSimulator::Barrier::arrive_and_wait() {
+    // The phase is read before arriving: the last arrival moves it on, and
+    // no worker can arrive for the next phase until this one ends. The
+    // acq_rel arrivals and the release of the new phase order every
+    // worker's writes before the barrier ahead of every read after it.
+    const std::uint32_t phase = phase_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == workers_) {
+        arrived_.store(0, std::memory_order_relaxed);
+        phase_.store(phase + 1, std::memory_order_release);
+        phase_.notify_all();
+        return;
+    }
+    for (int i = 0; i < kYieldsBeforeBlocking; ++i) {
+        if (phase_.load(std::memory_order_acquire) != phase) return;
+        std::this_thread::yield();
+    }
+    phase_.wait(phase, std::memory_order_acquire);
+}
+
 std::uint32_t ParallelSimulator::register_channel(BoundaryChannel* channel) {
-    const auto id = static_cast<std::uint32_t>(channels_.size());
-    channels_.push_back(channel);
-    // in/out vectors stay ordered by id because registration appends.
+    // `in` stays ordered by id because registration appends.
     shards_.at(channel->dest_shard())->in.push_back(channel);
-    shards_.at(channel->source_shard())->out.push_back(channel);
-    return id;
+    lookahead_ns_ = std::min(lookahead_ns_, channel->lookahead_ns());
+    return channels_++;
 }
 
 std::uint64_t ParallelSimulator::events_processed() const {
@@ -39,38 +60,20 @@ std::uint64_t ParallelSimulator::events_processed() const {
     return total;
 }
 
-bool ParallelSimulator::shard_round(ShardState& s, std::int64_t deadline_ns,
-                                    bool& progressed) {
-    // 1. Read input horizons (acquire), then drain the rings. The order
-    //    matters twice over: the acquire load is what makes "every arrival
-    //    <= safe is now visible in the ring" true when we drain afterwards,
-    //    and the values are snapshotted because the projection in step 3
-    //    must not see a *newer* horizon — an arrival pushed after our drain
-    //    but covered by a fresher horizon would be invisible to the
-    //    projection and could falsify it.
-    std::int64_t safe = kInfNs;
-    s.safe_snapshot.clear();
-    for (BoundaryChannel* ch : s.in) {
-        const std::int64_t ch_safe = ch->safe_ns();
-        s.safe_snapshot.push_back(ch_safe);
-        safe = std::min(safe, ch_safe);
-    }
-    for (BoundaryChannel* ch : s.in) ch->stage();
-
-    const std::int64_t bound = std::min(safe, deadline_ns);
-
-    // 2. Deliver every complete arrival in canonical (time, channel id,
-    //    seq) order, interleaved with local events via invoke_at. `in` is
-    //    ordered by channel id and we replace only on strictly earlier
-    //    time, so equal-time arrivals resolve to the lowest channel id;
-    //    seq order within a channel is the staging heap's job.
+void ParallelSimulator::run_window(ShardState& s, std::int64_t end_ns) {
+    // Deliver every staged arrival due in the window in canonical (time,
+    // channel id, seq) order, interleaved with local events via invoke_at.
+    // `in` is ordered by channel id and we replace only on strictly
+    // earlier time, so equal-time arrivals resolve to the lowest channel
+    // id; seq order within a channel is the staging heap's job. Nothing
+    // sent during the window can join them: it arrives after end_ns.
     for (;;) {
         BoundaryChannel* best = nullptr;
         std::int64_t best_t = 0;
         for (BoundaryChannel* ch : s.in) {
-            std::int64_t t;
-            std::uint64_t seq;
-            if (!ch->peek(t, seq) || t > bound) continue;
+            std::int64_t t = 0;
+            std::uint64_t seq = 0;
+            if (!ch->peek(t, seq) || t > end_ns) continue;
             if (best == nullptr || t < best_t) {
                 best = ch;
                 best_t = t;
@@ -78,82 +81,59 @@ bool ParallelSimulator::shard_round(ShardState& s, std::int64_t deadline_ns,
         }
         if (best == nullptr) break;
         s.sim.invoke_at(Time(best_t), [best] { best->deliver_head(); });
-        progressed = true;
     }
-    if (Time(bound) > s.sim.now()) {
-        s.sim.run_until(Time(bound));
-        progressed = true;
-    }
-    if (bound > s.last_bound) {
-        s.last_bound = bound;
-        progressed = true;
-    }
-
-    // 3. Project this shard's horizon. Everything at or before `bound` has
-    //    fired and its sends are buffered in the out-channels, so "all
-    //    future sends > bound" already holds; when the shard is idle we can
-    //    promise more — nothing can make it send before its next local
-    //    event, its earliest staged arrival, or the first instant an
-    //    unknown arrival could reach it (its own input bound + 1).
-    std::int64_t e_min = s.sim.next_event_ns(deadline_ns);
-    for (std::size_t i = 0; i < s.in.size(); ++i) {
-        e_min = std::min(e_min, s.in[i]->staged_head_ns());
-        const std::int64_t ch_safe = std::min(s.safe_snapshot[i], deadline_ns);
-        e_min = std::min(e_min, ch_safe + 1);
-    }
-    std::int64_t horizon = bound;
-    if (e_min != kInfNs) horizon = std::max(horizon, std::min(e_min - 1, deadline_ns));
-    else horizon = std::max(horizon, deadline_ns);
-    for (BoundaryChannel* ch : s.out) ch->flush(horizon);
-
-    // 4. Done once the clock is at the deadline, no input can produce more
-    //    work due by then, and every accepted send has made it into a ring.
-    //    All three conditions are monotone, so "done" never regresses.
-    bool done = s.sim.now().nanos() >= deadline_ns && safe >= deadline_ns;
-    for (BoundaryChannel* ch : s.out) done = done && ch->fully_flushed();
-    return done;
+    s.sim.run_until(Time(end_ns));
 }
 
-void ParallelSimulator::worker(std::size_t k, std::size_t stride,
-                               std::int64_t deadline_ns) {
-    const std::size_t total = shards_.size();
-    while (done_count_.load(std::memory_order_acquire) < total) {
-        bool progressed = false;
-        for (std::size_t i = k; i < total; i += stride) {
+void ParallelSimulator::worker(std::size_t k, std::int64_t deadline_ns) {
+    for (;;) {
+        // Stage what the last window sent, and offer this worker's lower
+        // bound on everything its shards have yet to run. The barrier
+        // before this point (or the thread start) orders every producer's
+        // appends before these reads.
+        std::int64_t low = kInfNs;
+        for (std::size_t i = k; i < shards_.size(); i += workers_) {
             ShardState& s = *shards_[i];
-            const bool done = shard_round(s, deadline_ns, progressed);
-            if (done && !s.counted_done) {
-                s.counted_done = true;
-                done_count_.fetch_add(1, std::memory_order_acq_rel);
+            low = std::min(low, s.sim.next_event_ns(deadline_ns));
+            for (BoundaryChannel* ch : s.in) {
+                ch->stage();
+                low = std::min(low, ch->staged_head_ns());
             }
         }
-        // A fruitless lap means we are waiting on another thread's shards;
-        // yield so they actually run (essential on loaded or small boxes).
-        if (!progressed) std::this_thread::yield();
+        lows_[k] = low;
+        barrier_.arrive_and_wait();
+        // Every worker reduces the same values to the same gvt, so all take
+        // the same branch. The next writes to lows_ follow the barrier that
+        // closes this window.
+        const std::int64_t gvt = *std::min_element(lows_.begin(), lows_.end());
+        if (gvt > deadline_ns) {
+            for (std::size_t i = k; i < shards_.size(); i += workers_) {
+                shards_[i]->sim.run_until(Time(deadline_ns));
+            }
+            return;
+        }
+        // Anything sent from now on is sent at or after gvt and so arrives
+        // at or after gvt + L: the window may run to gvt + L - 1.
+        const std::int64_t end_ns = gvt + std::min(lookahead_ns_ - 1, deadline_ns - gvt);
+        if (k == 0) ++windows_;
+        for (std::size_t i = k; i < shards_.size(); i += workers_) {
+            run_window(*shards_[i], end_ns);
+        }
+        barrier_.arrive_and_wait();
     }
 }
 
 void ParallelSimulator::run_until(Time deadline) {
-    if (deadline <= now_ && now_ > Time(0)) return;
+    if (deadline < now_) return;
     const std::int64_t deadline_ns = deadline.nanos();
-    done_count_.store(0, std::memory_order_relaxed);
-    for (auto& s : shards_) s->counted_done = false;
-
-    std::size_t nthreads = threads_ == 0 ? shards_.size() : threads_;
-    nthreads = std::min(nthreads, shards_.size());
-    if (nthreads <= 1) {
-        worker(0, 1, deadline_ns);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(nthreads - 1);
-        for (std::size_t k = 1; k < nthreads; ++k) {
-            pool.emplace_back([this, k, nthreads, deadline_ns] {
-                worker(k, nthreads, deadline_ns);
-            });
-        }
-        worker(0, nthreads, deadline_ns);
-        for (auto& t : pool) t.join();
+    // Worker 0 is the caller's thread; cooperative mode spawns nothing.
+    std::vector<std::thread> pool;
+    pool.reserve(workers_ - 1);
+    for (std::size_t k = 1; k < workers_; ++k) {
+        pool.emplace_back([this, k, deadline_ns] { worker(k, deadline_ns); });
     }
+    worker(0, deadline_ns);
+    for (auto& t : pool) t.join();
     now_ = deadline;
 }
 

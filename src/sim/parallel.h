@@ -4,31 +4,30 @@
 // networks through gateways, and fate-sharing keeps all connection state
 // in the end hosts, so cutting the topology at gateway links severs no
 // shared state. Each cut link's latency is a hard lower bound (the
-// "lookahead") on how soon one shard can affect another, which is exactly
-// what a Chandy-Misra-Bryant-style conservative engine needs.
+// "lookahead") on how soon one shard can affect another.
 //
-// Synchronization model (a null-message / epoch hybrid):
-//  - Every cross-shard link direction is a BoundaryChannel: an SPSC ring
-//    of timestamped datagrams plus a published *horizon* — the producer's
-//    promise that every future send on that channel will carry a send time
-//    strictly greater than the horizon. No locks anywhere on the path.
-//  - A shard may safely advance to bound = min over in-channels of
-//    (horizon + lookahead): any not-yet-seen arrival must deliver after
-//    that. Arrivals at or before the bound are complete, so they are
-//    merged deterministically — by (deliver time, channel id, channel seq)
-//    — and injected with Simulator::invoke_at, which fires same-timestamp
-//    local events first (the fixed tie rule).
-//  - After advancing, the shard republishes its own horizons. When it is
-//    idle the horizon is *projected* forward to just before the earliest
-//    thing that could still make it send (its next local event, its
-//    earliest staged arrival, or its own input bound) — the null-message
-//    trick that lets chains of idle shards leapfrog to the deadline in a
-//    few rounds instead of crawling by one lookahead per round.
+// Synchronization model (time windows between barriers):
+//  - Every cross-shard link direction is a BoundaryChannel. Its producer
+//    appends timestamped datagrams while windows run (or between
+//    run_until calls); its consumer stages them between windows. The
+//    barriers order every producer write before every consumer read, so a
+//    channel needs no atomics.
+//  - Between windows the shards reduce gvt: the earliest pending thing
+//    anywhere — a local event or a staged arrival. Nothing that has not
+//    run yet is earlier, so nothing sent from here on can arrive before
+//    gvt + L, where L is the smallest lookahead of any channel.
+//  - The next window therefore runs every shard to end = gvt + L − 1
+//    (capped at the deadline): staged arrivals due by then are merged
+//    deterministically — by (deliver time, channel id, channel seq) — and
+//    injected with Simulator::invoke_at, which fires same-timestamp local
+//    events first (the fixed tie rule). Every window runs the event at
+//    gvt, and an idle stretch costs nothing: when gvt is past the
+//    deadline the call ends after one reduction.
 //
-// Determinism: the merged arrival order and the local engines' behaviour
-// depend only on timestamps and registration order, never on thread
-// timing, so a seeded run is bit-identical across executions and thread
-// counts — asserted in tests/test_parallel.cc and test_determinism.cc.
+// Determinism: window bounds and the merged arrival order depend only on
+// event times and registration order, never on thread timing, so a seeded
+// run is bit-identical across executions and thread counts — asserted in
+// tests/test_parallel.cc and test_determinism.cc.
 #pragma once
 
 #include <atomic>
@@ -42,9 +41,10 @@
 namespace catenet::sim {
 
 /// One direction of a cross-shard link. Implemented by the link layer
-/// (link::BoundaryLink); the driver sees only the synchronization surface.
-/// Producer-side calls run on the source shard's thread, consumer-side
-/// calls on the destination shard's thread.
+/// (link::BoundaryLink); the driver sees only the consumer side. The
+/// producer appends on the source shard's thread, the consumer-side calls
+/// run on the destination shard's, and the driver's barriers keep stage()
+/// apart from every append.
 class BoundaryChannel {
 public:
     virtual ~BoundaryChannel() = default;
@@ -52,26 +52,12 @@ public:
     virtual std::uint32_t source_shard() const noexcept = 0;
     virtual std::uint32_t dest_shard() const noexcept = 0;
 
-    // --- producer side ------------------------------------------------
-    /// Moves buffered sends into the ring, then publishes a horizon no
-    /// greater than `horizon_ns`: the promise that every future send has
-    /// send time > horizon. The channel itself caps the published value
-    /// below any send still waiting for ring space, so the promise holds
-    /// even under backpressure. Monotone by construction.
-    virtual void flush(std::int64_t horizon_ns) = 0;
-
-    /// True when no accepted send is still waiting for ring space.
-    virtual bool fully_flushed() const noexcept = 0;
+    /// The least delay between a send and its delivery; at least 1 ns.
+    virtual std::int64_t lookahead_ns() const noexcept = 0;
 
     // --- consumer side ------------------------------------------------
-    /// Reads the producer's horizon (acquire) and returns the delivery
-    /// bound horizon + lookahead: every arrival at or before it is either
-    /// already staged or in the ring. Call BEFORE stage() — the acquire
-    /// load is what guarantees the ring then contains all sends covered by
-    /// the bound.
-    virtual std::int64_t safe_ns() = 0;
-
-    /// Drains the ring into the channel's local staging order.
+    /// Moves what the producer sent since the last call into the channel's
+    /// local staging order. Called only between windows.
     virtual void stage() = 0;
 
     /// Earliest staged, undelivered arrival; false when none.
@@ -81,13 +67,13 @@ public:
     /// has already advanced the destination simulator to the arrival time.
     virtual void deliver_head() = 0;
 
-    /// Earliest staged, undelivered arrival time, or INT64_MAX (for
-    /// horizon projection).
+    /// Earliest staged, undelivered arrival time, or INT64_MAX.
     virtual std::int64_t staged_head_ns() const = 0;
 };
 
-/// Runs N per-shard Simulators to a common deadline, conservatively
-/// synchronized through registered BoundaryChannels.
+/// Runs N per-shard Simulators to a common deadline in time windows,
+/// exchanging cross-shard datagrams through registered BoundaryChannels
+/// between windows.
 ///
 /// `threads` = 0 runs one OS thread per shard; 1 runs everything
 /// cooperatively on the caller's thread (useful for determinism baselines,
@@ -112,7 +98,8 @@ public:
     /// Advances every shard to `deadline`, delivering all cross-shard
     /// traffic due by then. All shard clocks equal `deadline` on return.
     /// May be called repeatedly; in-flight boundary datagrams persist
-    /// between calls, exactly like pending events in a plain Simulator.
+    /// between calls, exactly like pending events in a plain Simulator. A
+    /// deadline before now() does nothing, as in Simulator::run_until.
     void run_until(Time deadline);
 
     Time now() const noexcept { return now_; }
@@ -122,29 +109,46 @@ public:
     /// propagation event per in-flight packet.
     std::uint64_t events_processed() const;
 
+    /// Windows run so far. Depends only on event times, so it is as
+    /// deterministic as the simulation itself.
+    std::uint64_t windows() const noexcept { return windows_; }
+
 private:
     struct ShardState {
         Simulator sim;
-        std::uint32_t id = 0;
-        std::vector<BoundaryChannel*> in;   ///< ordered by channel id
-        std::vector<BoundaryChannel*> out;
-        std::int64_t last_bound = -1;
-        bool counted_done = false;
-        std::vector<std::int64_t> safe_snapshot;  ///< round-local scratch
+        std::vector<BoundaryChannel*> in;  ///< ordered by channel id
     };
 
-    /// One synchronization round; returns true when the shard has reached
-    /// the deadline with nothing left to flush or deliver.
-    bool shard_round(ShardState& s, std::int64_t deadline_ns, bool& progressed);
+    /// Runs shards k, k+workers, ... window by window until the deadline.
+    void worker(std::size_t k, std::int64_t deadline_ns);
 
-    /// Drives shards k, k+stride, ... until every shard (globally) is done.
-    void worker(std::size_t k, std::size_t stride, std::int64_t deadline_ns);
+    /// Delivers `s`'s staged arrivals due by `end_ns`, then runs its local
+    /// events to `end_ns`.
+    static void run_window(ShardState& s, std::int64_t end_ns);
 
     std::vector<std::unique_ptr<ShardState>> shards_;
-    std::vector<BoundaryChannel*> channels_;
-    std::size_t threads_;
+    std::size_t workers_;
+    std::uint32_t channels_ = 0;
+    std::int64_t lookahead_ns_;  ///< smallest registered; INT64_MAX when none
     Time now_;
-    std::atomic<std::size_t> done_count_{0};
+    std::uint64_t windows_ = 0;
+    /// A centralized barrier over the workers that yields for a while
+    /// before it blocks. std::barrier sleeps after a few spins, and waking
+    /// a sleeper twice a window made bench_parallel's 4-shard runs 30–90%
+    /// slower.
+    class Barrier {
+    public:
+        explicit Barrier(std::size_t workers) : workers_(workers) {}
+        void arrive_and_wait();
+
+    private:
+        const std::size_t workers_;
+        std::atomic<std::size_t> arrived_{0};
+        std::atomic<std::uint32_t> phase_{0};
+    };
+
+    std::vector<std::int64_t> lows_;  ///< each worker's bound for the gvt reduction
+    Barrier barrier_;
 };
 
 }  // namespace catenet::sim

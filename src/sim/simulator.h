@@ -136,11 +136,10 @@ public:
     }
 
     /// Firing time (ns) of the earliest pending event at or before
-    /// `bound_ns`, or INT64_MAX when none exists in that range. Used by the
-    /// parallel driver to project how far this shard could possibly be from
-    /// sending anything (null-message lookahead propagation). May migrate
-    /// far-tier buckets up to the bound as a side effect; never fires
-    /// events.
+    /// `bound_ns`, or INT64_MAX when none exists in that range. The
+    /// parallel driver reduces it across shards to bound each time window.
+    /// May migrate far-tier buckets up to the bound as a side effect; never
+    /// fires events.
     std::int64_t next_event_ns(std::int64_t bound_ns);
 
     std::uint64_t events_processed() const noexcept { return events_processed_; }

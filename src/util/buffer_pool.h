@@ -71,10 +71,10 @@ public:
 
     /// Returns a pooled buffer of *any* capacity — the newest one — or an
     /// empty buffer when the pool is dry, never allocating either way. The
-    /// boundary-channel handoff uses this to deposit a retired buffer into
-    /// a ring slot as it pops a packet out: any carcass will do, because
-    /// the capacity is headed for a *different* shard's pool (see
-    /// util/spsc_ring.h on swap-based transfer).
+    /// boundary-channel handoff uses this to leave a retired buffer in an
+    /// outbox slot as it stages the slot's packet: any carcass will do,
+    /// because the capacity is headed for a *different* shard's pool (see
+    /// link/boundary.cc).
     ByteBuffer take_any() noexcept {
         if (free_.empty()) return {};
         ByteBuffer b = std::move(free_.back());

@@ -1,14 +1,16 @@
-// The sharded conservative engine, bottom to top: the SPSC ring's order
-// and swap-recycling contract, the latency-aware partitioner, equivalence
-// of a 1-shard ParallelSimulator with the plain Simulator, cross-shard
-// runs against their sequential twins (packet-exact), thread-count
-// independence, lookahead correctness when the boundary latency is the
-// global minimum, allocation-freedom of steady-state cross-shard
-// forwarding, and the shard-safe stats/trace/logging utilities.
+// The sharded conservative engine, bottom to top: the latency-aware
+// partitioner, equivalence of a 1-shard ParallelSimulator with the plain
+// Simulator, cross-shard runs against their sequential twins
+// (packet-exact), thread-count independence, lookahead correctness when
+// the boundary latency is the global minimum, the window rule's clock and
+// window count, 3,000 frames crossing in one window, allocation-freedom of
+// steady-state cross-shard forwarding, and the shard-safe
+// stats/trace/logging utilities.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <sstream>
 #include <thread>
@@ -22,7 +24,6 @@
 #include "link/presets.h"
 #include "sim/parallel.h"
 #include "util/logging.h"
-#include "util/spsc_ring.h"
 #include "util/stats.h"
 
 // Global allocation counter (same per-binary harness as test_sim.cc):
@@ -72,76 +73,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 
 namespace catenet {
 namespace {
-
-// --- SPSC ring ----------------------------------------------------------
-
-TEST(SpscRing, FifoOrderAndCapacity) {
-    util::SpscRing<int> ring(4);  // rounds up to a power of two >= 4
-    int v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v = i;
-        EXPECT_TRUE(ring.push(v)) << i;
-    }
-    v = 99;
-    EXPECT_FALSE(ring.push(v));
-    EXPECT_EQ(v, 99);  // rejected push leaves the item alone
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.pop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(ring.pop(v));
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, SwapDepositsFlowBackToProducer) {
-    // The recycling contract: pop() swaps the consumer's item into the
-    // slot, and the next push() at that slot hands it back to the
-    // producer. Model buffers as vectors with recognizable capacity.
-    util::SpscRing<std::vector<int>> ring(2);
-    std::vector<int> item(100, 7);  // "fresh data" with capacity
-    ASSERT_TRUE(ring.push(item));
-    EXPECT_TRUE(item.empty());  // slot was empty: producer gets an empty shell
-
-    std::vector<int> deposit(64);  // consumer's retired buffer
-    deposit.clear();
-    ASSERT_TRUE(ring.pop(deposit));
-    EXPECT_EQ(deposit.size(), 100u);  // got the data
-
-    // Next push at the same slot harvests the retired capacity.
-    std::vector<int> next(10, 1);
-    ASSERT_TRUE(ring.push(next));
-    ASSERT_TRUE(ring.push(next));  // second slot: empty shell comes back
-    std::vector<int> got;
-    ASSERT_TRUE(ring.pop(got));
-    EXPECT_EQ(got.size(), 10u);
-}
-
-TEST(SpscRing, ThreadedStressPreservesSequence) {
-    util::SpscRing<std::uint64_t> ring(64);
-    constexpr std::uint64_t kCount = 200'000;
-    std::thread producer([&ring] {
-        for (std::uint64_t i = 0; i < kCount;) {
-            std::uint64_t v = i;
-            if (ring.push(v)) {
-                ++i;
-            } else {
-                std::this_thread::yield();
-            }
-        }
-    });
-    std::uint64_t expected = 0;
-    while (expected < kCount) {
-        std::uint64_t v;
-        if (ring.pop(v)) {
-            ASSERT_EQ(v, expected);
-            ++expected;
-        } else {
-            std::this_thread::yield();
-        }
-    }
-    producer.join();
-    EXPECT_TRUE(ring.empty());
-}
 
 // --- the partitioner ----------------------------------------------------
 
@@ -340,10 +271,10 @@ TEST(ParallelEquivalence, FourShardRingMatchesSequentialAndItself) {
 
 TEST(ParallelLookahead, TinyBoundaryLatencyStaysCorrectAndLive) {
     // The boundary hop's latency (1us propagation at LAN rate) is far
-    // below every other timescale in the scenario: the conservative
-    // driver's rounds are then dominated by null-message projection, and
-    // any off-by-one in the horizon arithmetic shows up as a lost or
-    // misordered packet — counted against the sequential twin.
+    // below every other timescale in the scenario, so it sets the window
+    // length: every voice frame crosses in its own short window, and any
+    // off-by-one in the window bound shows up as a lost or misordered
+    // packet — counted against the sequential twin.
     auto run = [](bool parallel) {
         std::unique_ptr<sim::ParallelSimulator> psim;
         std::unique_ptr<core::Internetwork> owned;
@@ -370,6 +301,112 @@ TEST(ParallelLookahead, TinyBoundaryLatencyStaysCorrectAndLive) {
     const auto sharded = run(true);
     EXPECT_EQ(sequential, sharded);
     EXPECT_GT(sequential, 0u);
+}
+
+// --- the window rule ------------------------------------------------------
+
+TEST(ParallelWindows, PastDeadlineMovesNoClock) {
+    sim::ParallelSimulator psim(2, 1);
+    psim.run_until(sim::Time(-5));
+    EXPECT_EQ(psim.now(), sim::Time(0));
+    EXPECT_EQ(psim.shard(0).now(), sim::Time(0));
+    EXPECT_EQ(psim.shard(1).now(), sim::Time(0));
+
+    psim.run_until(sim::seconds(1));
+    psim.run_until(sim::milliseconds(500));
+    EXPECT_EQ(psim.now(), sim::seconds(1));
+    EXPECT_EQ(psim.shard(0).now(), sim::seconds(1));
+    EXPECT_EQ(psim.shard(1).now(), sim::seconds(1));
+}
+
+TEST(ParallelWindows, IdleRunTakesAtMostOneWindow) {
+    // With nothing pending the first reduction already lies past the
+    // deadline, however short the boundary's lookahead.
+    sim::ParallelSimulator psim(2, 1);
+    core::Internetwork net(5, psim);
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b", 1);
+    link::LinkParams tight = link::presets::ethernet_hop();
+    tight.propagation_delay = sim::microseconds(1);
+    net.connect(a, b, tight);
+    net.use_static_routes();
+
+    net.run_for(sim::seconds(10));
+    EXPECT_LE(psim.windows(), 1u);
+    EXPECT_EQ(psim.shard(0).now(), sim::seconds(10));
+    EXPECT_EQ(psim.shard(1).now(), sim::seconds(10));
+}
+
+// Host a sends 3,000 numbered datagrams at one instant to host b across a
+// 10 Gb/s, 10 ms hop: every one is on the wire long before the first
+// arrives, so they all cross in one window.
+struct BurstSignature {
+    std::uint64_t events;
+    telemetry::CounterBlock counters;
+    std::vector<std::string> links;
+    std::vector<std::uint32_t> received;
+
+    bool operator==(const BurstSignature&) const = default;
+};
+
+BurstSignature run_burst(bool parallel, std::size_t threads) {
+    constexpr std::uint32_t kFrames = 3000;
+    std::unique_ptr<sim::ParallelSimulator> psim;
+    std::unique_ptr<core::Internetwork> owned;
+    if (parallel) {
+        psim = std::make_unique<sim::ParallelSimulator>(2, threads);
+        owned = std::make_unique<core::Internetwork>(8, *psim);
+    } else {
+        owned = std::make_unique<core::Internetwork>(8);
+    }
+    core::Internetwork& net = *owned;
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b", parallel ? 1u : 0u);
+    link::LinkParams fat = link::presets::ethernet_hop();
+    fat.bits_per_second = 10'000'000'000;
+    fat.propagation_delay = sim::milliseconds(10);
+    fat.queue_capacity_packets = 4096;
+    net.connect(a, b, fat);
+    net.use_static_routes();
+
+    BurstSignature sig{};
+    b.ip().register_protocol(253, [&sig](const ip::Ipv4Header&,
+                                         std::span<const std::uint8_t> payload,
+                                         std::size_t) {
+        std::uint32_t n = 0;
+        std::memcpy(&n, payload.data(), sizeof n);
+        sig.received.push_back(n);
+    });
+    std::vector<std::uint8_t> payload(64, 0);
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+        std::memcpy(payload.data(), &i, sizeof i);
+        EXPECT_TRUE(a.ip().send(253, b.address(), payload)) << i;
+    }
+    net.run_for(sim::seconds(1));
+
+    sig.events = parallel ? psim->events_processed() : net.sim().events_processed();
+    sig.counters = net.metrics().totals();
+    // Every link-row field but the boundary flag, which is the one thing
+    // the sharded run's cross-shard link reports differently.
+    for (const auto& l : net.metrics_report().links) {
+        std::ostringstream os;
+        os << std::hexfloat << l.name << ' ' << l.pkts_a_to_b << ' ' << l.bytes_a_to_b << ' '
+           << l.pkts_b_to_a << ' ' << l.bytes_b_to_a << ' ' << l.queue_drops << ' '
+           << l.queue_bytes_dropped << ' ' << l.channel_lost << ' ' << l.channel_corrupted
+           << ' ' << l.util_a_to_b << ' ' << l.util_b_to_a;
+        sig.links.push_back(os.str());
+    }
+    return sig;
+}
+
+TEST(ParallelWindows, ThreeThousandFramesInOneWindowArriveInSendOrder) {
+    const auto sequential = run_burst(false, 1);
+    ASSERT_EQ(sequential.received.size(), 3000u);
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+        ASSERT_EQ(sequential.received[i], i) << "out of order at " << i;
+    }
+    EXPECT_EQ(run_burst(true, 1), sequential);
+    EXPECT_EQ(run_burst(true, 0), sequential);
 }
 
 // --- allocation freedom across the boundary -----------------------------

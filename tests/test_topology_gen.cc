@@ -196,13 +196,14 @@ struct RunSignature {
 /// A generated ~1k-node materialized internet (8 gateways, 16 LANs x 61
 /// hosts = 984 hosts), driven by a bulk transfer and a voice stream
 /// between hosts on different LANs. The sharded twin partitions the
-/// gateway mesh across 2 engines; signature equality is the same contract
-/// the hand-wired determinism scenarios enforce.
-RunSignature run_generated(std::uint64_t seed, bool parallel) {
+/// gateway mesh across 2 engines (`threads` as ParallelSimulator takes
+/// it); signature equality is the same contract the hand-wired
+/// determinism scenarios enforce.
+RunSignature run_generated(std::uint64_t seed, bool parallel, std::size_t threads = 1) {
     std::unique_ptr<sim::ParallelSimulator> psim;
     std::unique_ptr<Internetwork> owned;
     if (parallel) {
-        psim = std::make_unique<sim::ParallelSimulator>(2, 1);
+        psim = std::make_unique<sim::ParallelSimulator>(2, threads);
         owned = std::make_unique<Internetwork>(seed, *psim);
     } else {
         owned = std::make_unique<Internetwork>(seed);
@@ -246,6 +247,15 @@ TEST(TwoTierDeterminism, ShardedGeneratedInternetEqualsSequentialTwin) {
     EXPECT_GT(sequential.bytes_received, 0u) << "the transfer must actually run";
     EXPECT_GT(sequential.voice_received, 0u);
     EXPECT_EQ(sequential.counters.slots, sharded.counters.slots);
+}
+
+TEST(TwoTierDeterminism, ThreadedShardedGeneratedInternetEqualsSequentialTwin) {
+    // The same twin with one thread per shard, so the barrier between
+    // windows runs on a generated mesh.
+    const auto sequential = run_generated(1234, false);
+    const auto threaded = run_generated(1234, true, 0);
+    EXPECT_EQ(sequential, threaded);
+    EXPECT_GT(threaded.bytes_received, 0u) << "the transfer must actually run";
 }
 
 TEST(TwoTierDeterminism, GeneratedInternetReplaysExactly) {

@@ -12,11 +12,19 @@
 //     route-cache *miss* path, which the soak alone cannot see (the
 //     set-associative cache absorbs nearly every train lookup, by
 //     design),
-// and writes BENCH_scale.json. With --gate, exits nonzero unless the
-// scale budgets hold: build <= 5 s and <= 150 bytes/host; --min-pps adds
-// a floor on the steady-state end-to-end rate (0 disables it; absolute
-// floors are only a backstop on a noisy box, and perf claims go through
-// the interleaved A/B harness in bench/ab_compare.sh).
+// and writes BENCH_scale.json. `--shards 1,2,4` builds and soaks the same
+// internet once per listed shard count: 1 is the sequential engine, N > 1
+// a ParallelSimulator of N shards with one thread each, partitioned by
+// plan_two_tier(params, N). Each soak records its windows and the CPU
+// steal /proc/stat showed while it ran (a shared VM's steal moves the
+// sharded rates most). With --gate, exits nonzero unless the scale
+// budgets hold: build <= 5 s and <= 150 bytes/host, every injected
+// datagram delivered, and every shard count's counter totals equal to the
+// first's (the TopologyStore signature hashes shard ids, so it differs by
+// design); --min-pps adds a floor on every soak's end-to-end rate (0
+// disables it; absolute floors are only a backstop on a noisy box, and
+// perf claims go through the interleaved A/B harness in
+// bench/ab_compare.sh).
 //
 // Methodology notes. Bytes/host is *marginal*, not amortized: the heap is
 // snapshotted after the mesh (gateways + trunks) is built and again after
@@ -34,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,6 +55,7 @@
 
 #include "core/internetwork.h"
 #include "core/topology_gen.h"
+#include "sim/parallel.h"
 
 namespace {
 
@@ -58,6 +68,7 @@ struct Options {
     std::uint64_t seed = 7;
     std::uint32_t rounds = 32;  ///< traffic waves (one train per LAN each)
     std::uint32_t train = 16;   ///< datagrams per (src, dst) pair per wave
+    std::vector<std::uint32_t> shards{1};  ///< one build and soak per count
     double min_pps = 0.0;       ///< --gate floor on end-to-end pkts/s
     std::string out = "BENCH_scale.json";
     bool gate = false;
@@ -77,6 +88,49 @@ std::size_t heap_bytes() {
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/// Machine-wide CPU time from /proc/stat's "cpu" line, in clock ticks:
+/// the steal column and the sum of all columns. Zeros where unreadable.
+struct CpuTicks {
+    std::uint64_t steal = 0;
+    std::uint64_t total = 0;
+};
+
+CpuTicks cpu_ticks() {
+    CpuTicks t;
+    if (FILE* f = std::fopen("/proc/stat", "r")) {
+        unsigned long long v[8] = {};
+        if (std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &v[0], &v[1],
+                        &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]) == 8) {
+            for (const unsigned long long x : v) t.total += x;
+            t.steal = v[7];
+        }
+        std::fclose(f);
+    }
+    return t;
+}
+
+/// Steal's share of all CPU time between two readings, in percent.
+double steal_pct(const CpuTicks& before, const CpuTicks& after) {
+    const std::uint64_t total = after.total - before.total;
+    return total > 0 ? 100.0 * static_cast<double>(after.steal - before.steal) /
+                           static_cast<double>(total)
+                     : 0.0;
+}
+
+/// "1,2,4" -> {1, 2, 4}; every count must be at least 1.
+std::vector<std::uint32_t> parse_counts(const char* v) {
+    std::vector<std::uint32_t> counts;
+    for (char* end = nullptr;; v = end + 1) {
+        const unsigned long n = std::strtoul(v, &end, 10);
+        if (end == v || n == 0 || n > 64 || (*end != ',' && *end != '\0')) {
+            std::fprintf(stderr, "--shards wants counts in 1..64 like 1,2,4\n");
+            std::exit(2);
+        }
+        counts.push_back(static_cast<std::uint32_t>(n));
+        if (*end == '\0') return counts;
+    }
 }
 
 Options parse(int argc, char** argv) {
@@ -100,6 +154,8 @@ Options parse(int argc, char** argv) {
             opt.seed = std::strtoull(v, nullptr, 10);
         } else if (const char* v = value("--rounds")) {
             opt.rounds = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+        } else if (const char* v = value("--shards")) {
+            opt.shards = parse_counts(v);
         } else if (const char* v = value("--train")) {
             opt.train = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
             if (opt.train == 0) opt.train = 1;
@@ -112,41 +168,62 @@ Options parse(int argc, char** argv) {
         } else {
             std::fprintf(stderr,
                          "usage: bench_scale [--gateways K] [--lans N] [--hosts H]\n"
-                         "                   [--seed S] [--rounds R] [--train T]\n"
-                         "                   [--min-pps P] [--out FILE] [--gate]\n");
+                         "                   [--seed S] [--rounds R] [--shards N[,N...]]\n"
+                         "                   [--train T] [--min-pps P] [--out FILE]\n"
+                         "                   [--gate]\n");
             std::exit(2);
         }
     }
     return opt;
 }
 
-}  // namespace
+/// One build and soak of the internet on `shards` engines.
+struct Run {
+    std::uint32_t shards = 1;
+    double build_seconds = 0.0;
+    double route_seconds = 0.0;
+    double bytes_per_host = 0.0;
+    std::uint64_t lpm_lookups = 0;
+    double lpm_seconds = 0.0;
+    double lpm_lookups_per_second = 0.0;
+    std::size_t lpm_table_routes = 0;
+    std::size_t lpm_destinations = 0;
+    std::uint64_t injected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t hops = 0;
+    std::uint64_t windows = 0;  ///< ParallelSimulator::windows(); 0 sequential
+    double soak_seconds = 0.0;
+    double inject_seconds = 0.0;
+    double drain_seconds = 0.0;
+    double pkts_per_second = 0.0;
+    double hops_per_second = 0.0;
+    double steal_pct = 0.0;  ///< machine-wide CPU steal over the soak
+    telemetry::CounterBlock totals;
+};
 
-int main(int argc, char** argv) {
-    const Options opt = parse(argc, argv);
-
-    core::TwoTierParams params;
-    params.gateways = opt.gateways;
-    params.lans = opt.lans;
-    params.hosts_per_lan = opt.hosts;
-    params.seed = opt.seed;
-    params.compact_hosts = true;
-    params.install_routes = false;  // phased below, so each phase is timed
-    // A fast, deep-queued core: the benchmark measures the simulator's
-    // forwarding machinery, not a 10 Mb/s bottleneck's queueing.
-    params.trunk.bits_per_second = 1'000'000'000;
-    params.trunk.propagation_delay = sim::microseconds(50);
-    params.trunk.queue_capacity_packets = 256;
-
-    core::Internetwork net(opt.seed);
+Run build_and_soak(const Options& opt, const core::TwoTierParams& params,
+                   std::uint32_t shards) {
+    Run run;
+    run.shards = shards;
+    // The driver outlives the internet bound to it.
+    std::unique_ptr<sim::ParallelSimulator> psim;
+    std::unique_ptr<core::Internetwork> owned;
+    if (shards > 1) {
+        psim = std::make_unique<sim::ParallelSimulator>(shards, 0);
+        owned = std::make_unique<core::Internetwork>(opt.seed, *psim);
+    } else {
+        owned = std::make_unique<core::Internetwork>(opt.seed);
+    }
+    core::Internetwork& net = *owned;
     const auto t_build = std::chrono::steady_clock::now();
 
     // Phase 1: the transit mesh (plan + gateways + trunks).
-    const core::TwoTierPlan plan = core::plan_two_tier(params);
+    const core::TwoTierPlan plan = core::plan_two_tier(params, shards);
     std::vector<core::Gateway*> gateways;
     gateways.reserve(params.gateways);
     for (std::uint32_t i = 0; i < params.gateways; ++i) {
-        gateways.push_back(&net.add_gateway("gw" + std::to_string(i)));
+        gateways.push_back(
+            &net.add_gateway("gw" + std::to_string(i), plan.gateway_shard[i]));
     }
     for (const auto& [a, b] : plan.trunks) {
         net.connect(*gateways[a], *gateways[b], params.trunk);
@@ -171,8 +248,8 @@ int main(int argc, char** argv) {
     // Phase 3: oracle routes, one bulk load per gateway.
     const auto t_routes = std::chrono::steady_clock::now();
     net.use_static_routes();
-    const double route_seconds = seconds_since(t_routes);
-    const double build_seconds = seconds_since(t_build);
+    run.route_seconds = seconds_since(t_routes);
+    run.build_seconds = seconds_since(t_build);
 
     // Phase 3.5: raw LPM rate on one transit gateway's full table. One
     // probe per destination, destinations striped across every leaf LAN,
@@ -201,17 +278,19 @@ int main(int argc, char** argv) {
                 reinterpret_cast<std::uintptr_t>(lpm_table.lookup(dst).get());
         }
     }
-    const double lpm_seconds = seconds_since(t_lpm);
-    const std::uint64_t lpm_lookups = std::uint64_t{lpm_reps} * probe_dsts.size();
-    const double lpm_lookups_per_second =
-        lpm_seconds > 0 ? static_cast<double>(lpm_lookups) / lpm_seconds : 0.0;
+    run.lpm_seconds = seconds_since(t_lpm);
+    run.lpm_lookups = std::uint64_t{lpm_reps} * probe_dsts.size();
+    run.lpm_lookups_per_second =
+        run.lpm_seconds > 0 ? static_cast<double>(run.lpm_lookups) / run.lpm_seconds
+                            : 0.0;
+    run.lpm_table_routes = lpm_table.size();
+    run.lpm_destinations = probe_dsts.size();
     if (lookup_sink == 0) {
         std::fprintf(stderr, "bench_scale: every LPM probe missed\n");
     }
 
     const std::size_t total_hosts = std::size_t{params.lans} * params.hosts_per_lan;
-    const std::size_t total_nodes = total_hosts + params.gateways;
-    const double bytes_per_host =
+    run.bytes_per_host =
         heap_after_hosts > heap_before_hosts && total_hosts > 0
             ? static_cast<double>(heap_after_hosts - heap_before_hosts) /
                   static_cast<double>(total_hosts)
@@ -223,13 +302,11 @@ int main(int argc, char** argv) {
     // and drain phases are timed separately so the JSON shows where the
     // soak's wall clock actually goes.
     const std::uint8_t payload[8] = {0xC5, 0, 0, 0, 0, 0, 0, 0};
-    std::uint64_t injected = 0;
     std::uint64_t hops_before = 0;
     for (const core::Gateway* gw : gateways) {
         hops_before += gw->ip().stats().forwarded;
     }
-    double inject_seconds = 0.0;
-    double drain_seconds = 0.0;
+    const CpuTicks ticks_before = cpu_ticks();
     const auto t_soak = std::chrono::steady_clock::now();
     for (std::uint32_t round = 0; round < opt.rounds; ++round) {
         const std::uint32_t host_index = round % params.hosts_per_lan;
@@ -239,103 +316,174 @@ int main(int argc, char** argv) {
             if (dst_lan == l) continue;
             const core::NodeId src = topo.leaf_host(leaf_lans[l], host_index);
             const core::NodeId dst = topo.leaf_host(leaf_lans[dst_lan], host_index);
-            injected += topo.leaf_inject_train(src, topo.address(dst), 253, payload,
-                                               opt.train, 255);
+            run.injected += topo.leaf_inject_train(src, topo.address(dst), 253,
+                                                   payload, opt.train, 255);
         }
-        inject_seconds += seconds_since(t_inject);
+        run.inject_seconds += seconds_since(t_inject);
         const auto t_drain = std::chrono::steady_clock::now();
         net.run_for(sim::seconds(2));  // drain the wave completely
-        drain_seconds += seconds_since(t_drain);
+        run.drain_seconds += seconds_since(t_drain);
     }
-    const double soak_seconds = seconds_since(t_soak);
-    const std::uint64_t delivered = topo.leaf_delivered_total();
-    std::uint64_t hops = 0;
+    run.soak_seconds = seconds_since(t_soak);
+    run.steal_pct = steal_pct(ticks_before, cpu_ticks());
+    run.delivered = topo.leaf_delivered_total();
     for (const core::Gateway* gw : gateways) {
-        hops += gw->ip().stats().forwarded;
+        run.hops += gw->ip().stats().forwarded;
     }
-    hops -= hops_before;
-    const double pkts_per_second =
-        soak_seconds > 0 ? static_cast<double>(delivered) / soak_seconds : 0.0;
-    const double hops_per_second =
-        soak_seconds > 0 ? static_cast<double>(hops) / soak_seconds : 0.0;
+    run.hops -= hops_before;
+    run.pkts_per_second = run.soak_seconds > 0
+                              ? static_cast<double>(run.delivered) / run.soak_seconds
+                              : 0.0;
+    run.hops_per_second =
+        run.soak_seconds > 0 ? static_cast<double>(run.hops) / run.soak_seconds : 0.0;
+    run.windows = psim != nullptr ? psim->windows() : 0;
+    run.totals = net.metrics().totals();
+    return run;
+}
 
-    const bool build_ok = build_seconds <= 5.0;
-    const bool memory_ok = !CATENET_HAVE_MALLINFO2 || bytes_per_host <= 150.0;
-    const bool pps_ok = opt.min_pps <= 0.0 || pkts_per_second >= opt.min_pps;
+}  // namespace
 
+int main(int argc, char** argv) {
+    const Options opt = parse(argc, argv);
+
+    core::TwoTierParams params;
+    params.gateways = opt.gateways;
+    params.lans = opt.lans;
+    params.hosts_per_lan = opt.hosts;
+    params.seed = opt.seed;
+    params.compact_hosts = true;
+    params.install_routes = false;  // phased in build_and_soak, so each is timed
+    // A fast, deep-queued core: the benchmark measures the simulator's
+    // forwarding machinery, not a 10 Mb/s bottleneck's queueing.
+    params.trunk.bits_per_second = 1'000'000'000;
+    params.trunk.propagation_delay = sim::microseconds(50);
+    params.trunk.queue_capacity_packets = 256;
+
+    const std::size_t total_hosts = std::size_t{params.lans} * params.hosts_per_lan;
+    const std::size_t total_nodes = total_hosts + params.gateways;
     std::printf("bench_scale: %zu nodes (%u gateways, %u LANs x %u hosts)\n",
                 total_nodes, params.gateways, params.lans, params.hosts_per_lan);
-    std::printf("  build: %.3f s (routes %.3f s)  [budget 5 s: %s]\n", build_seconds,
-                route_seconds, build_ok ? "ok" : "FAIL");
-    std::printf("  marginal bytes/host: %.1f  [budget 150: %s]\n", bytes_per_host,
-                CATENET_HAVE_MALLINFO2 ? (memory_ok ? "ok" : "FAIL") : "skipped");
-    std::printf("  LPM: %.2f M lookups/s (%llu probes over %zu dsts, %zu routes)\n",
-                lpm_lookups_per_second / 1e6,
-                static_cast<unsigned long long>(lpm_lookups), probe_dsts.size(),
-                lpm_table.size());
-    std::printf("  soak: %llu injected (trains of %u), %llu delivered\n",
-                static_cast<unsigned long long>(injected), opt.train,
-                static_cast<unsigned long long>(delivered));
-    std::printf("    %.0f pkts/s end-to-end, %.0f hops/s (%llu forwards)\n",
-                pkts_per_second, hops_per_second,
-                static_cast<unsigned long long>(hops));
-    std::printf("    phases: inject %.3f s, drain %.3f s, total %.3f s\n",
-                inject_seconds, drain_seconds, soak_seconds);
+
+    std::vector<Run> runs;
+    bool build_ok = true;
+    bool memory_ok = true;
+    bool pps_ok = true;
+    bool delivered_ok = true;
+    bool totals_ok = true;
+    for (const std::uint32_t shards : opt.shards) {
+        runs.push_back(build_and_soak(opt, params, shards));
+        const Run& r = runs.back();
+        const bool build_fits = r.build_seconds <= 5.0;
+        const bool memory_fits = !CATENET_HAVE_MALLINFO2 || r.bytes_per_host <= 150.0;
+        build_ok = build_ok && build_fits;
+        memory_ok = memory_ok && memory_fits;
+        pps_ok = pps_ok && (opt.min_pps <= 0.0 || r.pkts_per_second >= opt.min_pps);
+        delivered_ok = delivered_ok && r.delivered == r.injected;
+        totals_ok = totals_ok && r.totals == runs.front().totals;
+
+        std::printf("[%u shard%s]\n", shards, shards == 1 ? "" : "s");
+        std::printf("  build: %.3f s (routes %.3f s)  [budget 5 s: %s]\n",
+                    r.build_seconds, r.route_seconds, build_fits ? "ok" : "FAIL");
+        std::printf("  marginal bytes/host: %.1f  [budget 150: %s]\n", r.bytes_per_host,
+                    CATENET_HAVE_MALLINFO2 ? (memory_fits ? "ok" : "FAIL") : "skipped");
+        std::printf("  LPM: %.2f M lookups/s (%llu probes over %zu dsts, %zu routes)\n",
+                    r.lpm_lookups_per_second / 1e6,
+                    static_cast<unsigned long long>(r.lpm_lookups), r.lpm_destinations,
+                    r.lpm_table_routes);
+        std::printf("  soak: %llu injected (trains of %u), %llu delivered%s\n",
+                    static_cast<unsigned long long>(r.injected), opt.train,
+                    static_cast<unsigned long long>(r.delivered),
+                    r.delivered == r.injected ? "" : "  [FAIL: lost datagrams]");
+        std::printf("    %.0f pkts/s end-to-end, %.0f hops/s (%llu forwards)\n",
+                    r.pkts_per_second, r.hops_per_second,
+                    static_cast<unsigned long long>(r.hops));
+        std::printf("    phases: inject %.3f s, drain %.3f s, total %.3f s\n",
+                    r.inject_seconds, r.drain_seconds, r.soak_seconds);
+        std::printf("    windows %llu, CPU steal %.1f%%%s\n",
+                    static_cast<unsigned long long>(r.windows), r.steal_pct,
+                    r.totals == runs.front().totals
+                        ? ""
+                        : "  [FAIL: counter totals differ from the first run]");
+    }
     if (opt.min_pps > 0.0) {
-        std::printf("    floor %.0f pkts/s: %s\n", opt.min_pps,
-                    pps_ok ? "ok" : "FAIL");
+        std::printf("floor %.0f pkts/s: %s\n", opt.min_pps, pps_ok ? "ok" : "FAIL");
     }
 
-    if (FILE* f = std::fopen(opt.out.c_str(), "w")) {
-        std::fprintf(f,
-                     "{\n"
-                     "  \"benchmark\": \"bench_scale\",\n"
-                     "  \"gateways\": %u,\n"
-                     "  \"lans\": %u,\n"
-                     "  \"hosts_per_lan\": %u,\n"
-                     "  \"total_nodes\": %zu,\n"
-                     "  \"seed\": %llu,\n"
-                     "  \"build_seconds\": %.6f,\n"
-                     "  \"route_seconds\": %.6f,\n"
-                     "  \"bytes_per_host\": %.2f,\n"
-                     "  \"mallinfo2_available\": %s,\n"
-                     "  \"soak_rounds\": %u,\n"
-                     "  \"train\": %u,\n"
-                     "  \"packets_injected\": %llu,\n"
-                     "  \"packets_delivered\": %llu,\n"
-                     "  \"lpm_lookups\": %llu,\n"
-                     "  \"lpm_seconds\": %.6f,\n"
-                     "  \"lpm_lookups_per_second\": %.0f,\n"
-                     "  \"lpm_table_routes\": %zu,\n"
-                     "  \"soak_seconds\": %.6f,\n"
-                     "  \"inject_seconds\": %.6f,\n"
-                     "  \"drain_seconds\": %.6f,\n"
-                     "  \"pkts_per_second\": %.0f,\n"
-                     "  \"hops_forwarded\": %llu,\n"
-                     "  \"hops_per_second\": %.0f,\n"
-                     "  \"min_pps\": %.0f,\n"
-                     "  \"gate_build_le_5s\": %s,\n"
-                     "  \"gate_bytes_per_host_le_150\": %s,\n"
-                     "  \"gate_min_pps\": %s\n"
-                     "}\n",
-                     params.gateways, params.lans, params.hosts_per_lan, total_nodes,
-                     static_cast<unsigned long long>(opt.seed), build_seconds,
-                     route_seconds, bytes_per_host,
-                     CATENET_HAVE_MALLINFO2 ? "true" : "false", opt.rounds,
-                     opt.train, static_cast<unsigned long long>(injected),
-                     static_cast<unsigned long long>(delivered),
-                     static_cast<unsigned long long>(lpm_lookups), lpm_seconds,
-                     lpm_lookups_per_second, lpm_table.size(), soak_seconds,
-                     inject_seconds, drain_seconds, pkts_per_second,
-                     static_cast<unsigned long long>(hops), hops_per_second,
-                     opt.min_pps, build_ok ? "true" : "false",
-                     memory_ok ? "true" : "false", pps_ok ? "true" : "false");
-        std::fclose(f);
-    } else {
+    // The top-level fields are the first listed shard count's; "soaks"
+    // holds every count's soak.
+    const Run& first = runs.front();
+    FILE* f = std::fopen(opt.out.c_str(), "w");
+    if (f == nullptr) {
         std::fprintf(stderr, "bench_scale: cannot write %s\n", opt.out.c_str());
         return 3;
     }
+    std::fprintf(f,
+                 "{\n"
+                 "  \"benchmark\": \"bench_scale\",\n"
+                 "  \"gateways\": %u,\n"
+                 "  \"lans\": %u,\n"
+                 "  \"hosts_per_lan\": %u,\n"
+                 "  \"total_nodes\": %zu,\n"
+                 "  \"seed\": %llu,\n"
+                 "  \"build_seconds\": %.6f,\n"
+                 "  \"route_seconds\": %.6f,\n"
+                 "  \"bytes_per_host\": %.2f,\n"
+                 "  \"mallinfo2_available\": %s,\n"
+                 "  \"soak_rounds\": %u,\n"
+                 "  \"train\": %u,\n"
+                 "  \"packets_injected\": %llu,\n"
+                 "  \"packets_delivered\": %llu,\n"
+                 "  \"lpm_lookups\": %llu,\n"
+                 "  \"lpm_seconds\": %.6f,\n"
+                 "  \"lpm_lookups_per_second\": %.0f,\n"
+                 "  \"lpm_table_routes\": %zu,\n"
+                 "  \"soak_seconds\": %.6f,\n"
+                 "  \"inject_seconds\": %.6f,\n"
+                 "  \"drain_seconds\": %.6f,\n"
+                 "  \"pkts_per_second\": %.0f,\n"
+                 "  \"hops_forwarded\": %llu,\n"
+                 "  \"hops_per_second\": %.0f,\n"
+                 "  \"soaks\": [\n",
+                 params.gateways, params.lans, params.hosts_per_lan, total_nodes,
+                 static_cast<unsigned long long>(opt.seed), first.build_seconds,
+                 first.route_seconds, first.bytes_per_host,
+                 CATENET_HAVE_MALLINFO2 ? "true" : "false", opt.rounds, opt.train,
+                 static_cast<unsigned long long>(first.injected),
+                 static_cast<unsigned long long>(first.delivered),
+                 static_cast<unsigned long long>(first.lpm_lookups), first.lpm_seconds,
+                 first.lpm_lookups_per_second, first.lpm_table_routes,
+                 first.soak_seconds, first.inject_seconds, first.drain_seconds,
+                 first.pkts_per_second, static_cast<unsigned long long>(first.hops),
+                 first.hops_per_second);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const Run& r = runs[i];
+        std::fprintf(f,
+                     "    {\"shards\": %u, \"build_seconds\": %.6f, "
+                     "\"packets_delivered\": %llu, \"soak_seconds\": %.6f, "
+                     "\"pkts_per_second\": %.0f, \"hops_per_second\": %.0f, "
+                     "\"windows\": %llu, \"cpu_steal_pct\": %.1f}%s\n",
+                     r.shards, r.build_seconds,
+                     static_cast<unsigned long long>(r.delivered), r.soak_seconds,
+                     r.pkts_per_second, r.hops_per_second,
+                     static_cast<unsigned long long>(r.windows), r.steal_pct,
+                     i + 1 < runs.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n"
+                 "  \"min_pps\": %.0f,\n"
+                 "  \"gate_build_le_5s\": %s,\n"
+                 "  \"gate_bytes_per_host_le_150\": %s,\n"
+                 "  \"gate_min_pps\": %s,\n"
+                 "  \"gate_all_delivered\": %s,\n"
+                 "  \"gate_counter_totals_equal\": %s\n"
+                 "}\n",
+                 opt.min_pps, build_ok ? "true" : "false", memory_ok ? "true" : "false",
+                 pps_ok ? "true" : "false", delivered_ok ? "true" : "false",
+                 totals_ok ? "true" : "false");
+    std::fclose(f);
 
-    if (opt.gate && (!build_ok || !memory_ok || !pps_ok)) return 1;
+    if (opt.gate && (!build_ok || !memory_ok || !pps_ok || !delivered_ok || !totals_ok)) {
+        return 1;
+    }
     return 0;
 }

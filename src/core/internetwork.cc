@@ -120,10 +120,7 @@ std::size_t Internetwork::connect(Node& a, Node& b, const link::LinkParams& para
     row.addr_a = addr_a;
     row.addr_b = addr_b;
     row.subnet = subnet;
-    // The same formula BoundaryLink uses for its channel lookahead:
-    // propagation plus clocking one byte.
-    row.lookahead_ns =
-        params.propagation_delay.nanos() + params.transmission_time(1).nanos();
+    row.lookahead_ns = params.lookahead().nanos();
     store_.add_link(row);
     return index;
 }

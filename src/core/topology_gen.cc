@@ -25,16 +25,12 @@ struct SplitMix {
     }
 };
 
-std::int64_t trunk_lookahead(const link::LinkParams& trunk) {
-    return trunk.propagation_delay.nanos() + trunk.transmission_time(1).nanos();
-}
-
 }  // namespace
 
 EdgeTable TwoTierPlan::edge_table(const link::LinkParams& trunk) const {
     EdgeTable table;
     table.node_count = gateways;
-    const std::int64_t lookahead = trunk_lookahead(trunk);
+    const std::int64_t lookahead = trunk.lookahead().nanos();
     for (const auto& [a, b] : trunks) {
         table.edges.push_back(PartitionEdge{a, b, lookahead, /*cuttable=*/true});
     }

@@ -9,36 +9,51 @@
 
 namespace catenet::core {
 
+namespace {
+
+/// Union-find over node indices (path halving) that tracks each
+/// component's node count. The lower root index wins a union, so every
+/// result is a pure function of the edge order.
+class Components {
+public:
+    explicit Components(std::size_t nodes) : parent_(nodes), size_(nodes, 1), count_(nodes) {
+        std::iota(parent_.begin(), parent_.end(), std::size_t{0});
+    }
+
+    std::size_t find(std::size_t x) {
+        while (parent_[x] != x) {
+            parent_[x] = parent_[parent_[x]];
+            x = parent_[x];
+        }
+        return x;
+    }
+
+    /// Nodes in the component rooted at `root`.
+    std::size_t size(std::size_t root) const { return size_[root]; }
+    std::size_t count() const noexcept { return count_; }
+
+    void unite(std::size_t a, std::size_t b) {
+        a = find(a);
+        b = find(b);
+        if (a == b) return;
+        if (b < a) std::swap(a, b);
+        parent_[b] = a;
+        size_[a] += size_[b];
+        --count_;
+    }
+
+private:
+    std::vector<std::size_t> parent_;
+    std::vector<std::size_t> size_;
+    std::size_t count_;
+};
+
+}  // namespace
+
 std::vector<std::uint32_t> partition_topology(const EdgeTable& table,
                                               std::size_t shards) {
     if (shards == 0) throw std::invalid_argument("partition_topology: zero shards");
     const std::size_t node_count = table.node_count;
-    // Union-find over node indices (path halving).
-    std::vector<std::size_t> parent(node_count);
-    std::iota(parent.begin(), parent.end(), std::size_t{0});
-    auto find = [&parent](std::size_t x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    std::size_t components = node_count;
-    auto unite = [&](std::size_t a, std::size_t b) {
-        a = find(a);
-        b = find(b);
-        if (a == b) return;
-        // Deterministic root choice: lower index wins.
-        if (b < a) std::swap(a, b);
-        parent[b] = a;
-        --components;
-    };
-
-    for (const PartitionEdge& e : table.edges) {
-        if (!e.cuttable) unite(e.a, e.b);
-    }
-    // Contract low-lookahead edges first, so the cut that survives is the
-    // set of highest-latency links — the best lookahead the topology has.
     std::vector<PartitionEdge> edges = table.edges;
     std::stable_sort(edges.begin(), edges.end(),
                      [](const PartitionEdge& x, const PartitionEdge& y) {
@@ -47,18 +62,56 @@ std::vector<std::uint32_t> partition_topology(const EdgeTable& table,
                          if (x.a != y.a) return x.a < y.a;
                          return x.b < y.b;
                      });
+    auto pinned = [&table] {
+        Components c(table.node_count);
+        for (const PartitionEdge& e : table.edges) {
+            if (!e.cuttable) c.unite(e.a, e.b);
+        }
+        return c;
+    };
+
+    // Pass 1 learns the lookahead floor L*: merge cuttable edges in
+    // ascending lookahead order until `shards` components remain; the
+    // cheapest edge that still crosses is the best lookahead any cut into
+    // that many parts keeps. Merging alone makes that cut lopsided — equal
+    // lookaheads merge in index order, so one component swallows the mesh.
+    std::int64_t floor_ns = std::numeric_limits<std::int64_t>::max();
+    {
+        Components merged = pinned();
+        for (const PartitionEdge& e : edges) {
+            if (merged.count() <= shards) break;
+            if (e.cuttable) merged.unite(e.a, e.b);
+        }
+        for (const PartitionEdge& e : edges) {
+            if (e.cuttable && merged.find(e.a) != merged.find(e.b)) {
+                floor_ns = e.lookahead_ns;  // edges ascend: the first is the least
+                break;
+            }
+        }
+    }
+
+    // Pass 2 keeps L* and balances: every edge below it is contracted, as
+    // pass 1 did; the rest merge in the same order only while the merged
+    // component stays within a 1/shards share of the nodes.
+    Components parts = pinned();
+    const std::size_t cap = (node_count + shards - 1) / shards;
     for (const PartitionEdge& e : edges) {
-        if (components <= shards) break;
-        if (e.cuttable) unite(e.a, e.b);
+        if (!e.cuttable) continue;
+        if (e.lookahead_ns < floor_ns) {
+            parts.unite(e.a, e.b);
+            continue;
+        }
+        if (parts.count() <= shards) break;
+        const std::size_t a = parts.find(e.a);
+        const std::size_t b = parts.find(e.b);
+        if (a != b && parts.size(a) + parts.size(b) <= cap) parts.unite(a, b);
     }
 
     // Components, largest first (min node index breaks size ties), packed
     // onto the least-loaded shard (lowest id breaks load ties): LPT.
-    std::vector<std::size_t> size_of(node_count, 0);
-    for (std::size_t i = 0; i < node_count; ++i) ++size_of[find(i)];
     std::vector<std::pair<std::size_t, std::size_t>> comps;  // (root, size)
     for (std::size_t i = 0; i < node_count; ++i) {
-        if (size_of[i] != 0) comps.emplace_back(i, size_of[i]);
+        if (parts.find(i) == i) comps.emplace_back(i, parts.size(i));
     }
     std::stable_sort(comps.begin(), comps.end(),
                      [](const auto& x, const auto& y) {
@@ -74,7 +127,7 @@ std::vector<std::uint32_t> partition_topology(const EdgeTable& table,
         load[lightest] += size;
     }
     std::vector<std::uint32_t> out(node_count);
-    for (std::size_t i = 0; i < node_count; ++i) out[i] = shard_of_root[find(i)];
+    for (std::size_t i = 0; i < node_count; ++i) out[i] = shard_of_root[parts.find(i)];
     return out;
 }
 

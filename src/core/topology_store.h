@@ -61,7 +61,7 @@ enum class NodeKind : std::uint8_t {
 struct PartitionEdge {
     std::size_t a = 0;  ///< node indices (order of add_host/add_gateway)
     std::size_t b = 0;
-    std::int64_t lookahead_ns = 0;  ///< link propagation + 1-byte serialization
+    std::int64_t lookahead_ns = 0;  ///< link::LinkParams::lookahead()
     bool cuttable = true;  ///< false pins both ends into one shard (e.g. LANs)
 };
 
@@ -73,12 +73,18 @@ struct EdgeTable {
     std::vector<PartitionEdge> edges;
 };
 
-/// Greedy latency-aware partition of a node graph into `shards` parts.
-/// Non-cuttable edges are contracted first; then cuttable edges merge in
-/// ascending lookahead order until at most `shards` components remain —
-/// the surviving cut set is the highest-latency edges, which maximizes the
-/// conservative engine's lookahead. Components pack into shards largest
-/// first onto the least-loaded shard. Fully deterministic. Returns the
+/// Greedy latency-aware, size-balanced partition of a node graph into
+/// `shards` parts. Non-cuttable edges are always contracted. A first pass
+/// merges cuttable edges in ascending (lookahead, a, b) order until at
+/// most `shards` components remain, only to learn L*, the smallest
+/// lookahead on the cut that merge leaves — the best window bound a cut
+/// into `shards` parts can keep. The real pass contracts every cuttable
+/// edge below L*, then merges the rest in the same order only while the
+/// merged component holds at most ceil(node_count / shards) nodes, so
+/// equal-lookahead meshes split evenly instead of one component
+/// swallowing the graph; no cut edge is ever below L*. Components pack
+/// largest first onto the least-loaded shard (LPT). The cap is computed
+/// from the graph, and the result is fully deterministic. Returns the
 /// shard id per node.
 std::vector<std::uint32_t> partition_topology(const EdgeTable& table,
                                               std::size_t shards);
@@ -100,7 +106,7 @@ struct Incidence {
 class TopologyStore {
 public:
     /// A point-to-point link row. `lookahead_ns` is the conservative
-    /// engine's per-edge budget (propagation + 1-byte serialization).
+    /// engine's per-edge budget (link::LinkParams::lookahead()).
     struct LinkRow {
         NodeId a = kNoNode;
         NodeId b = kNoNode;

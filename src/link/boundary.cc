@@ -12,14 +12,6 @@ namespace catenet::link {
 
 namespace {
 constexpr std::int64_t kInfNs = std::numeric_limits<std::int64_t>::max();
-
-std::int64_t lookahead_of(const LinkParams& params) {
-    // The hard minimum between a send and its delivery: propagation plus
-    // clocking one byte. transmission_time's integer ceiling guarantees
-    // >= 1ns at any rate, so lookahead is always strictly positive — the
-    // window rule's liveness condition.
-    return params.propagation_delay.nanos() + params.transmission_time(1).nanos();
-}
 }  // namespace
 
 // One direction's handoff. The producer appends to the outbox on the
@@ -71,13 +63,6 @@ public:
             outbox_[i].bytes = dst_pool_.take_any();
         }
         sent_ = 0;
-    }
-
-    bool peek(std::int64_t& deliver_ns, std::uint64_t& seq) const override {
-        if (staged_.empty()) return false;
-        deliver_ns = staged_.front().deliver_ns;
-        seq = staged_.front().seq;
-        return true;
     }
 
     std::int64_t staged_head_ns() const override {
@@ -187,9 +172,9 @@ BoundaryLink::BoundaryLink(sim::Simulator& sim_a, std::uint32_t shard_a,
     a_to_b.validate();
     b_to_a.validate();
     util::Rng link_rng = parent_rng.fork();  // one fork, same as PointToPointLink
-    ab_ = std::make_unique<Channel>(shard_a, shard_b, lookahead_of(a_to_b),
+    ab_ = std::make_unique<Channel>(shard_a, shard_b, a_to_b.lookahead().nanos(),
                                     sim_a.buffer_pool(), sim_b.buffer_pool());
-    ba_ = std::make_unique<Channel>(shard_b, shard_a, lookahead_of(b_to_a),
+    ba_ = std::make_unique<Channel>(shard_b, shard_a, b_to_a.lookahead().nanos(),
                                     sim_b.buffer_pool(), sim_a.buffer_pool());
     a_ = std::make_unique<Port>(sim_a, *ab_, a_to_b, link_rng.fork(), name + ":a");
     b_ = std::make_unique<Port>(sim_b, *ba_, b_to_a, link_rng.fork(), name + ":b");

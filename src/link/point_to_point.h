@@ -44,6 +44,13 @@ struct LinkParams {
             (bits * 1'000'000'000ull + bits_per_second - 1) / bits_per_second;
         return sim::Time(static_cast<std::int64_t>(ns));
     }
+
+    /// The least time between a send and its delivery: propagation plus
+    /// clocking one byte. transmission_time's ceiling makes it >= 1 ns at
+    /// any rate, so it is strictly positive — the sharded engine's
+    /// lookahead on a cut link (a boundary channel's window bound) and the
+    /// partitioner's edge weight, from this one definition.
+    sim::Time lookahead() const { return propagation_delay + transmission_time(1); }
 };
 
 class PointToPointLink {

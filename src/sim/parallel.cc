@@ -1,6 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -63,42 +64,46 @@ std::uint64_t ParallelSimulator::events_processed() const {
 void ParallelSimulator::run_window(ShardState& s, std::int64_t end_ns) {
     // Deliver every staged arrival due in the window in canonical (time,
     // channel id, seq) order, interleaved with local events via invoke_at.
-    // `in` is ordered by channel id and we replace only on strictly
-    // earlier time, so equal-time arrivals resolve to the lowest channel
-    // id; seq order within a channel is the staging heap's job. Nothing
-    // sent during the window can join them: it arrives after end_ns.
-    for (;;) {
-        BoundaryChannel* best = nullptr;
-        std::int64_t best_t = 0;
-        for (BoundaryChannel* ch : s.in) {
-            std::int64_t t = 0;
-            std::uint64_t seq = 0;
-            if (!ch->peek(t, seq) || t > end_ns) continue;
-            if (best == nullptr || t < best_t) {
-                best = ch;
-                best_t = t;
-            }
+    // `heads` holds each non-empty in-channel's head keyed (time, index
+    // into `in`), and `in` is ordered by channel id, so the heap's minimum
+    // is the scan's answer; seq order within a channel is the channel's
+    // own. A delivery changes only its own channel's head: nothing sent
+    // during the window can join the heads, it arrives after end_ns.
+    std::vector<Head>& heads = s.heads;
+    while (!heads.empty() && heads.front().first <= end_ns) {
+        std::pop_heap(heads.begin(), heads.end(), std::greater<>{});
+        const auto [t, i] = heads.back();
+        BoundaryChannel* ch = s.in[i];
+        s.sim.invoke_at(Time(t), [ch] { ch->deliver_head(); });
+        const std::int64_t next = ch->staged_head_ns();
+        if (next == kInfNs) {
+            heads.pop_back();
+        } else {
+            heads.back().first = next;
+            std::push_heap(heads.begin(), heads.end(), std::greater<>{});
         }
-        if (best == nullptr) break;
-        s.sim.invoke_at(Time(best_t), [best] { best->deliver_head(); });
     }
     s.sim.run_until(Time(end_ns));
 }
 
 void ParallelSimulator::worker(std::size_t k, std::int64_t deadline_ns) {
     for (;;) {
-        // Stage what the last window sent, and offer this worker's lower
-        // bound on everything its shards have yet to run. The barrier
-        // before this point (or the thread start) orders every producer's
-        // appends before these reads.
+        // Stage what the last window sent, heap each shard's in-channel
+        // heads, and offer this worker's lower bound on everything its
+        // shards have yet to run. The barrier before this point (or the
+        // thread start) orders every producer's appends before these reads.
         std::int64_t low = kInfNs;
         for (std::size_t i = k; i < shards_.size(); i += workers_) {
             ShardState& s = *shards_[i];
             low = std::min(low, s.sim.next_event_ns(deadline_ns));
-            for (BoundaryChannel* ch : s.in) {
-                ch->stage();
-                low = std::min(low, ch->staged_head_ns());
+            s.heads.clear();
+            for (std::uint32_t c = 0; c < s.in.size(); ++c) {
+                s.in[c]->stage();
+                const std::int64_t head = s.in[c]->staged_head_ns();
+                if (head != kInfNs) s.heads.emplace_back(head, c);
             }
+            std::make_heap(s.heads.begin(), s.heads.end(), std::greater<>{});
+            if (!s.heads.empty()) low = std::min(low, s.heads.front().first);
         }
         lows_[k] = low;
         barrier_.arrive_and_wait();

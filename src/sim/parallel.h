@@ -18,11 +18,13 @@
 //    gvt + L, where L is the smallest lookahead of any channel.
 //  - The next window therefore runs every shard to end = gvt + L − 1
 //    (capped at the deadline): staged arrivals due by then are merged
-//    deterministically — by (deliver time, channel id, channel seq) — and
-//    injected with Simulator::invoke_at, which fires same-timestamp local
-//    events first (the fixed tie rule). Every window runs the event at
-//    gvt, and an idle stretch costs nothing: when gvt is past the
-//    deadline the call ends after one reduction.
+//    deterministically — by (deliver time, channel id, channel seq),
+//    through a min-heap of the in-channels' heads, so an arrival costs
+//    O(log C) in C in-channels — and injected with Simulator::invoke_at,
+//    which fires same-timestamp local events first (the fixed tie rule).
+//    Every window runs the event at gvt, and an idle stretch costs
+//    nothing: when gvt is past the deadline the call ends after one
+//    reduction.
 //
 // Determinism: window bounds and the merged arrival order depend only on
 // event times and registration order, never on thread timing, so a seeded
@@ -33,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -60,15 +63,13 @@ public:
     /// local staging order. Called only between windows.
     virtual void stage() = 0;
 
-    /// Earliest staged, undelivered arrival; false when none.
-    virtual bool peek(std::int64_t& deliver_ns, std::uint64_t& seq) const = 0;
+    /// Earliest staged, undelivered arrival time, or INT64_MAX. Equal-time
+    /// arrivals on one channel leave in send order.
+    virtual std::int64_t staged_head_ns() const = 0;
 
     /// Delivers the head arrival into the destination stack. The driver
     /// has already advanced the destination simulator to the arrival time.
     virtual void deliver_head() = 0;
-
-    /// Earliest staged, undelivered arrival time, or INT64_MAX.
-    virtual std::int64_t staged_head_ns() const = 0;
 };
 
 /// Runs N per-shard Simulators to a common deadline in time windows,
@@ -114,9 +115,15 @@ public:
     std::uint64_t windows() const noexcept { return windows_; }
 
 private:
+    /// An in-channel's head arrival: (deliver time, index into `in`).
+    using Head = std::pair<std::int64_t, std::uint32_t>;
+
     struct ShardState {
         Simulator sim;
         std::vector<BoundaryChannel*> in;  ///< ordered by channel id
+        /// Min-heap of the in-channels' head arrivals, rebuilt each window
+        /// in storage kept across windows.
+        std::vector<Head> heads;
     };
 
     /// Runs shards k, k+workers, ... window by window until the deadline.

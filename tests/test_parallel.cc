@@ -3,7 +3,8 @@
 // Simulator, cross-shard runs against their sequential twins
 // (packet-exact), thread-count independence, lookahead correctness when
 // the boundary latency is the global minimum, the window rule's clock and
-// window count, 3,000 frames crossing in one window, allocation-freedom of
+// window count, 3,000 frames crossing in one window, equal-time arrivals
+// from 80 channels merging in channel order, allocation-freedom of
 // steady-state cross-shard forwarding, and the shard-safe
 // stats/trace/logging utilities.
 #include <gtest/gtest.h>
@@ -92,16 +93,28 @@ TEST(PartitionTopology, CutsTheHighestLatencyEdges) {
 
 TEST(PartitionTopology, NonCuttableEdgesPinComponents) {
     // The 1-2 edge is the highest-latency but marked non-cuttable (a LAN);
-    // the partitioner must cut elsewhere.
+    // the partitioner must cut elsewhere — at the 2us edge, the best
+    // lookahead left. A size cap alone (two nodes a shard) would cut the
+    // 1us edge instead: balance never buys a worse lookahead.
     std::vector<core::PartitionEdge> edges = {
         {0, 1, 1'000, true},
         {1, 2, 50'000'000, false},
         {2, 3, 2'000, true},
     };
     const auto shard = core::partition_topology(4, edges, 2);
+    EXPECT_EQ(shard[0], shard[1]);
     EXPECT_EQ(shard[1], shard[2]);
-    // Exactly two shards in use, and they partition the chain.
-    EXPECT_NE(shard[0] == shard[1] ? shard[3] : shard[0], shard[1]);
+    EXPECT_NE(shard[2], shard[3]);
+}
+
+// Nodes per shard for a partition into `shards` parts.
+std::vector<int> shard_loads(const std::vector<std::uint32_t>& shard, std::size_t shards) {
+    std::vector<int> load(shards, 0);
+    for (const auto s : shard) {
+        EXPECT_LT(s, shards);
+        if (s < shards) ++load[s];
+    }
+    return load;
 }
 
 TEST(PartitionTopology, DeterministicAndBalanced) {
@@ -113,12 +126,18 @@ TEST(PartitionTopology, DeterministicAndBalanced) {
     const auto a = core::partition_topology(16, edges, 4);
     const auto b = core::partition_topology(16, edges, 4);
     EXPECT_EQ(a, b);
-    std::vector<int> load(4, 0);
-    for (const auto s : a) {
-        ASSERT_LT(s, 4u);
-        ++load[s];
-    }
-    for (int l : load) EXPECT_EQ(l, 4);
+    EXPECT_EQ(shard_loads(a, 4), std::vector<int>(4, 4));
+
+    // A 16-node ring of equal-lookahead links. Merging in index order
+    // alone would leave one component of 15 (13 at 4 shards); the size
+    // cap splits the ring into equal arcs.
+    std::vector<core::PartitionEdge> ring;
+    for (std::size_t i = 0; i < 16; ++i) ring.push_back({i, (i + 1) % 16, 1'000, true});
+    EXPECT_EQ(shard_loads(core::partition_topology(16, ring, 2), 2),
+              std::vector<int>(2, 8));
+    const auto quarters = core::partition_topology(16, ring, 4);
+    EXPECT_EQ(quarters, core::partition_topology(16, ring, 4));
+    EXPECT_EQ(shard_loads(quarters, 4), std::vector<int>(4, 4));
 }
 
 // --- scenario twins ------------------------------------------------------
@@ -409,6 +428,69 @@ TEST(ParallelWindows, ThreeThousandFramesInOneWindowArriveInSendOrder) {
     EXPECT_EQ(run_burst(true, 0), sequential);
 }
 
+// Host d in shard 1 is the far end of kLinks boundary links, one from
+// each of kLinks hosts in shard 0. Every source sends one numbered
+// datagram at time 0 over identical links, so all of them arrive in the
+// same nanosecond; the merge must hand them over in channel-id order
+// (connect order, which is also the sequential twin's send order).
+struct FanInSignature {
+    std::uint64_t events;
+    telemetry::CounterBlock counters;
+    std::vector<std::uint32_t> received;
+
+    bool operator==(const FanInSignature&) const = default;
+};
+
+FanInSignature run_fan_in(bool parallel, std::size_t threads) {
+    constexpr std::uint32_t kLinks = 80;
+    std::unique_ptr<sim::ParallelSimulator> psim;
+    std::unique_ptr<core::Internetwork> owned;
+    if (parallel) {
+        psim = std::make_unique<sim::ParallelSimulator>(2, threads);
+        owned = std::make_unique<core::Internetwork>(21, *psim);
+    } else {
+        owned = std::make_unique<core::Internetwork>(21);
+    }
+    core::Internetwork& net = *owned;
+    core::Host& d = net.add_host("d", parallel ? 1u : 0u);
+    std::vector<core::Host*> sources;
+    for (std::uint32_t i = 0; i < kLinks; ++i) {
+        sources.push_back(&net.add_host("s" + std::to_string(i)));
+        net.connect(*sources.back(), d, link::presets::ethernet_hop());
+    }
+    net.use_static_routes();
+
+    FanInSignature sig{};
+    d.ip().register_protocol(253, [&sig](const ip::Ipv4Header&,
+                                         std::span<const std::uint8_t> payload,
+                                         std::size_t) {
+        std::uint32_t n = 0;
+        std::memcpy(&n, payload.data(), sizeof n);
+        sig.received.push_back(n);
+    });
+    std::vector<std::uint8_t> payload(64, 0);
+    for (std::uint32_t i = 0; i < kLinks; ++i) {
+        std::memcpy(payload.data(), &i, sizeof i);
+        // d's end of link i, so every datagram crosses its own link.
+        EXPECT_TRUE(sources[i]->ip().send(253, net.topology().links()[i].addr_b, payload));
+    }
+    net.run_for(sim::seconds(1));
+
+    sig.events = parallel ? psim->events_processed() : net.sim().events_processed();
+    sig.counters = net.metrics().totals();
+    return sig;
+}
+
+TEST(ParallelWindows, EqualTimeArrivalsFromManyChannelsDeliverInChannelOrder) {
+    const auto sequential = run_fan_in(false, 1);
+    ASSERT_EQ(sequential.received.size(), 80u);
+    for (std::uint32_t i = 0; i < 80; ++i) {
+        ASSERT_EQ(sequential.received[i], i) << "out of channel order at " << i;
+    }
+    EXPECT_EQ(run_fan_in(true, 1), sequential);
+    EXPECT_EQ(run_fan_in(true, 0), sequential);
+}
+
 // --- allocation freedom across the boundary -----------------------------
 
 TEST(ParallelAllocation, SteadyStateCrossShardForwardingIsAllocationFree) {
@@ -426,7 +508,7 @@ TEST(ParallelAllocation, SteadyStateCrossShardForwardingIsAllocationFree) {
     const std::vector<std::uint8_t> payload(512, 0xab);
     const auto dst = b.address();
 
-    // Warm both shards' pools, the ring's swap slots, the staging heap,
+    // Warm both shards' pools, the outbox slots, the staging heap,
     // and the driver's scratch vectors.
     for (int i = 0; i < 64; ++i) {
         ASSERT_TRUE(a.ip().send(253, dst, payload));

@@ -2,7 +2,7 @@
 // seed, byte-identical topology), the partitioner's shard assignment on
 // generated meshes (LANs pinned to their home gateway), compact leaf-host
 // forwarding end to end, and the determinism suite's sequential-vs-sharded
-// signature equality on a generated ~1k-node internet.
+// signature equality on a generated ~1k-node internet at 2 and 4 shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,9 +136,9 @@ TEST(TwoTierShards, PartitionIsDeterministicAndPinsLansToHomes) {
     EXPECT_EQ(a.gateway_shard, b.gateway_shard);
     ASSERT_EQ(a.gateway_shard.size(), 8u);
     EXPECT_TRUE(std::ranges::all_of(a.gateway_shard, [](auto s) { return s < 2; }));
-    // Both shards actually used (8 gateways, balanced packing).
-    EXPECT_TRUE(std::ranges::count(a.gateway_shard, 0u) > 0);
-    EXPECT_TRUE(std::ranges::count(a.gateway_shard, 1u) > 0);
+    // The equal-lookahead mesh splits evenly: 4 + 4 gateways.
+    EXPECT_EQ(std::ranges::count(a.gateway_shard, 0u), 4);
+    EXPECT_EQ(std::ranges::count(a.gateway_shard, 1u), 4);
 
     // Build it sharded: every node — gateway, leaf host — must live in its
     // home gateway's shard (the stub edge is the one the partitioner must
@@ -151,6 +151,32 @@ TEST(TwoTierShards, PartitionIsDeterministicAndPinsLansToHomes) {
         for (std::uint32_t i = 0; i < lan.count; ++i) {
             EXPECT_EQ(store.shard(lan.first + i), store.shard(lan.gateway));
         }
+    }
+}
+
+TEST(TwoTierShards, SoakPlanSplitsEvenly) {
+    // bench_scale's and perfbench's soak internet, planned only. Its
+    // 1,535 trunks all have one lookahead, so no cut can lose lookahead,
+    // and the size cap splits the gateways evenly.
+    TwoTierParams p;
+    p.gateways = 1024;
+    p.lans = 512;
+    p.hosts_per_lan = 200;
+    p.seed = 7;
+    p.trunk.bits_per_second = 1'000'000'000;
+    p.trunk.propagation_delay = sim::microseconds(50);
+    for (const std::uint32_t shards : {2u, 4u}) {
+        const auto plan = plan_two_tier(p, shards);
+        for (std::uint32_t s = 0; s < shards; ++s) {
+            EXPECT_EQ(std::ranges::count(plan.gateway_shard, s), 1024 / shards)
+                << "shard " << s << " of " << shards;
+        }
+        std::size_t cut = 0;
+        for (const auto& [a, b] : plan.trunks) {
+            cut += plan.gateway_shard[a] != plan.gateway_shard[b] ? 1 : 0;
+        }
+        EXPECT_GT(cut, 0u);
+        EXPECT_LT(cut, plan.trunks.size());
     }
 }
 
@@ -193,30 +219,35 @@ struct RunSignature {
     bool operator==(const RunSignature&) const = default;
 };
 
-/// A generated ~1k-node materialized internet (8 gateways, 16 LANs x 61
-/// hosts = 984 hosts), driven by a bulk transfer and a voice stream
-/// between hosts on different LANs. The sharded twin partitions the
-/// gateway mesh across 2 engines (`threads` as ParallelSimulator takes
-/// it); signature equality is the same contract the hand-wired
-/// determinism scenarios enforce.
-RunSignature run_generated(std::uint64_t seed, bool parallel, std::size_t threads = 1) {
-    std::unique_ptr<sim::ParallelSimulator> psim;
-    std::unique_ptr<Internetwork> owned;
-    if (parallel) {
-        psim = std::make_unique<sim::ParallelSimulator>(2, threads);
-        owned = std::make_unique<Internetwork>(seed, *psim);
-    } else {
-        owned = std::make_unique<Internetwork>(seed);
-    }
-    Internetwork& net = *owned;
-
+/// A generated ~1k-node materialized internet: 8 gateways, 16 LANs x 61
+/// hosts = 984 hosts.
+TwoTierParams generated_params(std::uint64_t seed) {
     TwoTierParams params;
     params.gateways = 8;
     params.lans = 16;
     params.hosts_per_lan = 61;
     params.seed = seed;
     params.compact_hosts = false;  // real hosts: full transports end to end
-    const auto topo = generate_two_tier(net, params);
+    return params;
+}
+
+/// generated_params' internet, driven by a bulk transfer and a voice
+/// stream between hosts on different LANs. The sharded twin partitions
+/// the gateway mesh across `shards` engines (`threads` as
+/// ParallelSimulator takes it); signature equality is the same contract
+/// the hand-wired determinism scenarios enforce.
+RunSignature run_generated(std::uint64_t seed, bool parallel, std::size_t threads = 1,
+                           std::size_t shards = 2) {
+    std::unique_ptr<sim::ParallelSimulator> psim;
+    std::unique_ptr<Internetwork> owned;
+    if (parallel) {
+        psim = std::make_unique<sim::ParallelSimulator>(shards, threads);
+        owned = std::make_unique<Internetwork>(seed, *psim);
+    } else {
+        owned = std::make_unique<Internetwork>(seed);
+    }
+    Internetwork& net = *owned;
+    const auto topo = generate_two_tier(net, generated_params(seed));
 
     Host& sender_host = *topo.hosts[0];            // LAN 0
     Host& receiver_host = *topo.hosts.back();      // LAN 15
@@ -254,6 +285,19 @@ TEST(TwoTierDeterminism, ThreadedShardedGeneratedInternetEqualsSequentialTwin) {
     // windows runs on a generated mesh.
     const auto sequential = run_generated(1234, false);
     const auto threaded = run_generated(1234, true, 0);
+    EXPECT_EQ(sequential, threaded);
+    EXPECT_GT(threaded.bytes_received, 0u) << "the transfer must actually run";
+}
+
+TEST(TwoTierDeterminism, FourShardThreadedGeneratedInternetEqualsSequentialTwin) {
+    // Two gateways (and their LANs) per shard, one thread per shard: the
+    // barrier and the heap merge run with four workers on a generated mesh.
+    const auto plan = plan_two_tier(generated_params(1234), 4);
+    for (std::uint32_t s = 0; s < 4; ++s) {
+        EXPECT_EQ(std::ranges::count(plan.gateway_shard, s), 2) << "shard " << s;
+    }
+    const auto sequential = run_generated(1234, false);
+    const auto threaded = run_generated(1234, true, 0, 4);
     EXPECT_EQ(sequential, threaded);
     EXPECT_GT(threaded.bytes_received, 0u) << "the transfer must actually run";
 }

@@ -28,7 +28,7 @@ void Traceroute::start(CompleteFn on_complete) {
                 on_probe_answered(h.src, /*destination_reached=*/true);
             }
         });
-    host_.ip().set_icmp_error_handler(
+    host_.ip().add_icmp_error_handler(
         [this](const ip::IcmpMessage& msg, util::Ipv4Address from) {
             if (finished_ || msg.type != ip::IcmpType::TimeExceeded) return;
             // The error quotes our datagram: IP header (20 B) + the first

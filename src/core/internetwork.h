@@ -15,13 +15,15 @@
 // store's arrays.
 //
 // A builder bound to a sim::ParallelSimulator places each node in a shard
-// (the `shard` argument on add_host/add_gateway/add_lan). connect() then
-// picks the link type automatically: same shard — the ordinary
-// PointToPointLink; different shards — a link::BoundaryLink whose latency
-// becomes the conservative engine's lookahead. Addressing, adjacency and
-// static routing are oblivious to the partition, which is the paper's
-// fate-sharing argument doing real work: nothing in the network layer
-// knows or cares where the shard boundary falls.
+// (the `shard` argument on add_host/add_gateway/add_lan). connect() builds
+// the same link::PointToPointLink either way; when its ends live in
+// different shards the link is cut, and its latency becomes the
+// conservative engine's lookahead. Links have one dense index space, so
+// failure injection, metrics and gauges reach every link alike.
+// Addressing, adjacency and static routing are oblivious to the
+// partition, which is the paper's fate-sharing argument doing real work:
+// nothing in the network layer knows or cares where the shard boundary
+// falls.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 
 #include "core/node.h"
 #include "core/topology_store.h"
-#include "link/boundary.h"
 #include "link/lan.h"
 #include "link/point_to_point.h"
 #include "sim/parallel.h"
@@ -69,10 +70,9 @@ public:
     Gateway& add_gateway(const std::string& name, std::uint32_t shard = 0);
 
     /// Connects two nodes with a link; allocates a /24 and binds .1 (a's
-    /// side) and .2 (b's side). Same shard: a PointToPointLink, returns
-    /// its index. Different shards: a BoundaryLink, returns
-    /// kBoundaryIndexBase + boundary index (fail_link/link() reject such
-    /// indices; use boundary_link()).
+    /// side) and .2 (b's side). Returns the link's index. Nodes in
+    /// different shards get a cut link, whose outboxes register with the
+    /// ParallelSimulator here, in construction order.
     std::size_t connect(Node& a, Node& b, const link::LinkParams& params);
 
     /// Creates a shared LAN segment; returns its index. All attachees must
@@ -118,21 +118,15 @@ public:
     void enable_dynamic_routing(const routing::DvConfig& config = {});
 
     // --- failure injection ------------------------------------------------
+    /// In a sharded run, call these between run_for calls (a cut link's
+    /// state is read by both shards while they run).
     void fail_link(std::size_t link_index) { links_.at(link_index)->set_up(false); }
     void restore_link(std::size_t link_index) { links_.at(link_index)->set_up(true); }
 
     // --- access & metrics ----------------------------------------------
-    static constexpr std::size_t kBoundaryIndexBase = std::size_t{1} << 32;
-
     link::PointToPointLink& link(std::size_t i) { return *links_.at(i); }
     link::Lan& lan(std::size_t i) { return *lans_.at(i); }
     std::size_t link_count() const noexcept { return links_.size(); }
-
-    /// Accepts a raw boundary index or a connect() return value.
-    link::BoundaryLink& boundary_link(std::size_t i) {
-        return *boundary_links_.at(i >= kBoundaryIndexBase ? i - kBoundaryIndexBase : i);
-    }
-    std::size_t boundary_link_count() const noexcept { return boundary_links_.size(); }
 
     /// Materialized nodes only (leaf hosts have no objects), in
     /// construction order.
@@ -194,16 +188,14 @@ private:
     std::vector<std::unique_ptr<Host>> hosts_;
     std::vector<std::unique_ptr<Gateway>> gateways_;
     std::vector<Node*> node_ptrs_;
-    std::vector<std::unique_ptr<link::PointToPointLink>> links_;
-    std::vector<std::unique_ptr<link::BoundaryLink>> boundary_links_;
+    std::vector<std::unique_ptr<link::PointToPointLink>> links_;  ///< by connect() index
     std::vector<std::unique_ptr<link::Lan>> lans_;
     std::uint32_t next_subnet_ = 1;       ///< 10.x point-to-point / LAN space
     std::uint32_t next_leaf_subnet_ = 0;  ///< 11.x leaf-LAN space
     telemetry::Registry registry_;
     std::unique_ptr<telemetry::FlightRecorder> recorder_;
     std::vector<std::unique_ptr<telemetry::GaugeSampler>> samplers_;  ///< by shard
-    std::vector<std::uint32_t> link_shard_;  ///< shard per links_ entry
-    sim::Time gauge_period_;                 ///< zero until sampling enabled
+    sim::Time gauge_period_;  ///< zero until sampling enabled
     bool link_gauges_registered_ = false;
 };
 

@@ -131,15 +131,6 @@ std::vector<std::uint32_t> partition_topology(const EdgeTable& table,
     return out;
 }
 
-std::vector<std::uint32_t> partition_topology(std::size_t node_count,
-                                              std::vector<PartitionEdge> edges,
-                                              std::size_t shards) {
-    EdgeTable table;
-    table.node_count = node_count;
-    table.edges = std::move(edges);
-    return partition_topology(table, shards);
-}
-
 // --- population --------------------------------------------------------
 
 NodeId TopologyStore::add_node(NodeKind kind, std::uint32_t shard, Node* object) {
@@ -306,32 +297,6 @@ NodeId TopologyStore::leaf_host(std::uint32_t leaf_lan, std::uint32_t i) const {
     return row.first + i;
 }
 
-bool TopologyStore::leaf_inject(NodeId src, util::Ipv4Address dst,
-                                std::uint8_t protocol,
-                                std::span<const std::uint8_t> payload,
-                                std::uint8_t ttl) {
-    if (!is_leaf(src)) throw std::invalid_argument("leaf_inject: not a leaf host");
-    const std::uint32_t lan = home_.at(src);
-    StubLan& stub = stubs_.at(lan);
-    if (!stub.is_up()) return false;
-    sim::Simulator& sim = stub.simulator();
-    ip::Ipv4Header header;
-    header.protocol = protocol;
-    header.ttl = ttl;
-    header.src = address(src);
-    header.dst = dst;
-    link::Packet packet =
-        link::make_packet(ip::encode_datagram(header, payload, sim.buffer_pool()), sim);
-    // The encoder just computed the header checksum over bytes nothing can
-    // corrupt between here and the gateway (the stub LAN is lossless), so
-    // the packet carries the checksum-offload vouch a real host NIC would.
-    packet.csum_ok = true;
-    ++leaf_tx_[aux_.at(src)];
-    counter_slab_[leaf_lans_.at(lan).counter_slot].inc(telemetry::Counter::IpTx);
-    stub.inject(std::move(packet));
-    return true;
-}
-
 std::uint32_t TopologyStore::leaf_inject_train(NodeId src, util::Ipv4Address dst,
                                                std::uint8_t protocol,
                                                std::span<const std::uint8_t> payload,
@@ -350,8 +315,8 @@ std::uint32_t TopologyStore::leaf_inject_train(NodeId src, util::Ipv4Address dst
     header.src = address(src);
     header.dst = dst;
     // One encode serves the whole train: every datagram is byte-identical
-    // (leaf_inject never varies identification either), so the per-packet
-    // cost collapses to a pooled-buffer memcpy.
+    // (no identification varies), so the per-packet cost collapses to a
+    // pooled-buffer memcpy.
     util::ByteBuffer wire = ip::encode_datagram(header, payload, sim.buffer_pool());
     telemetry::CounterBlock& counters =
         counter_slab_[leaf_lans_.at(lan).counter_slot];
@@ -361,7 +326,11 @@ std::uint32_t TopologyStore::leaf_inject_train(NodeId src, util::Ipv4Address dst
         util::ByteBuffer copy = sim.buffer_pool().acquire(wire.size());
         copy.assign(wire.begin(), wire.end());
         link::Packet packet = link::make_packet(std::move(copy), sim);
-        packet.csum_ok = true;  // same vouch as the single inject
+        // The encoder just computed the header checksum over bytes nothing
+        // can corrupt between here and the gateway (the stub LAN is
+        // lossless), so the packet carries the checksum-offload vouch a
+        // real host NIC would.
+        packet.csum_ok = true;
         ++tx;
         counters.inc(telemetry::Counter::IpTx);
         stub.inject(std::move(packet));

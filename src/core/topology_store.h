@@ -88,10 +88,6 @@ struct EdgeTable {
 /// shard id per node.
 std::vector<std::uint32_t> partition_topology(const EdgeTable& table,
                                               std::size_t shards);
-/// Back-compat shim over the EdgeTable form.
-std::vector<std::uint32_t> partition_topology(std::size_t node_count,
-                                              std::vector<PartitionEdge> edges,
-                                              std::size_t shards);
 
 /// One incidence: a single-hop neighbor, through which local interface, at
 /// what next-hop address. Chronological order (the order edges and LAN
@@ -222,23 +218,22 @@ public:
     /// The leaf LAN a leaf host belongs to.
     std::uint32_t leaf_lan_of(NodeId id) const { return home_.at(id); }
     NodeId leaf_host(std::uint32_t leaf_lan, std::uint32_t i) const;
-    /// Injects a freshly encoded datagram sourced at leaf `src` into its
-    /// home gateway, as if the host had transmitted it onto the stub LAN.
-    /// Returns false if the gateway-side interface is down.
-    bool leaf_inject(NodeId src, util::Ipv4Address dst, std::uint8_t protocol,
-                     std::span<const std::uint8_t> payload, std::uint8_t ttl = 64);
-
-    /// Batch form of leaf_inject: `count` identical datagrams from `src`
-    /// (one encode, pooled buffer copies), handed to the home gateway one
-    /// at a time — the soak's wave loop measures forwarding, not per-packet
-    /// encode setup. Behaviourally identical to calling leaf_inject `count`
-    /// times: same wire bytes, same tallies, same delivery order. Returns
-    /// how many datagrams were injected (0 if the gateway interface is
-    /// down).
+    /// Injects `count` identical freshly encoded datagrams sourced at leaf
+    /// `src` into its home gateway, as if the host had transmitted them
+    /// onto the stub LAN one at a time (one encode, pooled buffer copies —
+    /// the soak's wave loop measures forwarding, not per-packet encode
+    /// setup). Returns how many were injected (0 if the gateway-side
+    /// interface is down).
     std::uint32_t leaf_inject_train(NodeId src, util::Ipv4Address dst,
                                     std::uint8_t protocol,
                                     std::span<const std::uint8_t> payload,
                                     std::uint32_t count, std::uint8_t ttl = 64);
+    /// One datagram: a train of one. Returns false if the gateway-side
+    /// interface is down.
+    bool leaf_inject(NodeId src, util::Ipv4Address dst, std::uint8_t protocol,
+                     std::span<const std::uint8_t> payload, std::uint8_t ttl = 64) {
+        return leaf_inject_train(src, dst, protocol, payload, 1, ttl) == 1;
+    }
     std::uint64_t leaf_delivered(NodeId id) const { return leaf_rx_.at(aux_.at(id)); }
     std::uint64_t leaf_sent(NodeId id) const { return leaf_tx_.at(aux_.at(id)); }
     std::uint64_t leaf_delivered_total() const noexcept;

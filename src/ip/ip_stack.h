@@ -107,10 +107,6 @@ public:
     void add_icmp_error_handler(IcmpErrorHandler handler) {
         icmp_error_handlers_.push_back(std::move(handler));
     }
-    /// Back-compat alias for add_icmp_error_handler.
-    void set_icmp_error_handler(IcmpErrorHandler handler) {
-        add_icmp_error_handler(std::move(handler));
-    }
 
     /// Gateways: emit ICMP Source Quench to the traffic source when an
     /// egress queue drops a forwarded datagram (RFC 792's congestion

@@ -90,7 +90,9 @@ private:
 };
 
 Lan::Lan(sim::Simulator& sim, util::Rng& parent_rng, const LanParams& params, std::string name)
-    : sim_(sim), rng_(parent_rng.fork()), params_(params), name_(std::move(name)) {}
+    : sim_(sim), rng_(parent_rng.fork()), params_(params), name_(std::move(name)) {
+    params_.validate();
+}
 
 Lan::~Lan() = default;
 

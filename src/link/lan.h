@@ -25,6 +25,12 @@ struct LanParams {
     double drop_probability = 0.0;
     std::size_t mtu = 1500;
     std::size_t queue_capacity_packets = 64;
+
+    /// LinkParams::validate's rules for the fields a LAN shares with a
+    /// link (bits_per_second, mtu, drop_probability, propagation_delay),
+    /// with the same std::invalid_argument naming the field (defined beside
+    /// it, in point_to_point.cc). Lan's constructor calls it.
+    void validate() const;
 };
 
 class Lan {

@@ -43,10 +43,10 @@
 
 namespace catenet::sim {
 
-/// One direction of a cross-shard link. Implemented by the link layer
-/// (link::BoundaryLink); the driver sees only the consumer side. The
-/// producer appends on the source shard's thread, the consumer-side calls
-/// run on the destination shard's, and the driver's barriers keep stage()
+/// One direction of a cross-shard link: a cut link::PointToPointLink's
+/// outbox. ParallelSimulator sees only the consumer side. The producer
+/// appends on the source shard's thread, the consumer-side calls run on
+/// the destination shard's, and ParallelSimulator's barriers keep stage()
 /// apart from every append.
 class BoundaryChannel {
 public:

@@ -56,7 +56,7 @@ TcpSocket::TcpSocket(TcpStack& stack, TcpConfig config)
                              if (ack_pending_) send_ack_now();
                          }),
       time_wait_timer_(stack.ip().simulator(), [this] { finish_and_remove(); }),
-      quench_resume_timer_(stack.ip().simulator(), [this] { try_send(false); }) {
+      quench_resume_timer_(stack.ip().simulator(), [this] { try_send(); }) {
     out_of_order_.reserve(config_.recv_buffer / kMinPlausibleMss + 1);
 }
 
@@ -217,7 +217,7 @@ std::size_t TcpSocket::send(std::span<const std::uint8_t> data) {
     const std::size_t accept = std::min(data.size(), send_space());
     send_ring_.write(data.first(accept));
     if (state_ == TcpState::Established || state_ == TcpState::CloseWait) {
-        try_send(false);
+        try_send();
     }
     return accept;
 }
@@ -225,7 +225,7 @@ std::size_t TcpSocket::send(std::span<const std::uint8_t> data) {
 void TcpSocket::push() {
     push_requested_ = true;
     if (state_ == TcpState::Established || state_ == TcpState::CloseWait) {
-        try_send(false);
+        try_send();
     }
 }
 
@@ -238,12 +238,12 @@ void TcpSocket::close() {
         case TcpState::Established:
             fin_queued_ = true;
             enter_state(TcpState::FinWait1);
-            try_send(false);
+            try_send();
             return;
         case TcpState::CloseWait:
             fin_queued_ = true;
             enter_state(TcpState::LastAck);
-            try_send(false);
+            try_send();
             return;
         default:
             return;  // already closing or closed
@@ -263,7 +263,7 @@ void TcpSocket::abort() {
 
 // --- send machinery -----------------------------------------------------------
 
-void TcpSocket::try_send(bool /*ack_only_allowed*/) {
+void TcpSocket::try_send() {
     if (state_ != TcpState::Established && state_ != TcpState::CloseWait &&
         state_ != TcpState::FinWait1 && state_ != TcpState::Closing &&
         state_ != TcpState::LastAck) {
@@ -543,7 +543,7 @@ void TcpSocket::on_rto_fire() {
     // repacketize the whole outstanding region at the current MSS.
     snd_nxt_ = snd_una_;
     fin_sent_ = false;
-    try_send(false);
+    try_send();
     arm_rto();
 }
 
@@ -672,7 +672,7 @@ bool TcpSocket::try_fast_path(const TcpHeader& h, std::span<const std::uint8_t> 
             arm_rto();
         }
         if (buffer_was_full && send_space() > 0 && on_send_space) on_send_space();
-        try_send(false);
+        try_send();
         return true;
     }
 
@@ -726,7 +726,7 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
                 rto_timer_.cancel();
                 send_ack_now();
                 if (on_connected) on_connected();
-                try_send(false);
+                try_send();
             } else {
                 // Simultaneous open.
                 enter_state(TcpState::SynReceived);
@@ -784,7 +784,6 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
             consecutive_timeouts_ = 0;
             backoff_ = 0;
             rto_timer_.cancel();
-            ++stack_.stats_.connections_accepted;
             stack_.counters_.inc(telemetry::Counter::TcpConnsAccepted);
             if (on_connected) on_connected();
         } else {
@@ -886,7 +885,7 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool has_payload) {
         }
 
         if (buffer_was_full && send_space() > 0 && on_send_space) on_send_space();
-        try_send(false);
+        try_send();
     } else if (h.ack == snd_una_) {
         // Window update or duplicate.
         const bool dup = flight_size() > 0 && h.window == snd_wnd_ && !has_payload;
@@ -895,7 +894,7 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool has_payload) {
         if (dup) {
             on_duplicate_ack();
         } else {
-            try_send(false);  // window may have opened
+            try_send();  // window may have opened
         }
     }
 }
@@ -1062,7 +1061,6 @@ std::shared_ptr<TcpSocket> TcpStack::connect(util::Ipv4Address dst, std::uint16_
     const std::uint16_t src_port = allocate_port();
     auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(*this, config));
     connections_.insert(make_conn_key(dst.value(), dst_port, src_port), socket);
-    ++stats_.connections_opened;
     counters_.inc(telemetry::Counter::TcpConnsOpened);
     socket->open_active(dst, dst_port, src_port);
     return socket;
@@ -1079,7 +1077,6 @@ void TcpStack::stop_listening(std::uint16_t port) { listeners_.erase(port); }
 
 void TcpStack::on_segment(const ip::Ipv4Header& header,
                           std::span<const std::uint8_t> payload) {
-    ++stats_.segments_received;
     counters_.inc(telemetry::Counter::TcpSegsIn);
     std::span<const std::uint8_t> data;
     std::optional<TcpHeader> h;
@@ -1088,12 +1085,10 @@ void TcpStack::on_segment(const ip::Ipv4Header& header,
         // for this datagram (csum_ok end to end) — it would provably pass.
         h = decode_tcp(header.src, header.dst, payload, data, !ip_.rx_csum_ok());
     } catch (const util::DecodeError&) {
-        ++stats_.dropped_bad_checksum;
         counters_.inc(telemetry::Counter::TcpDropChecksum);
         return;
     }
     if (!h) {
-        ++stats_.dropped_bad_checksum;
         counters_.inc(telemetry::Counter::TcpDropChecksum);
         return;
     }
@@ -1119,7 +1114,6 @@ void TcpStack::on_segment(const ip::Ipv4Header& header,
         }
     }
 
-    ++stats_.dropped_no_connection;
     counters_.inc(telemetry::Counter::TcpDropNoConnection);
     if (!h->flags.rst) send_reset(header, *h, data.size());
 }
@@ -1141,7 +1135,6 @@ void TcpStack::send_reset(const ip::Ipv4Header& header, const TcpHeader& offendi
     ip::SendOptions opts;
     opts.source = header.dst;
     ip_.send(ip::kProtoTcp, header.src, wire, opts);
-    ++stats_.resets_sent;
     counters_.inc(telemetry::Counter::TcpResetsSent);
 }
 

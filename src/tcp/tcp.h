@@ -204,7 +204,7 @@ private:
     void enter_state(TcpState next);
 
     // --- send machinery ------------------------------------------------
-    void try_send(bool ack_only_allowed);
+    void try_send();
     void send_segment(SeqNum seq, std::size_t length, bool fin, bool force_psh);
     void send_control(TcpFlags flags, SeqNum seq);
     void send_ack_now();
@@ -361,9 +361,21 @@ public:
     void stop_listening(std::uint16_t port);
 
     ip::IpStack& ip() noexcept { return ip_; }
-    const TcpStackStats& stats() const noexcept { return stats_; }
-    /// This stack's TCP counter slots, all connections folded in (mirror
-    /// the TcpStackStats fields plus sums of per-socket TcpSocketStats).
+    /// Statistics view, synthesized from the counter block (the single
+    /// storage, as for ip::IpStack::stats()).
+    TcpStackStats stats() const noexcept {
+        using telemetry::Counter;
+        TcpStackStats s;
+        s.segments_received = counters_.get(Counter::TcpSegsIn);
+        s.dropped_bad_checksum = counters_.get(Counter::TcpDropChecksum);
+        s.dropped_no_connection = counters_.get(Counter::TcpDropNoConnection);
+        s.resets_sent = counters_.get(Counter::TcpResetsSent);
+        s.connections_opened = counters_.get(Counter::TcpConnsOpened);
+        s.connections_accepted = counters_.get(Counter::TcpConnsAccepted);
+        return s;
+    }
+    /// This stack's TCP counter slots, all connections folded in (the
+    /// TcpStackStats fields plus sums of per-socket TcpSocketStats).
     const telemetry::CounterBlock& counters() const noexcept { return counters_; }
 
     /// Currently tracked connections (debug/test aid).
@@ -389,7 +401,6 @@ private:
     util::Rng rng_;
     ConnTable<std::shared_ptr<TcpSocket>> connections_;
     std::map<std::uint16_t, Listener> listeners_;
-    TcpStackStats stats_;
     telemetry::CounterBlock counters_;
     std::uint16_t next_ephemeral_ = 49152;
 };

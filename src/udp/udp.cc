@@ -63,7 +63,6 @@ bool UdpSocket::send_to(util::Ipv4Address dst, std::uint16_t dst_port,
     opts.source = src;
     const bool ok = stack_->ip().send(ip::kProtoUdp, dst, segment, opts);
     if (ok) {
-        ++stack_->stats_.datagrams_sent;
         stack_->counters_.inc(telemetry::Counter::UdpTx);
     }
     return ok;
@@ -100,17 +99,14 @@ void UdpStack::on_datagram(const ip::Ipv4Header& header,
     std::span<const std::uint8_t> data;
     auto h = decode_udp(header.src, header.dst, payload, data);
     if (!h) {
-        ++stats_.dropped_bad_checksum;
         counters_.inc(telemetry::Counter::UdpDropChecksum);
         return;
     }
     auto it = sockets_.find(h->dst_port);
     if (it == sockets_.end()) {
-        ++stats_.dropped_no_socket;
         counters_.inc(telemetry::Counter::UdpDropNoSocket);
         return;
     }
-    ++stats_.datagrams_received;
     counters_.inc(telemetry::Counter::UdpRx);
     if (it->second->handler_) {
         it->second->handler_(header.src, h->src_port, data);

@@ -85,8 +85,18 @@ public:
     /// Binds an ephemeral port.
     std::unique_ptr<UdpSocket> bind_ephemeral();
 
-    const UdpStats& stats() const noexcept { return stats_; }
-    /// This stack's UDP counter slots (mirror the UdpStats fields).
+    /// Statistics view, synthesized from the counter block (the single
+    /// storage, as for ip::IpStack::stats()).
+    UdpStats stats() const noexcept {
+        using telemetry::Counter;
+        UdpStats s;
+        s.datagrams_sent = counters_.get(Counter::UdpTx);
+        s.datagrams_received = counters_.get(Counter::UdpRx);
+        s.dropped_bad_checksum = counters_.get(Counter::UdpDropChecksum);
+        s.dropped_no_socket = counters_.get(Counter::UdpDropNoSocket);
+        return s;
+    }
+    /// This stack's UDP counter slots.
     const telemetry::CounterBlock& counters() const noexcept { return counters_; }
     ip::IpStack& ip() noexcept { return ip_; }
 
@@ -97,7 +107,6 @@ private:
 
     ip::IpStack& ip_;
     std::map<std::uint16_t, UdpSocket*> sockets_;
-    UdpStats stats_;
     telemetry::CounterBlock counters_;
     std::uint16_t next_ephemeral_ = 49152;
 };

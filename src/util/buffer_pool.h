@@ -74,7 +74,7 @@ public:
     /// boundary-channel handoff uses this to leave a retired buffer in an
     /// outbox slot as it stages the slot's packet: any carcass will do,
     /// because the capacity is headed for a *different* shard's pool (see
-    /// link/boundary.cc).
+    /// link/point_to_point.cc).
     ByteBuffer take_any() noexcept {
         if (free_.empty()) return {};
         ByteBuffer b = std::move(free_.back());

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -19,8 +20,8 @@ namespace catenet {
 namespace {
 
 /// One MetricsReport link row without its boundary flag: a sharded run's
-/// cross-shard link is a BoundaryLink where the sequential twin has a
-/// PointToPointLink, and everything else the two report must agree.
+/// cross-shard link is cut where the sequential twin's is not, and
+/// everything else the two report must agree.
 struct LinkSignature {
     std::string name;
     std::uint64_t pkts_a_to_b, bytes_a_to_b, pkts_b_to_a, bytes_b_to_a;
@@ -130,12 +131,20 @@ TEST(Determinism, DifferentSeedsDiverge) {
                 first.retransmits != second.retransmits);
 }
 
+/// The g-b trunk fails at `at` and comes back at `until`, each between
+/// two run_for calls.
+struct TrunkOutage {
+    sim::Time at;
+    sim::Time until;
+};
+
 // The same discipline for the sharded engine: a 2-shard run (randomness
-// confined to the intra-shard hop; the boundary link is deterministic, so
+// confined to the intra-shard hop; the cut link is deterministic, so
 // parallel and sequential draw identical streams) must equal its
 // sequential twin AND replay itself exactly under real threads.
 RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t threads,
-                                  sim::Time gauge_period = sim::Time(0)) {
+                                  sim::Time gauge_period = sim::Time(0),
+                                  std::optional<TrunkOutage> outage = std::nullopt) {
     std::unique_ptr<sim::ParallelSimulator> psim;
     std::unique_ptr<core::Internetwork> owned;
     if (parallel) {
@@ -153,8 +162,8 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t
     lossy.jitter = sim::milliseconds(2);
     link::LinkParams wide = link::presets::ethernet_hop();
     wide.propagation_delay = sim::milliseconds(10);
-    net.connect(a, g, lossy);   // randomness stays inside shard 0
-    net.connect(g, b, wide);    // the deterministic shard boundary
+    net.connect(a, g, lossy);                          // randomness stays inside shard 0
+    const std::size_t trunk = net.connect(g, b, wide);  // the deterministic shard boundary
     net.use_static_routes();
     if (gauge_period > sim::Time(0)) net.enable_gauge_sampling(gauge_period);
 
@@ -163,7 +172,15 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t
     sender.start();
     app::VoiceOverUdp voice(a, b, 5004);
     voice.start(sim::seconds(10));
-    net.run_for(sim::seconds(60));
+    if (outage) {
+        net.run_for(outage->at);
+        net.fail_link(trunk);
+        net.run_for(outage->until - outage->at);
+        net.restore_link(trunk);
+        net.run_for(sim::seconds(60) - outage->until);
+    } else {
+        net.run_for(sim::seconds(60));
+    }
 
     RunSignature sig;
     sig.events = parallel ? psim->events_processed() : net.sim().events_processed();
@@ -195,6 +212,24 @@ TEST(Determinism, ShardedRunEqualsSequentialTwin) {
     ASSERT_EQ(sharded.links.size(), 2u);
     EXPECT_EQ(sequential.links, sharded.links);
     EXPECT_GT(sharded.links[1].util_a_to_b, 0.0) << "the boundary link never reported busy time";
+}
+
+TEST(Determinism, ShardedCutTrunkFailureEqualsSequentialTwin) {
+    // Clark's first goal across the shard boundary: the trunk the
+    // partition cut fails while the transfer and the voice stream cross
+    // it, and comes back later. What was in flight is lost on the wire in
+    // both runs, TCP recovers, and the sharded run equals its twin.
+    const TrunkOutage outage{sim::milliseconds(300), sim::seconds(2)};
+    const auto sequential = run_sharded_scenario(1234, false, 1, sim::Time(0), outage);
+    const auto sharded = run_sharded_scenario(1234, true, 1, sim::Time(0), outage);
+    EXPECT_EQ(sequential, sharded);  // events, counter totals, link rows, ...
+    ASSERT_EQ(sharded.links.size(), 2u);
+    EXPECT_EQ(sequential.links, sharded.links);
+    EXPECT_GT(sharded.links[1].channel_lost, 0u) << "nothing was on the trunk when it failed";
+    EXPECT_GT(sharded.counters.get(telemetry::Counter::IpDropIfaceDown), 0u)
+        << "no traffic met the dead trunk";
+    EXPECT_EQ(sharded.bytes_received, 256u * 1024u) << "the transfer did not survive";
+    EXPECT_EQ(run_sharded_scenario(1234, true, 0, sim::Time(0), outage), sharded);
 }
 
 TEST(Determinism, ShardedRunReplaysExactlyUnderThreads) {

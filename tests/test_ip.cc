@@ -318,7 +318,7 @@ TEST_F(TwoHostsOneGateway, ForwardingDecrementsTtl) {
 TEST_F(TwoHostsOneGateway, TtlExpiryGeneratesTimeExceeded) {
     wire();
     bool got_time_exceeded = false;
-    a.ip().set_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address from) {
+    a.ip().add_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address from) {
         if (msg.type == IcmpType::TimeExceeded) {
             got_time_exceeded = true;
             EXPECT_EQ(from, g.ip().primary_address());
@@ -334,7 +334,7 @@ TEST_F(TwoHostsOneGateway, TtlExpiryGeneratesTimeExceeded) {
 TEST_F(TwoHostsOneGateway, NoRouteGeneratesUnreachable) {
     wire();
     bool got_unreachable = false;
-    a.ip().set_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address) {
+    a.ip().add_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address) {
         if (msg.type == IcmpType::DestinationUnreachable) got_unreachable = true;
     });
     // Host a has a route for 10/8-space subnets only via static oracle;
@@ -385,7 +385,7 @@ TEST_F(TwoHostsOneGateway, MixedMtuPathFragmentsAtGateway) {
 TEST_F(TwoHostsOneGateway, DontFragmentElicitsFragNeeded) {
     wire(link::presets::ethernet_hop(), link::presets::packet_radio());
     bool got_frag_needed = false;
-    a.ip().set_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address) {
+    a.ip().add_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address) {
         if (msg.type == IcmpType::DestinationUnreachable &&
             msg.code == kUnreachFragNeeded) {
             got_frag_needed = true;
@@ -430,7 +430,7 @@ TEST_F(TwoHostsOneGateway, PingEndToEnd) {
 TEST_F(TwoHostsOneGateway, UnknownProtocolElicitsProtocolUnreachable) {
     wire();
     bool got = false;
-    a.ip().set_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address) {
+    a.ip().add_icmp_error_handler([&](const IcmpMessage& msg, Ipv4Address) {
         if (msg.type == IcmpType::DestinationUnreachable &&
             msg.code == kUnreachProtocol) {
             got = true;

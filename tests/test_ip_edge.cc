@@ -135,7 +135,7 @@ TEST(IcmpRestraint, NoErrorAboutAnError) {
     SendOptions opts;
     opts.ttl = 1;
     int errors_back = 0;
-    a.ip().set_icmp_error_handler(
+    a.ip().add_icmp_error_handler(
         [&](const IcmpMessage&, Ipv4Address) { ++errors_back; });
     a.ip().send(kProtoIcmp, b.address(), encode_icmp(inner), opts);
     net.run_for(sim::seconds(1));
@@ -158,7 +158,7 @@ TEST(IcmpRestraint, NoErrorAboutNonFirstFragment) {
     link::LinkParams small = link::presets::ethernet_hop();
     (void)small;
     int errors_back = 0;
-    a.ip().set_icmp_error_handler(
+    a.ip().add_icmp_error_handler(
         [&](const IcmpMessage& m, Ipv4Address) {
             if (m.type == IcmpType::TimeExceeded) ++errors_back;
         });

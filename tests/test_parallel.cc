@@ -21,7 +21,6 @@
 #include "app/voice.h"
 #include "core/internetwork.h"
 #include "ip/trace.h"
-#include "link/boundary.h"
 #include "link/presets.h"
 #include "sim/parallel.h"
 #include "util/logging.h"
@@ -85,7 +84,7 @@ TEST(PartitionTopology, CutsTheHighestLatencyEdges) {
         {1, 2, 50'000'000, true},
         {2, 3, 1'000, true},
     };
-    const auto shard = core::partition_topology(4, edges, 2);
+    const auto shard = core::partition_topology({4, edges}, 2);
     EXPECT_EQ(shard[0], shard[1]);
     EXPECT_EQ(shard[2], shard[3]);
     EXPECT_NE(shard[0], shard[2]);
@@ -101,7 +100,7 @@ TEST(PartitionTopology, NonCuttableEdgesPinComponents) {
         {1, 2, 50'000'000, false},
         {2, 3, 2'000, true},
     };
-    const auto shard = core::partition_topology(4, edges, 2);
+    const auto shard = core::partition_topology({4, edges}, 2);
     EXPECT_EQ(shard[0], shard[1]);
     EXPECT_EQ(shard[1], shard[2]);
     EXPECT_NE(shard[2], shard[3]);
@@ -123,8 +122,8 @@ TEST(PartitionTopology, DeterministicAndBalanced) {
     for (std::size_t i = 0; i < 8; ++i) {
         edges.push_back({2 * i, 2 * i + 1, 1'000, false});
     }
-    const auto a = core::partition_topology(16, edges, 4);
-    const auto b = core::partition_topology(16, edges, 4);
+    const auto a = core::partition_topology({16, edges}, 4);
+    const auto b = core::partition_topology({16, edges}, 4);
     EXPECT_EQ(a, b);
     EXPECT_EQ(shard_loads(a, 4), std::vector<int>(4, 4));
 
@@ -133,10 +132,10 @@ TEST(PartitionTopology, DeterministicAndBalanced) {
     // cap splits the ring into equal arcs.
     std::vector<core::PartitionEdge> ring;
     for (std::size_t i = 0; i < 16; ++i) ring.push_back({i, (i + 1) % 16, 1'000, true});
-    EXPECT_EQ(shard_loads(core::partition_topology(16, ring, 2), 2),
+    EXPECT_EQ(shard_loads(core::partition_topology({16, ring}, 2), 2),
               std::vector<int>(2, 8));
-    const auto quarters = core::partition_topology(16, ring, 4);
-    EXPECT_EQ(quarters, core::partition_topology(16, ring, 4));
+    const auto quarters = core::partition_topology({16, ring}, 4);
+    EXPECT_EQ(quarters, core::partition_topology({16, ring}, 4));
     EXPECT_EQ(shard_loads(quarters, 4), std::vector<int>(4, 4));
 }
 

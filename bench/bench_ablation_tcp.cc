@@ -54,7 +54,7 @@ void ablate_nagle() {
     }
     t.print();
     std::printf("note: Nagle trades one extra RTT of echo latency at paste "
-                "rates for a ~20x\nreduction in segments — the tinygram "
+                "rates for a ~13x\nreduction in segments — the tinygram "
                 "protection the 40-byte header tax (E5)\nmakes necessary.\n\n");
 }
 

@@ -53,13 +53,13 @@ int main() {
     net.enable_dynamic_routing(dv);
     net.run_for(sim::seconds(10));
 
+    // Each Traceroute leaves its ICMP handlers registered on `src`, so
+    // both live until the simulation is done with them.
     std::printf("traceroute to %s (before failure):\n", dst.address().to_string().c_str());
-    {
-        app::Traceroute trace(src, dst.address());
-        trace.start({});
-        net.run_for(sim::seconds(30));
-        print_hops(trace.hops());
-    }
+    app::Traceroute before(src, dst.address());
+    before.start({});
+    net.run_for(sim::seconds(30));
+    print_hops(before.hops());
 
     std::printf("\n*** cutting the g1-g2 link; distance-vector routing heals "
                 "the path ***\n\n");
@@ -67,12 +67,10 @@ int main() {
     net.run_for(sim::seconds(15));
 
     std::printf("traceroute to %s (after reroute):\n", dst.address().to_string().c_str());
-    {
-        app::Traceroute trace(src, dst.address());
-        trace.start({});
-        net.run_for(sim::seconds(60));
-        print_hops(trace.hops());
-    }
+    app::Traceroute after(src, dst.address());
+    after.start({});
+    net.run_for(sim::seconds(60));
+    print_hops(after.hops());
 
     std::printf("\nThe detour shows itself twice over: a different middle "
                 "gateway, and\nsatellite-sized round-trip times. The network "

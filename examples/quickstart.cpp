@@ -30,16 +30,19 @@ int main() {
     // Oracle shortest-path routes (the operator's static config).
     net.use_static_routes();
 
-    // Bob listens. The accept callback hands over a connected socket.
+    // Bob listens. The accept callback hands over a connected socket,
+    // which the stack keeps alive while the connection lasts. Its
+    // callbacks capture it raw: the socket owns them, so a shared_ptr
+    // capture would be a cycle that never frees.
     bob.tcp().listen(7777, [&](std::shared_ptr<tcp::TcpSocket> peer) {
-        peer->on_data = [peer](std::span<const std::uint8_t> data) {
+        peer->on_data = [raw = peer.get()](std::span<const std::uint8_t> data) {
             std::printf("[bob]   got: \"%s\"\n",
                         util::string_from_buffer(data).c_str());
             const auto reply = util::buffer_from_string("hi alice, datagrams work");
-            peer->send(reply);
-            peer->push();
+            raw->send(reply);
+            raw->push();
         };
-        peer->on_remote_close = [peer] { peer->close(); };
+        peer->on_remote_close = [raw = peer.get()] { raw->close(); };
     });
 
     // Alice connects and speaks.

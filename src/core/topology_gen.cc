@@ -4,28 +4,9 @@
 #include <string>
 #include <unordered_set>
 
+#include "util/random.h"
+
 namespace catenet::core {
-
-namespace {
-
-/// SplitMix64: the generator's own draw sequence. Deliberately not
-/// util::Rng — the topology's *shape* must be a pure function of
-/// TwoTierParams::seed, never entangled with the simulation RNG's fork
-/// order.
-struct SplitMix {
-    std::uint64_t state;
-    std::uint64_t next() {
-        std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-        return z ^ (z >> 31);
-    }
-    std::uint32_t below(std::uint32_t bound) {
-        return static_cast<std::uint32_t>(next() % bound);
-    }
-};
-
-}  // namespace
 
 EdgeTable TwoTierPlan::edge_table(const link::LinkParams& trunk) const {
     EdgeTable table;
@@ -63,7 +44,13 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
     }
     TwoTierPlan plan;
     plan.gateways = params.gateways;
-    SplitMix rng{params.seed};
+    // The plan's own stream, never forked off the simulation's: the
+    // topology's shape is a pure function of TwoTierParams::seed, whatever
+    // the Internetwork's seed or fork order.
+    util::Rng rng(params.seed);
+    const auto below = [&rng](std::uint32_t bound) {
+        return static_cast<std::uint32_t>(rng.uniform(0, bound - 1));
+    };
 
     // Tier 1: a ring (connectivity guaranteed) plus seeded chords (short
     // diameter). Chord draws that duplicate an existing edge or land on
@@ -84,8 +71,8 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
     const std::uint32_t chords =
         params.extra_chords != 0 ? params.extra_chords : k / 2;
     for (std::uint32_t c = 0; c < chords && k > 3; ++c) {
-        const std::uint32_t a = rng.below(k);
-        const std::uint32_t b = rng.below(k);
+        const std::uint32_t a = below(k);
+        const std::uint32_t b = below(k);
         if (a == b || have.contains(edge_key(a, b))) continue;
         plan.trunks.emplace_back(a, b);
         have.insert(edge_key(a, b));
@@ -100,7 +87,7 @@ TwoTierPlan plan_two_tier(const TwoTierParams& params, std::size_t shards) {
     // Tier 2: each stub LAN homes onto a seeded gateway.
     plan.lan_home.reserve(params.lans);
     for (std::uint32_t l = 0; l < params.lans; ++l) {
-        plan.lan_home.push_back(rng.below(k));
+        plan.lan_home.push_back(below(k));
     }
 
     // Shard the mesh; every LAN (and so every host) follows its home

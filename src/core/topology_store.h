@@ -263,7 +263,9 @@ private:
         std::size_t mtu() const noexcept override { return 1500; }
         const std::string& name() const noexcept override { return name_; }
         void send(link::Packet packet, util::Ipv4Address next_hop) override;
-        void inject(link::Packet&& packet) { deliver(std::move(packet)); }
+        void inject(link::Packet&& packet) {
+            if (!deliver(std::move(packet))) sim_.buffer_pool().recycle(std::move(packet.bytes));
+        }
         sim::Simulator& simulator() noexcept { return sim_; }
 
     private:

@@ -73,11 +73,14 @@ public:
         if (!up) queue_->clear();
     }
 
-    // Strips framing and hands the payload to the bound node.
+    // Strips framing and hands the payload to the bound node; a port that
+    // is down loses the frame as the LAN's channel loss.
     void receive_frame(Packet frame) {
         frame.bytes.erase(frame.bytes.begin(),
                           frame.bytes.begin() + static_cast<std::ptrdiff_t>(kFrameHeader));
-        deliver(std::move(frame));
+        if (deliver(std::move(frame))) return;
+        ++lan_.channel_stats_.packets_lost;
+        lan_.sim_.buffer_pool().recycle(std::move(frame.bytes));
     }
 
     PacketQueue& queue() noexcept { return *queue_; }
@@ -156,6 +159,7 @@ void Lan::medium_idle() {
             if (up_) {
                 deliver_frame(src, std::move(delivered));
             } else {
+                ++channel_stats_.packets_lost;
                 sim_.buffer_pool().recycle(std::move(delivered.bytes));
             }
             // If the source's queue drained, retire it from the backlog.

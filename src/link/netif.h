@@ -18,7 +18,7 @@ namespace catenet::link {
 
 /// Channel-model outcomes (loss, corruption) on a link or LAN segment.
 struct ChannelStats {
-    std::uint64_t packets_lost = 0;       ///< dropped by the channel model
+    std::uint64_t packets_lost = 0;       ///< dropped on the wire or at a down end
     std::uint64_t packets_corrupted = 0;  ///< delivered with flipped bits
 };
 
@@ -103,8 +103,12 @@ public:
     void set_address(util::Ipv4Address addr) noexcept { address_ = addr; }
 
 protected:
-    void deliver(Packet&& packet) {
-        if (!up_ || !receiver_) return;
+    /// Hands an arrived packet up the stack. Returns false and leaves the
+    /// packet untouched when this interface is down or has no receiver:
+    /// the network it arrived on counts it as its channel loss and
+    /// recycles its buffer.
+    [[nodiscard]] bool deliver(Packet&& packet) {
+        if (!up_ || !receiver_) return false;
         ++stats_.packets_received;
         stats_.bytes_received += packet.size();
         if (wire_tap_) {
@@ -112,6 +116,7 @@ protected:
                       static_cast<std::uint32_t>(packet.size()));
         }
         receiver_(std::move(packet));
+        return true;
     }
 
     void notify_drop(const Packet& packet) {

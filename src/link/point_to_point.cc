@@ -1,6 +1,7 @@
 #include "link/point_to_point.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -120,12 +121,12 @@ private:
 // One direction of the duplex link (DESIGN.md §10): an egress queue, a
 // busy-until wire with an idle-wire bypass, a wake-up event only when a
 // backlog exists, a memoized serialization delay, and the channel model's
-// loss, corruption and jitter draws. A transmission ends in one hand-off:
-// a delivery event on this port's engine, or, on a cut link, the
-// direction's outbox.
+// loss, corruption and jitter draws from the direction's own stream. A
+// transmission ends in one hand-off: a delivery event on this port's
+// engine, or, on a cut link, the direction's outbox.
 class PointToPointLink::Port final : public NetIf {
 public:
-    Port(PointToPointLink& link, sim::Simulator& sim, util::Rng& rng,
+    Port(PointToPointLink& link, sim::Simulator& sim, util::Rng rng,
          const LinkParams& params, std::string name)
         : link_(link),
           sim_(sim),
@@ -186,13 +187,11 @@ public:
 
     /// A packet the peer transmitted reaches this end, on this port's
     /// shard: it goes up the stack, or, when the link failed while it was
-    /// in flight, is lost on the wire as the peer's direction's loss.
+    /// in flight or this end is down, is lost on the wire as the peer's
+    /// direction's loss and its buffer returns to this shard's pool.
     void arrive(Packet&& packet) {
-        if (link_.up_) {
-            deliver(std::move(packet));
-            return;
-        }
-        ++peer_->channel_stats_.packets_lost;
+        if (link_.up_ && deliver(std::move(packet))) return;
+        peer_->count_loss();
         sim_.buffer_pool().recycle(std::move(packet.bytes));
     }
 
@@ -239,7 +238,7 @@ private:
         stats_.bytes_sent += packet.size();
         stats_.busy_ns += static_cast<std::uint64_t>(tx.nanos());
         if (rng_.chance(params_.drop_probability)) {
-            ++channel_stats_.packets_lost;
+            count_loss();
             sim_.buffer_pool().recycle(std::move(packet.bytes));
             return;
         }
@@ -261,6 +260,14 @@ private:
         });
     }
 
+    // One more packet lost in this direction. On a cut link this port's
+    // shard (a drop draw) and the far shard (an arrival at a down end) may
+    // both count in one window, hence the relaxed atomic add.
+    void count_loss() noexcept {
+        std::atomic_ref<std::uint64_t>(channel_stats_.packets_lost)
+            .fetch_add(1, std::memory_order_relaxed);
+    }
+
     void kick() {
         kick_scheduled_ = false;
         const sim::Time now = sim_.now();
@@ -277,24 +284,28 @@ private:
     void maybe_corrupt(Packet& packet) {
         if (params_.bit_error_rate <= 0.0 || packet.bytes.empty()) return;
         const double bits = static_cast<double>(packet.size()) * 8.0;
-        // P(any bit flips) = 1 - (1 - ber)^bits; for the small rates we
-        // model, flipping one to three random bits on a hit is faithful.
+        // P(any bit flips) = 1 - (1 - ber)^bits. A hit flips a burst of one
+        // to three adjacent bits, as a bursty channel does at the small
+        // rates we model. The Internet checksum sees every such burst: two
+        // scattered flips at the same bit of two 16-bit words, in opposite
+        // directions, cancel in its one's-complement sum, but a burst of
+        // at most three adjacent bits cannot.
         const double p_hit = 1.0 - std::pow(1.0 - params_.bit_error_rate, bits);
         if (!rng_.chance(p_hit)) return;
         ++channel_stats_.packets_corrupted;
         // Flipped bits invalidate any encoder-computed checksum: the
         // receiver must fall back to the full verification fold.
         packet.csum_ok = false;
-        const auto flips = rng_.uniform(1, 3);
-        for (std::uint64_t i = 0; i < flips; ++i) {
-            const auto bit = rng_.uniform(0, packet.size() * 8 - 1);
+        const std::uint64_t burst = rng_.uniform(1, 3);
+        const std::uint64_t first = rng_.uniform(0, packet.size() * 8 - burst);
+        for (std::uint64_t bit = first; bit < first + burst; ++bit) {
             packet.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         }
     }
 
     PointToPointLink& link_;
     sim::Simulator& sim_;
-    util::Rng& rng_;
+    util::Rng rng_;
     LinkParams params_;
     std::string name_;
     std::unique_ptr<PacketQueue> queue_;
@@ -370,12 +381,12 @@ PointToPointLink::PointToPointLink(sim::Simulator& sim, util::Rng& parent_rng,
 
 PointToPointLink::PointToPointLink(sim::Simulator& sim, util::Rng& parent_rng,
                                    const LinkParams& a_to_b, const LinkParams& b_to_a,
-                                   std::string name)
-    : rngs_{{parent_rng.fork()}} {
+                                   std::string name) {
     a_to_b.validate();
     b_to_a.validate();
-    a_ = std::make_unique<Port>(*this, sim, rngs_.front().rng, a_to_b, name + ":a");
-    b_ = std::make_unique<Port>(*this, sim, rngs_.back().rng, b_to_a, name + ":b");
+    util::Rng link_rng = parent_rng.fork();
+    a_ = std::make_unique<Port>(*this, sim, link_rng.fork(), a_to_b, name + ":a");
+    b_ = std::make_unique<Port>(*this, sim, link_rng.fork(), b_to_a, name + ":b");
     a_->set_peer(*b_, nullptr);
     b_->set_peer(*a_, nullptr);
 }
@@ -391,16 +402,13 @@ PointToPointLink::PointToPointLink(sim::ParallelSimulator& psim, std::uint32_t s
     sim::Simulator& sim_a = psim.shard(shard_a);
     sim::Simulator& sim_b = psim.shard(shard_b);
     util::Rng link_rng = parent_rng.fork();
-    rngs_.reserve(2);  // the ports hold references: never grown again
-    rngs_.push_back({link_rng.fork()});
-    rngs_.push_back({link_rng.fork()});
     const std::int64_t lookahead_ns = params.lookahead().nanos();
     ab_ = std::make_unique<Channel>(shard_a, shard_b, lookahead_ns, sim_a.buffer_pool(),
                                     sim_b.buffer_pool());
     ba_ = std::make_unique<Channel>(shard_b, shard_a, lookahead_ns, sim_b.buffer_pool(),
                                     sim_a.buffer_pool());
-    a_ = std::make_unique<Port>(*this, sim_a, rngs_.front().rng, params, name + ":a");
-    b_ = std::make_unique<Port>(*this, sim_b, rngs_.back().rng, params, name + ":b");
+    a_ = std::make_unique<Port>(*this, sim_a, link_rng.fork(), params, name + ":a");
+    b_ = std::make_unique<Port>(*this, sim_b, link_rng.fork(), params, name + ":b");
     a_->set_peer(*b_, ab_.get());
     b_->set_peer(*a_, ba_.get());
     // Last, so a constructor that throws leaves `psim` no dangling channel.

@@ -14,11 +14,16 @@
 // links with real latency, made load-bearing. Datagrams are
 // self-contained (fate-sharing), so the hand-off moves nothing but the
 // wire bytes and trace metadata.
+//
+// Each direction draws its loss, jitter and bit errors from a stream of
+// its own: every constructor forks the link's stream off the parent and
+// then port a's and port b's off that, in that order. A cut link and its
+// uncut twin therefore draw the same values, and a cut link's two shards
+// never share a stream.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "link/netif.h"
 #include "link/queue.h"
@@ -96,11 +101,11 @@ public:
     bool is_up() const noexcept { return up_; }
 
     /// Channel-model outcomes per direction: losses and corruption drawn
-    /// at transmission, and packets that arrived while the link was down.
-    /// While the link is up only the sending port's shard writes them;
-    /// while it is down, only the shard that runs the arrival. The state
-    /// changes between run_until calls, so on a cut link the two never
-    /// overlap.
+    /// at transmission, and packets that arrived while the link or the
+    /// receiving end was down. The sending port's shard counts the draws
+    /// and the shard that runs an arrival counts its loss; on a cut link
+    /// both may add to packets_lost in one window, so the loss count is a
+    /// relaxed atomic add. Read them between run_until calls.
     const ChannelStats& stats_a_to_b() const noexcept;
     const ChannelStats& stats_b_to_a() const noexcept;
 
@@ -117,18 +122,6 @@ private:
     class Port;
     class Channel;
 
-    /// A channel-draw stream on cache lines of its own: a cut link's two
-    /// shards each write theirs on every draw.
-    struct alignas(64) Stream {
-        util::Rng rng;
-    };
-    /// The channel-draw streams, front() port a's and back() port b's. On
-    /// one shard that is one stream, forked off the parent, which both
-    /// ports share. A cut link forks its own stream off the parent and
-    /// one per direction off that, a then b, so each shard draws from a
-    /// stream only it touches. Filled once by the constructor, which
-    /// hands the ports references into it.
-    std::vector<Stream> rngs_;
     std::unique_ptr<Channel> ab_;  ///< a cut link's outboxes; null on one shard
     std::unique_ptr<Channel> ba_;
     std::unique_ptr<Port> a_;

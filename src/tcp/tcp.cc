@@ -190,6 +190,7 @@ void TcpSocket::open_passive(util::Ipv4Address peer, std::uint16_t peer_port,
     local_port_ = local_port;
     irs_ = syn.seq;
     rcv_nxt_ = syn.seq + 1;
+    rcv_adv_ = rcv_nxt_;
     if (syn.mss) peer_mss_ = *syn.mss;
     snd_wnd_ = syn.window;
     iss_ = static_cast<SeqNum>(stack_.rng_.uniform(0, 0xffffffffu));
@@ -715,6 +716,7 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
         if (h.flags.syn) {
             irs_ = h.seq;
             rcv_nxt_ = h.seq + 1;
+            rcv_adv_ = rcv_nxt_;
             if (h.mss) peer_mss_ = *h.mss;
             snd_wnd_ = h.window;
             if (h.flags.ack) {

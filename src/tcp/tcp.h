@@ -272,8 +272,11 @@ private:
     SeqNum irs_ = 0;
     SeqNum rcv_nxt_ = 0;
     /// Highest right window edge ever advertised (the window must never
-    /// visibly retreat); used by manual-mode SWS avoidance. Updated from
-    /// the logically-const advertisement computation.
+    /// visibly retreat); used by manual-mode SWS avoidance. Starts at
+    /// rcv_nxt_ when the peer's SYN arrives: sequence comparisons are
+    /// modulo 2^32, so an edge left at 0 reads as ahead of an rcv_nxt_
+    /// past 2^31 and would advertise up to 65,535 bytes whatever the buffer.
+    /// Updated from the logically-const advertisement computation.
     mutable SeqNum rcv_adv_ = 0;
     /// Segments beyond rcv_nxt_, sorted by seq, payloads in pooled
     /// buffers. Bounded: ooo_bytes_ <= recv_buffer and entry count at the

@@ -88,6 +88,29 @@ TEST(Internetwork, TotalLinkBytesAccumulates) {
     EXPECT_EQ(net.total_link_bytes(), 120u) << "100 payload + 20 IP header";
 }
 
+TEST(Internetwork, DatagramReachingADownNodeIsChannelLossAndRecycled) {
+    // g fails while a datagram crosses a-g. The datagram is lost on that
+    // wire: counted as the a->g direction's channel loss, its buffer back
+    // in the pool of the simulator that ran the arrival.
+    Internetwork net(75);
+    Host& a = net.add_host("a");
+    Gateway& g = net.add_gateway("g");
+    Host& b = net.add_host("b");
+    link::LinkParams slow = link::presets::ethernet_hop();
+    slow.propagation_delay = sim::milliseconds(10);
+    const std::size_t ag = net.connect(a, g, slow);
+    net.connect(g, b, link::presets::ethernet_hop());
+    net.use_static_routes();
+    ASSERT_TRUE(a.ip().send(200, b.address(), util::ByteBuffer(100, 1)));
+    net.run_for(sim::milliseconds(1));  // transmitted, still propagating
+    const std::uint64_t recycles = net.sim().buffer_pool().stats().recycles;
+    g.set_down(true);
+    net.run_for(sim::seconds(1));
+    EXPECT_EQ(net.link(ag).stats_a_to_b().packets_lost, 1u);
+    EXPECT_EQ(net.link(ag).port_b().stats().packets_received, 0u);
+    EXPECT_EQ(net.sim().buffer_pool().stats().recycles, recycles + 1);
+}
+
 // --- flow classification -----------------------------------------------------
 
 TEST(FlowClassify, ExtractsFiveTupleFromTcpPacket) {

@@ -132,19 +132,31 @@ TEST(Determinism, DifferentSeedsDiverge) {
 }
 
 /// The g-b trunk fails at `at` and comes back at `until`, each between
-/// two run_for calls.
+/// two run_for calls. With `far_host`, host b goes down and comes back
+/// instead, and the trunk stays up.
 struct TrunkOutage {
     sim::Time at;
     sim::Time until;
+    bool far_host = false;
 };
 
-// The same discipline for the sharded engine: a 2-shard run (randomness
-// confined to the intra-shard hop; the cut link is deterministic, so
-// parallel and sequential draw identical streams) must equal its
-// sequential twin AND replay itself exactly under real threads.
+/// The g-b trunk the 2-shard run cuts: a lossless, jitterless Ethernet hop
+/// with 10 ms of propagation, the shards' lookahead.
+link::LinkParams wide_trunk() {
+    link::LinkParams wide = link::presets::ethernet_hop();
+    wide.propagation_delay = sim::milliseconds(10);
+    return wide;
+}
+
+// The same discipline for the sharded engine: a 2-shard run must equal its
+// sequential twin AND replay itself exactly under real threads. Every link
+// direction, cut or not, draws from its own stream forked the same way, so
+// the twins draw identical values on the lossy intra-shard hop and on the
+// cut `trunk` whatever its channel model.
 RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t threads,
                                   sim::Time gauge_period = sim::Time(0),
-                                  std::optional<TrunkOutage> outage = std::nullopt) {
+                                  std::optional<TrunkOutage> outage = std::nullopt,
+                                  const link::LinkParams& trunk_params = wide_trunk()) {
     std::unique_ptr<sim::ParallelSimulator> psim;
     std::unique_ptr<core::Internetwork> owned;
     if (parallel) {
@@ -160,10 +172,8 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t
     link::LinkParams lossy = link::presets::ethernet_hop();
     lossy.drop_probability = 0.03;
     lossy.jitter = sim::milliseconds(2);
-    link::LinkParams wide = link::presets::ethernet_hop();
-    wide.propagation_delay = sim::milliseconds(10);
-    net.connect(a, g, lossy);                          // randomness stays inside shard 0
-    const std::size_t trunk = net.connect(g, b, wide);  // the deterministic shard boundary
+    net.connect(a, g, lossy);                                  // inside shard 0
+    const std::size_t trunk = net.connect(g, b, trunk_params);  // the shard boundary
     net.use_static_routes();
     if (gauge_period > sim::Time(0)) net.enable_gauge_sampling(gauge_period);
 
@@ -174,9 +184,17 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t
     voice.start(sim::seconds(10));
     if (outage) {
         net.run_for(outage->at);
-        net.fail_link(trunk);
+        if (outage->far_host) {
+            b.set_down(true);
+        } else {
+            net.fail_link(trunk);
+        }
         net.run_for(outage->until - outage->at);
-        net.restore_link(trunk);
+        if (outage->far_host) {
+            b.set_down(false);
+        } else {
+            net.restore_link(trunk);
+        }
         net.run_for(sim::seconds(60) - outage->until);
     } else {
         net.run_for(sim::seconds(60));
@@ -218,8 +236,12 @@ TEST(Determinism, ShardedCutTrunkFailureEqualsSequentialTwin) {
     // Clark's first goal across the shard boundary: the trunk the
     // partition cut fails while the transfer and the voice stream cross
     // it, and comes back later. What was in flight is lost on the wire in
-    // both runs, TCP recovers, and the sharded run equals its twin.
-    const TrunkOutage outage{sim::milliseconds(300), sim::seconds(2)};
+    // both runs, TCP recovers, and the sharded run equals its twin. Voice
+    // frames leave every 20 ms and spend 10 ms on the trunk, so failing it
+    // 5 ms after the 300 ms frame leaves finds that frame on the wire
+    // unless the lossy first hop dropped it, wherever TCP's draws put the
+    // transfer.
+    const TrunkOutage outage{sim::milliseconds(305), sim::seconds(2)};
     const auto sequential = run_sharded_scenario(1234, false, 1, sim::Time(0), outage);
     const auto sharded = run_sharded_scenario(1234, true, 1, sim::Time(0), outage);
     EXPECT_EQ(sequential, sharded);  // events, counter totals, link rows, ...
@@ -230,6 +252,47 @@ TEST(Determinism, ShardedCutTrunkFailureEqualsSequentialTwin) {
         << "no traffic met the dead trunk";
     EXPECT_EQ(sharded.bytes_received, 256u * 1024u) << "the transfer did not survive";
     EXPECT_EQ(run_sharded_scenario(1234, true, 0, sim::Time(0), outage), sharded);
+}
+
+TEST(Determinism, ShardedLossyCutTrunkEqualsSequentialTwin) {
+    // Loss, jitter and bit errors on the trunk the partition cut. Each
+    // direction draws from its own stream whether or not a shard boundary
+    // cuts the link, so the sharded run equals its sequential twin draw
+    // for draw, cooperatively and with a thread per shard.
+    link::LinkParams trunk = wide_trunk();
+    trunk.drop_probability = 0.03;
+    trunk.jitter = sim::milliseconds(2);
+    trunk.bit_error_rate = 1e-6;
+    const auto sequential = run_sharded_scenario(1234, false, 1, sim::Time(0), std::nullopt, trunk);
+    const auto sharded = run_sharded_scenario(1234, true, 1, sim::Time(0), std::nullopt, trunk);
+    EXPECT_EQ(sequential, sharded);  // events, counter totals, link rows, ...
+    ASSERT_EQ(sharded.links.size(), 2u);
+    EXPECT_EQ(sequential.links, sharded.links);
+    EXPECT_GT(sharded.links[1].channel_lost, 0u) << "the cut trunk never drew a loss";
+    EXPECT_GT(sharded.links[1].channel_corrupted, 0u) << "the cut trunk never drew a bit error";
+    EXPECT_EQ(run_sharded_scenario(1234, true, 0, sim::Time(0), std::nullopt, trunk), sharded);
+}
+
+TEST(Determinism, ShardedLossyCutTrunkIntoADownHostEqualsSequentialTwin) {
+    // Host b, past the cut, goes down while the lossy trunk stays up: g's
+    // shard keeps drawing g->b losses while b's shard counts every
+    // arrival at the dead port as that direction's loss, in the same
+    // windows. Both counts land in one field, and the sharded run still
+    // equals its twin, cooperatively and with a thread per shard.
+    link::LinkParams trunk = wide_trunk();
+    trunk.drop_probability = 0.03;
+    trunk.jitter = sim::milliseconds(2);
+    const TrunkOutage outage{sim::milliseconds(305), sim::seconds(2), /*far_host=*/true};
+    const auto sequential = run_sharded_scenario(1234, false, 1, sim::Time(0), outage, trunk);
+    const auto sharded = run_sharded_scenario(1234, true, 1, sim::Time(0), outage, trunk);
+    EXPECT_EQ(sequential, sharded);
+    ASSERT_EQ(sharded.links.size(), 2u);
+    EXPECT_EQ(sequential.links, sharded.links);
+    // Voice alone sends 85 frames into the dead host while it is down;
+    // the trunk's 3% draws lose a few of the run's packets besides.
+    EXPECT_GT(sharded.links[1].channel_lost, 50u);
+    EXPECT_EQ(sharded.bytes_received, 256u * 1024u) << "the transfer did not survive";
+    EXPECT_EQ(run_sharded_scenario(1234, true, 0, sim::Time(0), outage, trunk), sharded);
 }
 
 TEST(Determinism, ShardedRunReplaysExactlyUnderThreads) {

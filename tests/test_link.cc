@@ -318,6 +318,29 @@ TEST_F(LanFixture, SharedMediumSerializesStations) {
               sim::microseconds(990).nanos());
 }
 
+TEST_F(LanFixture, FrameReachingADownPortOrDeadMediumIsLostAndRecycled) {
+    Lan lan(sim, rng, params);
+    auto& p0 = lan.add_port();
+    auto& p1 = lan.add_port();
+    lan.register_address(util::Ipv4Address(10, 0, 0, 2), 1);
+    int got = 0;
+    p1.set_receiver([&](Packet) { ++got; });
+    // The addressee's port dies while the frame crosses the medium.
+    p0.send(make_test_packet(100), util::Ipv4Address(10, 0, 0, 2));
+    p1.set_up(false);
+    sim.run();
+    EXPECT_EQ(lan.channel_stats().packets_lost, 1u);
+    EXPECT_EQ(sim.buffer_pool().stats().recycles, 1u);
+    // The medium itself dies while a frame crosses it.
+    p1.set_up(true);
+    p0.send(make_test_packet(100), util::Ipv4Address(10, 0, 0, 2));
+    lan.set_up(false);
+    sim.run();
+    EXPECT_EQ(lan.channel_stats().packets_lost, 2u);
+    EXPECT_EQ(sim.buffer_pool().stats().recycles, 2u);
+    EXPECT_EQ(got, 0);
+}
+
 TEST_F(LanFixture, PreservesPayloadBytes) {
     Lan lan(sim, rng, params);
     auto& p0 = lan.add_port();

@@ -153,9 +153,12 @@ struct RunSignature {
 };
 
 // A two-cluster internetwork: (a — g1) | (g2 — b), with a lossy+jittery
-// intra-cluster hop on the far side so randomness is exercised away from
-// the (deterministic) boundary. `shards` 1 or 2; `threads` forwarded to
-// the driver; `parallel` false builds the identical sequential twin.
+// intra-cluster hop on the far side, so the far shard draws while the
+// near one forwards. The cut g1-g2 trunk is lossless here; a cut link
+// draws from per-direction streams forked exactly as an uncut one's, and
+// Determinism.ShardedLossyCutTrunkEqualsSequentialTwin holds a lossy one
+// to its twin. `shards` 1 or 2; `threads` forwarded to the driver;
+// `parallel` false builds the identical sequential twin.
 RunSignature run_cross_scenario(std::uint64_t seed, bool parallel,
                                 std::size_t shards, std::size_t threads) {
     std::unique_ptr<sim::ParallelSimulator> psim;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "util/byte_buffer.h"
 #include "util/checksum.h"
@@ -551,25 +552,74 @@ TEST(Rng, DeterministicForSeed) {
     }
 }
 
+TEST(Rng, KnownAnswersPinTheSplitMix64Stream) {
+    // SplitMix64's first outputs for seed 7. Every generated topology,
+    // every fork and every link's draws follow from this stream, so a
+    // change here moves all of them.
+    Rng rng(7);
+    EXPECT_EQ(rng.next(), 0x63cbe1e459320dd7ull);
+    EXPECT_EQ(rng.next(), 0x044c3cd7f43c661cull);
+    EXPECT_EQ(rng.next(), 0xe6984080bab12a02ull);
+    EXPECT_EQ(rng.next(), 0x953aeb70673e29cbull);
+    EXPECT_EQ(rng.next(), 0x73d33b666a1e21daull);
+}
+
 TEST(Rng, ForkIndependence) {
     Rng parent(7);
     Rng child = parent.fork();
-    // The child stream must not replay the parent stream.
-    bool differs = false;
     Rng parent2(7);
     Rng child2 = parent2.fork();
+    std::vector<std::uint64_t> from_child, from_twin, from_parent;
     for (int i = 0; i < 10; ++i) {
-        if (child.uniform(0, 1u << 30) != child2.uniform(0, 1u << 30)) differs = true;
+        from_child.push_back(child.next());
+        from_twin.push_back(child2.next());
+        from_parent.push_back(parent.next());
     }
-    EXPECT_FALSE(differs) << "same-seed forks must match";
+    EXPECT_EQ(from_child, from_twin) << "same-seed forks must match";
+    // The child stream must not replay the parent stream, from the fork on
+    // or from the parent's seed.
+    EXPECT_NE(from_child, from_parent);
+    Rng fresh(7);
+    for (const std::uint64_t v : from_child) EXPECT_NE(v, fresh.next());
+}
+
+TEST(Rng, UniformMappingEdges) {
+    // The full 64-bit range wraps the span to 0: the raw output itself.
+    Rng full(3), twin(3);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(full.uniform(0, std::numeric_limits<std::uint64_t>::max()), twin.next());
+    }
+    // A one-value range returns it (and still consumes a draw).
+    Rng one(4), one_twin(4);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(one.uniform(5, 5), 5u);
+    for (int i = 0; i < 8; ++i) one_twin.next();
+    EXPECT_EQ(one.next(), one_twin.next());
+    // uniform01 is the top 53 bits scaled into [0, 1).
+    Rng real(5), real_twin(5);
+    for (int i = 0; i < 100000; ++i) {
+        const double u = real.uniform01();
+        ASSERT_GE(u, 0.0);
+        ASSERT_LT(u, 1.0);
+        ASSERT_EQ(u, static_cast<double>(real_twin.next() >> 11) * 0x1.0p-53);
+    }
 }
 
 TEST(Rng, ChanceBoundaries) {
-    Rng rng(1);
+    // p <= 0 and p >= 1 decide without drawing: a lossless link calls
+    // chance(0) per packet, and its stream (so every digest of a lossless
+    // run) must not move.
+    Rng rng(1), twin(1);
     for (int i = 0; i < 32; ++i) {
         EXPECT_FALSE(rng.chance(0.0));
+        EXPECT_FALSE(rng.chance(-0.5));
         EXPECT_TRUE(rng.chance(1.0));
+        EXPECT_TRUE(rng.chance(2.0));
     }
+    EXPECT_EQ(rng.next(), twin.next());
+    // Inside (0, 1) a trial draws exactly once.
+    rng.chance(0.5);
+    twin.next();
+    EXPECT_EQ(rng.next(), twin.next());
 }
 
 TEST(Rng, ExponentialHasRequestedMean) {

@@ -5,6 +5,9 @@
 // exists for.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "app/xnet.h"
 #include "core/internetwork.h"
 #include "link/presets.h"
@@ -63,22 +66,33 @@ TEST_F(XnetFixture, PeekPokeHaltResume) {
 
 TEST_F(XnetFixture, OperatesOverBrutallyLossyPath) {
     // 40% loss each way: TCP would spend its life in retransmission
-    // backoff; the debugger's own retry loop just grinds through.
+    // backoff; the debugger's own retry loop just grinds through. A
+    // request and its reply both cross 36% of the time, so one peek may
+    // never retry; eight in a row exercise the retry loop whatever the
+    // channel draws.
     link::LinkParams brutal = link::presets::ethernet_hop();
     brutal.drop_probability = 0.4;
     wire(brutal);
     XnetTarget target(target_host, 69, 4096);
-    target.poke_direct(0, 42);
+    constexpr std::uint32_t kPeeks = 8;
+    for (std::uint32_t i = 0; i < kPeeks; ++i) {
+        target.poke_direct(i, static_cast<std::uint8_t>(42 + i));
+    }
 
     XnetDebugger debugger(dbg_host, target_host.address(), 69,
                           sim::milliseconds(200), /*max_retries=*/200);
-    std::optional<std::uint8_t> value;
-    debugger.peek(0, 1, [&](const XnetResult& r) {
-        if (r.ok) value = r.data.at(0);
-    });
+    std::vector<std::uint8_t> values;
+    std::function<void()> peek_next = [&] {
+        debugger.peek(static_cast<std::uint32_t>(values.size()), 1, [&](const XnetResult& r) {
+            if (!r.ok) return;
+            values.push_back(r.data.at(0));
+            if (values.size() < kPeeks) peek_next();
+        });
+    };
+    peek_next();
     net.run_for(sim::seconds(60));
-    ASSERT_TRUE(value.has_value());
-    EXPECT_EQ(*value, 42);
+    ASSERT_EQ(values.size(), kPeeks);
+    for (std::uint32_t i = 0; i < kPeeks; ++i) EXPECT_EQ(values[i], 42 + i);
     EXPECT_GT(debugger.retries(), 0u);
 }
 

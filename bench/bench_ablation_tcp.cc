@@ -53,9 +53,11 @@ void ablate_nagle() {
                fmt(client.echo_rtts_ms().median(), 1)});
     }
     t.print();
-    std::printf("note: Nagle trades one extra RTT of echo latency at paste "
-                "rates for a ~13x\nreduction in segments — the tinygram "
-                "protection the 40-byte header tax (E5)\nmakes necessary.\n\n");
+    std::printf("note: a key typed while an earlier one is unacknowledged waits "
+                "for its ack, on\naverage half an RTT at paste rates: Nagle trades "
+                "that much echo latency for a\n~13x reduction in segments — the "
+                "tinygram protection the 40-byte header tax\n(E5) makes "
+                "necessary.\n\n");
 }
 
 // --- delayed ACK: ack traffic on a bulk stream -----------------------------
@@ -276,8 +278,8 @@ int main() {
     ablate_source_quench();
     ablate_fast_retransmit();
     verdict(
-        "Nagle collapses tinygram counts (at the documented cost of an RTT "
-        "when the sender outruns the acks); "
+        "Nagle collapses tinygram counts (at the cost of half an RTT of "
+        "echo latency when the sender outruns the acks); "
         "delayed ACKs halve reverse traffic; congestion control turns an "
         "overflowing bottleneck into a shared one; a fixed LAN-tuned timer "
         "on a satellite path floods the link with spurious copies where the "

@@ -21,7 +21,8 @@
 //   BM_TcpConnChurn    — full connect/transfer-nothing/close lifecycle per
 //                        iteration: handshake, FIN exchange, TIME-WAIT.
 //
-// Run via the `bench` target, which emits BENCH_engine.json.
+// Run via the `bench` target, which emits BENCH_engine.json; its context
+// records the run's CPU steal and the load average (host_load_main.h).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "core/internetwork.h"
+#include "host_load_main.h"
 #include "ip/protocols.h"
 #include "link/presets.h"
 #include "sim/simulator.h"
@@ -356,4 +358,6 @@ BENCHMARK(BM_TcpConnChurn);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    return catenet::bench::run_benchmarks_recording_host_load(argc, argv);
+}

@@ -18,7 +18,9 @@
 // schedulable cores; the `bench` target records whatever the current box
 // provides, and CHANGES.md states the core count next to the numbers.
 //
-// Run via the `bench` target, which emits BENCH_parallel.json.
+// Run via the `bench` target, which emits BENCH_parallel.json; its
+// context records the run's CPU steal and the load average
+// (host_load_main.h).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -29,6 +31,7 @@
 #include "app/bulk.h"
 #include "app/voice.h"
 #include "core/internetwork.h"
+#include "host_load_main.h"
 #include "ip/protocols.h"
 #include "link/presets.h"
 #include "sim/parallel.h"
@@ -190,4 +193,6 @@ BENCHMARK(BM_ManyFlows)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    return catenet::bench::run_benchmarks_recording_host_load(argc, argv);
+}

@@ -17,7 +17,7 @@
 // a ParallelSimulator of N shards with one thread each, partitioned by
 // plan_two_tier(params, N). Each soak records its windows and the CPU
 // steal /proc/stat showed while it ran (a shared VM's steal moves the
-// sharded rates most). With --gate, exits nonzero unless the scale
+// sharded rates most), and the JSON records the load average at the end. With --gate, exits nonzero unless the scale
 // budgets hold: build <= 5 s and <= 150 bytes/host, every injected
 // datagram delivered, and every shard count's counter totals equal to the
 // first's (the TopologyStore signature hashes shard ids, so it differs by
@@ -55,11 +55,14 @@
 
 #include "core/internetwork.h"
 #include "core/topology_gen.h"
+#include "host_load.h"
 #include "sim/parallel.h"
 
 namespace {
 
 using namespace catenet;
+using bench::cpu_ticks;
+using bench::CpuTicks;
 
 struct Options {
     std::uint32_t gateways = 1024;
@@ -88,35 +91,6 @@ std::size_t heap_bytes() {
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/// Machine-wide CPU time from /proc/stat's "cpu" line, in clock ticks:
-/// the steal column and the sum of all columns. Zeros where unreadable.
-struct CpuTicks {
-    std::uint64_t steal = 0;
-    std::uint64_t total = 0;
-};
-
-CpuTicks cpu_ticks() {
-    CpuTicks t;
-    if (FILE* f = std::fopen("/proc/stat", "r")) {
-        unsigned long long v[8] = {};
-        if (std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &v[0], &v[1],
-                        &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]) == 8) {
-            for (const unsigned long long x : v) t.total += x;
-            t.steal = v[7];
-        }
-        std::fclose(f);
-    }
-    return t;
-}
-
-/// Steal's share of all CPU time between two readings, in percent.
-double steal_pct(const CpuTicks& before, const CpuTicks& after) {
-    const std::uint64_t total = after.total - before.total;
-    return total > 0 ? 100.0 * static_cast<double>(after.steal - before.steal) /
-                           static_cast<double>(total)
-                     : 0.0;
 }
 
 /// "1,2,4" -> {1, 2, 4}; every count must be at least 1.
@@ -325,7 +299,7 @@ Run build_and_soak(const Options& opt, const core::TwoTierParams& params,
         run.drain_seconds += seconds_since(t_drain);
     }
     run.soak_seconds = seconds_since(t_soak);
-    run.steal_pct = steal_pct(ticks_before, cpu_ticks());
+    run.steal_pct = bench::steal_pct(ticks_before, cpu_ticks());
     run.delivered = topo.leaf_delivered_total();
     for (const core::Gateway* gw : gateways) {
         run.hops += gw->ip().stats().forwarded;
@@ -420,6 +394,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"benchmark\": \"bench_scale\",\n"
+                 "  \"load_average\": \"%s\",\n"
                  "  \"gateways\": %u,\n"
                  "  \"lans\": %u,\n"
                  "  \"hosts_per_lan\": %u,\n"
@@ -444,7 +419,8 @@ int main(int argc, char** argv) {
                  "  \"hops_forwarded\": %llu,\n"
                  "  \"hops_per_second\": %.0f,\n"
                  "  \"soaks\": [\n",
-                 params.gateways, params.lans, params.hosts_per_lan, total_nodes,
+                 bench::load_average().c_str(), params.gateways, params.lans,
+                 params.hosts_per_lan, total_nodes,
                  static_cast<unsigned long long>(opt.seed), first.build_seconds,
                  first.route_seconds, first.bytes_per_host,
                  CATENET_HAVE_MALLINFO2 ? "true" : "false", opt.rounds, opt.train,

@@ -10,14 +10,17 @@ Traceroute::Traceroute(core::Host& host, util::Ipv4Address dst, TracerouteConfig
       config_(config),
       timeout_(host.simulator(), [this] { on_probe_timeout(); }) {}
 
-Traceroute::~Traceroute() = default;
+Traceroute::~Traceroute() {
+    host_.ip().remove_protocol(ip::kProtoIcmp, reply_handler_);
+    host_.ip().remove_icmp_error_handler(error_handler_);
+}
 
 void Traceroute::start(CompleteFn on_complete) {
     on_complete_ = std::move(on_complete);
 
     // Claim the host's ICMP delivery hooks. (One active traceroute per
     // host; fine for a diagnostic.)
-    host_.ip().register_protocol(
+    reply_handler_ = host_.ip().register_protocol(
         ip::kProtoIcmp,
         [this](const ip::Ipv4Header& h, std::span<const std::uint8_t> payload,
                std::size_t) {
@@ -28,7 +31,7 @@ void Traceroute::start(CompleteFn on_complete) {
                 on_probe_answered(h.src, /*destination_reached=*/true);
             }
         });
-    host_.ip().add_icmp_error_handler(
+    error_handler_ = host_.ip().add_icmp_error_handler(
         [this](const ip::IcmpMessage& msg, util::Ipv4Address from) {
             if (finished_ || msg.type != ip::IcmpType::TimeExceeded) return;
             // The error quotes our datagram: IP header (20 B) + the first
@@ -85,7 +88,9 @@ void Traceroute::on_probe_timeout() {
 
 void Traceroute::finish() {
     finished_ = true;
-    if (on_complete_) on_complete_(hops_);
+    // The callback may destroy this Traceroute: it runs from a local.
+    const CompleteFn on_complete = std::move(on_complete_);
+    if (on_complete) on_complete(hops_);
 }
 
 }  // namespace catenet::app

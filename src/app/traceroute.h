@@ -30,7 +30,10 @@ struct TracerouteConfig {
 };
 
 /// Runs one probe per TTL until the destination answers or max_hops is
-/// exhausted. Event-driven: on_complete fires with the hop list.
+/// exhausted. Event-driven: on_complete fires with the hop list. Its
+/// destructor withdraws the ICMP handlers start() installed on the host,
+/// so it may be destroyed at any time — with a probe in flight, or from
+/// inside on_complete (the hop list dies with it).
 class Traceroute {
 public:
     using CompleteFn = std::function<void(const std::vector<TracerouteHop>&)>;
@@ -50,6 +53,8 @@ private:
     void finish();
 
     core::Host& host_;
+    ip::IpStack::HandlerId reply_handler_ = 0;  ///< the host's ICMP protocol handler
+    ip::IpStack::HandlerId error_handler_ = 0;  ///< its ICMP error observer
     util::Ipv4Address dst_;
     TracerouteConfig config_;
     CompleteFn on_complete_;

@@ -6,10 +6,16 @@
 
 namespace catenet::core {
 
-Internetwork::Internetwork(std::uint64_t seed) : rng_(seed) {}
+Internetwork::Internetwork(std::uint64_t seed) : rng_(seed) {
+    registry_.register_engine(0, sim_);
+}
 
 Internetwork::Internetwork(std::uint64_t seed, sim::ParallelSimulator& psim)
-    : psim_(&psim), rng_(seed) {}
+    : psim_(&psim), rng_(seed) {
+    for (std::uint32_t i = 0; i < psim.shard_count(); ++i) {
+        registry_.register_engine(i, psim.shard(i));
+    }
+}
 
 void Internetwork::check_shard(std::uint32_t shard) const {
     const std::size_t count = psim_ != nullptr ? psim_->shard_count() : 1;

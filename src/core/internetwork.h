@@ -137,7 +137,8 @@ public:
     std::uint64_t total_link_bytes() const;
 
     // --- telemetry -----------------------------------------------------
-    /// The metrics registry. Nodes and links register themselves as the
+    /// The metrics registry. The constructor registers each engine (one
+    /// per shard), and nodes and links register themselves as the
     /// topology is built; read it through metrics_report().
     telemetry::Registry& metrics() noexcept { return registry_; }
     const telemetry::Registry& metrics() const noexcept { return registry_; }

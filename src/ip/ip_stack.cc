@@ -57,8 +57,14 @@ void IpStack::flush_routes() {
     }
 }
 
-void IpStack::register_protocol(std::uint8_t protocol, ProtocolHandler handler) {
-    protocols_[protocol] = std::move(handler);
+IpStack::HandlerId IpStack::register_protocol(std::uint8_t protocol, ProtocolHandler handler) {
+    protocols_[protocol] = ProtocolEntry{++last_handler_id_, std::move(handler)};
+    return last_handler_id_;
+}
+
+void IpStack::remove_protocol(std::uint8_t protocol, HandlerId id) {
+    const auto it = protocols_.find(protocol);
+    if (it != protocols_.end() && it->second.id == id) protocols_.erase(it);
 }
 
 const Route* IpStack::lookup_route(util::Ipv4Address dst) {
@@ -351,7 +357,10 @@ void IpStack::deliver_local(const Ipv4Header& header, std::span<const std::uint8
     }
     auto it = protocols_.find(header.protocol);
     if (it != protocols_.end()) {
-        it->second(header, payload, ifindex);
+        // A copy runs: the handler may remove or replace itself, or destroy
+        // its owner, before it returns.
+        const ProtocolHandler handler = it->second.handler;
+        handler(header, payload, ifindex);
     } else if (header.protocol != kProtoIcmp) {
         // Reconstruct enough of the offending datagram.
         auto offending = encode_datagram(
@@ -444,9 +453,19 @@ void IpStack::handle_icmp(const Ipv4Header& header, std::span<const std::uint8_t
         }
         case IcmpType::DestinationUnreachable:
         case IcmpType::SourceQuench:
-        case IcmpType::TimeExceeded:
-            for (const auto& handler : icmp_error_handlers_) handler(*msg, header.src);
+        case IcmpType::TimeExceeded: {
+            // Handlers may add or remove handlers, their own included, or
+            // destroy their owner: run copies, skipping any entry removed
+            // since the copy was taken.
+            const std::vector<IcmpErrorEntry> handlers = icmp_error_handlers_;
+            for (const IcmpErrorEntry& e : handlers) {
+                const bool registered = std::any_of(
+                    icmp_error_handlers_.begin(), icmp_error_handlers_.end(),
+                    [&e](const IcmpErrorEntry& live) { return live.id == e.id; });
+                if (registered) e.handler(*msg, header.src);
+            }
             break;
+        }
         default:
             break;
     }

@@ -67,6 +67,9 @@ public:
     using IcmpErrorHandler =
         std::function<void(const IcmpMessage&, util::Ipv4Address from)>;
 
+    /// Names one registered handler, for removing it; never 0.
+    using HandlerId = std::uint64_t;
+
     IpStack(sim::Simulator& sim, std::string name);
 
     /// Attaches an interface with its address and on-link subnet. Installs
@@ -95,7 +98,13 @@ public:
     bool is_down() const noexcept { return down_; }
     void flush_routes();
 
-    void register_protocol(std::uint8_t protocol, ProtocolHandler handler);
+    /// Installs `protocol`'s handler, replacing any earlier one.
+    HandlerId register_protocol(std::uint8_t protocol, ProtocolHandler handler);
+
+    /// Removes `protocol`'s handler if `id` still names it (a later
+    /// register_protocol may have replaced it). Safe from inside any
+    /// handler, the one removed included: dispatch runs a copy.
+    void remove_protocol(std::uint8_t protocol, HandlerId id);
 
     /// True while the currently-dispatched inbound datagram carried the
     /// link-layer csum_ok vouch (and is not a fragment): the transport may
@@ -104,8 +113,17 @@ public:
 
     /// Adds an inbound ICMP-error observer (multiple allowed: transports
     /// and diagnostics both listen).
-    void add_icmp_error_handler(IcmpErrorHandler handler) {
-        icmp_error_handlers_.push_back(std::move(handler));
+    HandlerId add_icmp_error_handler(IcmpErrorHandler handler) {
+        icmp_error_handlers_.push_back(IcmpErrorEntry{++last_handler_id_, std::move(handler)});
+        return last_handler_id_;
+    }
+
+    /// Removes an ICMP-error observer; no-op for an unknown id. Safe from
+    /// inside any handler: a removed observer is not called again, not
+    /// even for the error being dispatched.
+    void remove_icmp_error_handler(HandlerId id) {
+        std::erase_if(icmp_error_handlers_,
+                      [id](const IcmpErrorEntry& e) { return e.id == id; });
     }
 
     /// Gateways: emit ICMP Source Quench to the traffic source when an
@@ -312,9 +330,18 @@ private:
     /// of choice: it can never hit again).
     std::array<std::uint8_t, kRouteCacheSets> route_cache_rr_{};
     Reassembler reassembler_;
-    std::unordered_map<std::uint8_t, ProtocolHandler> protocols_;
+    struct ProtocolEntry {
+        HandlerId id;
+        ProtocolHandler handler;
+    };
+    struct IcmpErrorEntry {
+        HandlerId id;
+        IcmpErrorHandler handler;
+    };
+    std::unordered_map<std::uint8_t, ProtocolEntry> protocols_;
     bool rx_csum_ok_ = false;  ///< ambient flag: current inbound datagram is vouched
-    std::vector<IcmpErrorHandler> icmp_error_handlers_;
+    std::vector<IcmpErrorEntry> icmp_error_handlers_;
+    HandlerId last_handler_id_ = 0;
     ForwardTap forward_tap_;
     TraceHook trace_;
     telemetry::CounterBlock counters_;

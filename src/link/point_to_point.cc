@@ -174,7 +174,7 @@ public:
         } else if (!kick_scheduled_) {
             // The wire is mid-serialization; wake up exactly when it frees.
             kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - now, [this] { kick(); });
+            sim_.schedule_after(busy_until_ - now, Kick{this});
         }
     }
 
@@ -201,6 +201,26 @@ public:
     const ChannelStats& channel_stats() const noexcept { return channel_stats_; }
 
 private:
+    // The two events a port schedules. Each prefetch() touches one line of
+    // what the event will read first (the engine calls it one event ahead;
+    // see InlineCallback): an arrival's receiving port and the datagram's
+    // header, which the previous hop wrote on another node, and a kick's
+    // port. One port line measured better than four.
+    struct Arrival {
+        Port* peer;
+        Packet packet;
+        void operator()() { peer->arrive(std::move(packet)); }
+        void prefetch() const noexcept {
+            __builtin_prefetch(peer);
+            __builtin_prefetch(packet.bytes.data());
+        }
+    };
+    struct Kick {
+        Port* port;
+        void operator()() const { port->kick(); }
+        void prefetch() const noexcept { __builtin_prefetch(port); }
+    };
+
     // Clocks the head-of-queue packet onto the wire. The serialization and
     // propagation phases collapse into ONE hand-off: channel outcomes
     // (loss, corruption, jitter) are drawn at transmission start and the
@@ -213,7 +233,7 @@ private:
         transmit(std::move(*next));
         if (!queue_->empty() && !kick_scheduled_) {
             kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - sim_.now(), [this] { kick(); });
+            sim_.schedule_after(busy_until_ - sim_.now(), Kick{this});
         }
     }
 
@@ -255,9 +275,7 @@ private:
         // The packet rides inside the event slot itself (InlineCallback's
         // capture budget covers a pointer + Packet), so any number of
         // packets can be concurrently propagating without heap traffic.
-        sim_.schedule_after(delay, [peer = peer_, p = std::move(packet)]() mutable {
-            peer->arrive(std::move(p));
-        });
+        sim_.schedule_after(delay, Arrival{peer_, std::move(packet)});
     }
 
     // One more packet lost in this direction. On a cut link this port's
@@ -277,7 +295,7 @@ private:
             // A same-timestamp send beat us to the wire; chase the new
             // busy horizon.
             kick_scheduled_ = true;
-            sim_.schedule_after(busy_until_ - now, [this] { kick(); });
+            sim_.schedule_after(busy_until_ - now, Kick{this});
         }
     }
 

@@ -115,6 +115,7 @@ const Simulator::HeapEntry* Simulator::prepare_top(std::int64_t bound_ns) {
             const EventSlot& s = slots_[top.slot];
             if (s.armed && s.seq == top.seq) return &top;  // global min: heap < horizon <= far
             pop_heap_entry();
+            ++stale_skimmed_;
         }
         if (far_count_ == 0 || far_horizon_ > bound_ns) return nullptr;
         if (advance_far_window() != 0) {
@@ -178,11 +179,32 @@ bool Simulator::is_pending(EventId id) const noexcept {
            slots_[slot].generation == generation;
 }
 
-bool Simulator::step() {
-    const HeapEntry* prepared = prepare_top(std::numeric_limits<std::int64_t>::max());
-    if (prepared == nullptr) return false;
-    const HeapEntry top = *prepared;
+void Simulator::fire() {
+    const HeapEntry top = heap_.front();
     pop_heap_entry();
+    const std::size_t n = heap_.size();
+    if (n != 0) {
+        // In a 4-ary heap the second-least entry is a child of the root, so
+        // the event after next is the least of heap_[1..4]. Its slot was
+        // last touched when it was scheduled and is usually cold by now.
+        if (n > 1) {
+            std::size_t after_next = 1;
+            const std::size_t end = n < 5 ? n : 5;
+            for (std::size_t k = 2; k < end; ++k) {
+                if (before(heap_[k], heap_[after_next])) after_next = k;
+            }
+            // Every line the slot spans: a 112-byte slot crosses two or three.
+            static_assert(sizeof(EventSlot) <= 128);
+            const auto* slot = reinterpret_cast<const char*>(&slots_[heap_[after_next].slot]);
+            __builtin_prefetch(slot);
+            __builtin_prefetch(slot + 64);
+            __builtin_prefetch(slot + sizeof(EventSlot) - 1);
+        }
+        // The next event's slot was prefetched one step ago; its callback
+        // now prefetches the state it will touch. A stale entry's slot holds
+        // an empty callback or a newer arming's, and either is harmless.
+        slots_[heap_.front().slot].fn.prefetch();
+    }
     EventSlot& s = slots_[top.slot];
     now_ = top.when;
     // Move the callback out and free the slot *before* invoking: the
@@ -192,6 +214,11 @@ bool Simulator::step() {
     release_slot(top.slot);
     ++events_processed_;
     fn();
+}
+
+bool Simulator::step() {
+    if (prepare_top(std::numeric_limits<std::int64_t>::max()) == nullptr) return false;
+    fire();
     return true;
 }
 
@@ -206,7 +233,7 @@ void Simulator::run_until(Time deadline) {
         // distant buckets into the heap (the far tier's whole point).
         const HeapEntry* top = prepare_top(deadline.nanos());
         if (top == nullptr || top->when > deadline) break;
-        step();
+        fire();
     }
     if (deadline > now_) {
         now_ = deadline;

@@ -6,10 +6,16 @@
 // Internals are built for the hot path (see DESIGN.md §"Event-engine
 // internals"): events live in a contiguous free-listed slab of slots, an
 // EventId packs (slot index, generation) so cancellation is an O(1)
-// generation bump with no auxiliary containers, and the binary heap holds
+// generation bump with no auxiliary containers, and the 4-ary heap holds
 // only (time, seq, slot) triples that are invalidated lazily at pop.
 // Callbacks are InlineCallbacks: captures up to 64 bytes never touch the
 // heap, so steady-state schedule/cancel is allocation-free.
+//
+// Dispatch is a two-stage software pipeline: while one event fires, the
+// engine has already pulled the slot of the event after next toward the
+// cache and has asked the next event's callback to prefetch what it will
+// touch (InlineCallback::prefetch). Prefetches change no state, so the
+// pipeline never changes what fires or in which order.
 //
 // The event store is two-tiered: imminent events (firing inside the
 // current ~67ms window) live in the 4-ary heap; distant ones (protocol
@@ -37,6 +43,17 @@ namespace catenet::sim {
 /// handle is ever 0.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+/// One engine's counters (MetricsReport's `engines` group). They describe
+/// the engine, not the simulated network: a sharded run's heaps differ from
+/// its sequential twin's, so they are kept out of the telemetry
+/// CounterBlock that digests hash.
+struct EngineStats {
+    std::uint64_t events = 0;         ///< events fired, cross-shard arrivals included
+    std::uint64_t stale_skimmed = 0;  ///< cancelled or re-armed heap entries popped unfired
+    std::uint64_t heap_max = 0;       ///< near heap's high-water mark, stale entries included
+    std::uint64_t far_max = 0;        ///< far store's high-water mark, stale entries included
+};
 
 class Simulator {
 public:
@@ -144,6 +161,9 @@ public:
 
     std::uint64_t events_processed() const noexcept { return events_processed_; }
     std::size_t pending_events() const noexcept { return live_; }
+    EngineStats engine_stats() const noexcept {
+        return EngineStats{events_processed_, stale_skimmed_, heap_max_, far_max_};
+    }
 
     /// Monotonic per-simulation id source (packet trace uids and the
     /// like). Part of the deterministic replay state: same scenario, same
@@ -245,6 +265,7 @@ private:
             far_nodes_[node] = FarNode{when, seq, slot, head};
             head = node;
             ++far_count_;
+            far_max_ = std::max<std::uint64_t>(far_max_, far_count_);
             // Cancel/re-arm churn strands stale copies in the buckets; sweep
             // when they dominate, amortized O(1) per append.
             if (far_count_ > 64 && far_count_ > 4 * live_) compact_far();
@@ -255,6 +276,7 @@ private:
         const HeapEntry e{when, seq, slot};
         std::size_t i = heap_.size();
         heap_.push_back(e);
+        heap_max_ = std::max<std::uint64_t>(heap_max_, heap_.size());
         while (i > 0) {
             const std::size_t parent = (i - 1) >> 2;
             if (!before(e, heap_[parent])) break;
@@ -324,6 +346,12 @@ private:
     /// `bound_ns`. Returns the valid top, or nullptr.
     const HeapEntry* prepare_top(std::int64_t bound_ns);
 
+    /// Pops and runs heap_[0], the valid top prepare_top just returned.
+    /// Before the callback runs it prefetches the slot of the event after
+    /// next and asks the next event's callback to prefetch; run_until and
+    /// step() share it, so each event is prepared once and fired once.
+    void fire();
+
     /// Migrates the bucket at far_horizon_ into the heap (live, due
     /// entries), keeps later-lap entries, drops stale ones, and advances
     /// far_horizon_ one window. Returns how many entries left the bucket.
@@ -357,6 +385,9 @@ private:
     Time now_;
     std::uint64_t next_seq_ = 1;
     std::uint64_t events_processed_ = 0;
+    std::uint64_t stale_skimmed_ = 0;
+    std::uint64_t heap_max_ = 0;
+    std::uint64_t far_max_ = 0;
     std::uint64_t last_uid_ = 0;
     util::BufferPool buffer_pool_;
 };

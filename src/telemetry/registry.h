@@ -1,7 +1,7 @@
 // The metrics registry: the run-wide directory of every counter block,
-// link statistics source and gauge series, keyed by name — a MIB in
-// miniature. Registration happens at topology-build time (the
-// Internetwork registers each node and link as it creates them), so by
+// link statistics source, event engine and gauge series, keyed by name — a
+// MIB in miniature. Registration happens at topology-build time (the
+// Internetwork registers each engine, node and link as it creates them), so by
 // the time traffic flows the registry is read-only and the hot path never
 // sees it: nodes increment their own blocks, links bump their own stats,
 // and the registry only walks the pointers at report time, after the
@@ -16,6 +16,7 @@
 
 #include "link/netif.h"
 #include "link/queue.h"
+#include "sim/simulator.h"
 #include "telemetry/counters.h"
 #include "telemetry/gauges.h"
 
@@ -46,6 +47,15 @@ struct LinkEntry {
     const link::ChannelStats* chan_b_to_a = nullptr;
 };
 
+/// One event engine's registration: a sequential run has one, a sharded
+/// run one per shard. Its counters are the engine's own (sim::EngineStats),
+/// not CounterBlock slots: they differ between a sharded run and its
+/// sequential twin, which the digests over every slot must not.
+struct EngineEntry {
+    std::uint32_t shard = 0;
+    const sim::Simulator* sim = nullptr;
+};
+
 class Registry {
 public:
     /// Default gauge history: 4096 samples per series.
@@ -62,6 +72,10 @@ public:
         return links_.size() - 1;
     }
 
+    void register_engine(std::uint32_t shard, const sim::Simulator& sim) {
+        engines_.push_back(EngineEntry{shard, &sim});
+    }
+
     /// Creates (and owns) a gauge series; the pointer stays valid for the
     /// registry's lifetime.
     GaugeSeries& add_series(std::string name,
@@ -72,6 +86,7 @@ public:
 
     const std::vector<NodeEntry>& nodes() const noexcept { return nodes_; }
     const std::vector<LinkEntry>& links() const noexcept { return links_; }
+    const std::vector<EngineEntry>& engines() const noexcept { return engines_; }
     std::size_t series_count() const noexcept { return series_.size(); }
     const GaugeSeries& series(std::size_t i) const { return *series_.at(i); }
 
@@ -95,6 +110,7 @@ public:
 private:
     std::vector<NodeEntry> nodes_;
     std::vector<LinkEntry> links_;
+    std::vector<EngineEntry> engines_;
     std::vector<std::unique_ptr<GaugeSeries>> series_;
 };
 

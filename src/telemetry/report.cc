@@ -99,6 +99,9 @@ MetricsReport MetricsReport::collect(const Registry& registry, sim::Time now,
         }
         r.links.push_back(std::move(row));
     }
+    for (const EngineEntry& e : registry.engines()) {
+        r.engines.push_back(EngineRow{e.shard, e.sim->engine_stats()});
+    }
     for (std::size_t i = 0; i < registry.series_count(); ++i) {
         const GaugeSeries& s = registry.series(i);
         GaugeRow row;
@@ -149,6 +152,17 @@ std::string MetricsReport::to_json() const {
         out += ",\"queue_bytes_dropped\":" + std::to_string(l.queue_bytes_dropped);
         out += ",\"channel_lost\":" + std::to_string(l.channel_lost);
         out += ",\"channel_corrupted\":" + std::to_string(l.channel_corrupted);
+        out += '}';
+    }
+    out += "],\"engines\":[";
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+        const sim::EngineStats& e = engines[i].stats;
+        if (i > 0) out += ',';
+        out += "{\"shard\":" + std::to_string(engines[i].shard);
+        out += ",\"events\":" + std::to_string(e.events);
+        out += ",\"stale_skimmed\":" + std::to_string(e.stale_skimmed);
+        out += ",\"heap_max\":" + std::to_string(e.heap_max);
+        out += ",\"far_max\":" + std::to_string(e.far_max);
         out += '}';
     }
     out += "],\"gauges\":[";
@@ -204,6 +218,14 @@ std::string MetricsReport::to_table() const {
             if (l.channel_lost > 0) os << ", lost " << l.channel_lost;
             if (l.channel_corrupted > 0) os << ", corrupt " << l.channel_corrupted;
             os << "\n";
+        }
+    }
+    if (!engines.empty()) {
+        os << "-- engines --\n";
+        for (const EngineRow& e : engines) {
+            os << "  shard " << e.shard << ": " << e.stats.events << " events, "
+               << e.stats.stale_skimmed << " stale skimmed, heap max " << e.stats.heap_max
+               << ", far max " << e.stats.far_max << "\n";
         }
     }
     if (!gauges.empty()) {

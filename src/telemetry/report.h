@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/simulator.h"
 #include "sim/time.h"
 #include "telemetry/counters.h"
 #include "telemetry/registry.h"
@@ -35,6 +36,10 @@ struct MetricsReport {
         /// negative (null in JSON) when it never transmitted.
         double util_a_to_b = -1.0, util_b_to_a = -1.0;
     };
+    struct EngineRow {
+        std::uint32_t shard = 0;
+        sim::EngineStats stats;
+    };
     struct GaugeRow {
         std::string name;
         std::uint64_t samples = 0;  ///< 0 ⇒ min/max/mean/last are meaningless
@@ -45,6 +50,7 @@ struct MetricsReport {
     CounterBlock totals;
     std::vector<NodeCounters> nodes;
     std::vector<LinkRow> links;
+    std::vector<EngineRow> engines;
     std::vector<GaugeRow> gauges;
     bool recorder_attached = false;
     std::uint64_t recorder_records = 0;

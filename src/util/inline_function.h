@@ -4,8 +4,15 @@
 // stores captures up to kInlineSize bytes inline — sized so every scheduling
 // lambda in the library (link transmitters, TCP timers, IP deferred
 // delivery) fits — and falls back to the heap only beyond that.
+//
+// A callable may also declare `void prefetch() const noexcept`, which the
+// engine calls on the next event while the current one runs (DESIGN.md §5).
+// It may only issue cache prefetches for addresses its capture holds: it
+// reads its own capture, dereferences no captured pointer and changes
+// nothing, so calling it or not never changes what a run computes.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -53,6 +60,13 @@ public:
 
     void operator()() { ops_->invoke(storage_); }
 
+    /// Calls the stored callable's `prefetch()`, if it declares one; does
+    /// nothing when it does not or when the callback is empty. Never
+    /// invokes the callable.
+    void prefetch() const noexcept {
+        if (ops_ != nullptr && ops_->prefetch != nullptr) ops_->prefetch(storage_);
+    }
+
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
     /// True when the callable lives in the inline buffer (no heap node).
@@ -95,16 +109,40 @@ public:
     }
 
 private:
+    template <typename D>
+    static constexpr bool kHasPrefetch = requires(const D& d) {
+        { d.prefetch() } noexcept -> std::same_as<void>;
+    };
+
     // relocate/destroy are null for types where a raw memcpy / no-op
     // suffices (trivially copyable captures, and the heap case's stored
     // pointer): the engine's steady state then moves callbacks with one
-    // constant-size memcpy and zero indirect calls.
+    // constant-size memcpy and zero indirect calls. prefetch is null
+    // unless the callable declares one.
     struct Ops {
         void (*invoke)(void* storage);
         void (*relocate)(void* dst, void* src) noexcept;  // null => memcpy
         void (*destroy)(void* storage) noexcept;          // null => no-op
+        void (*prefetch)(const void* storage) noexcept;   // null => none
         bool inline_stored;
     };
+
+    // `Heap` says whether the storage holds the callable or an owning
+    // pointer to it.
+    template <typename D, bool Heap>
+    static constexpr auto prefetch_op() noexcept -> void (*)(const void*) noexcept {
+        if constexpr (!kHasPrefetch<D>) {
+            return nullptr;
+        } else if constexpr (Heap) {
+            return [](const void* s) noexcept {
+                (*std::launder(reinterpret_cast<D* const*>(s)))->prefetch();
+            };
+        } else {
+            return [](const void* s) noexcept {
+                std::launder(reinterpret_cast<const D*>(s))->prefetch();
+            };
+        }
+    }
 
     template <typename D>
     static constexpr Ops kInlineOps{
@@ -119,6 +157,7 @@ private:
         std::is_trivially_destructible_v<D>
             ? nullptr
             : +[](void* s) noexcept { std::launder(reinterpret_cast<D*>(s))->~D(); },
+        prefetch_op<D, /*Heap=*/false>(),
         /*inline_stored=*/true,
     };
 
@@ -127,6 +166,7 @@ private:
         [](void* s) { (**std::launder(reinterpret_cast<D**>(s)))(); },
         /*relocate=*/nullptr,  // relocating the owning pointer is a memcpy
         [](void* s) noexcept { delete *std::launder(reinterpret_cast<D**>(s)); },
+        prefetch_op<D, /*Heap=*/true>(),
         /*inline_stored=*/false,
     };
 

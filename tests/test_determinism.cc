@@ -82,6 +82,8 @@ struct RunSignature {
     std::vector<LinkSignature> links;
     /// The report's gauge rows (empty unless sampling was enabled).
     std::vector<GaugeSignature> gauges;
+    /// Events fired, summed over the report's engine rows (one per shard).
+    std::uint64_t engine_events = 0;
 
     bool operator==(const RunSignature&) const = default;
 };
@@ -209,6 +211,9 @@ RunSignature run_sharded_scenario(std::uint64_t seed, bool parallel, std::size_t
     sig.counters = net.metrics().totals();
     sig.links = link_rows(net);
     sig.gauges = gauge_rows(net);
+    const telemetry::MetricsReport report = net.metrics_report();
+    EXPECT_EQ(report.engines.size(), parallel ? 2u : 1u);
+    for (const auto& engine : report.engines) sig.engine_events += engine.stats.events;
     return sig;
 }
 
@@ -216,6 +221,11 @@ TEST(Determinism, ShardedRunEqualsSequentialTwin) {
     const auto sequential = run_sharded_scenario(1234, false, 1);
     const auto sharded = run_sharded_scenario(1234, true, 1);
     EXPECT_EQ(sequential, sharded);
+    // The shards' engine rows fire, between them, the events the one
+    // sequential engine fires: a cross-shard arrival counts once, where it
+    // lands.
+    EXPECT_EQ(sharded.engine_events, sequential.engine_events);
+    EXPECT_EQ(sharded.engine_events, sharded.events);
     EXPECT_GT(sequential.retransmits, 0u) << "scenario must exercise randomness";
     // The merged per-shard counter blocks are slot-for-slot what one
     // sequential engine counted — not merely the same sums, the same

@@ -170,6 +170,60 @@ TEST(IcmpRestraint, NoErrorAboutNonFirstFragment) {
     EXPECT_EQ(errors_back, 1) << "exactly one error: about the first fragment only";
 }
 
+TEST(IcmpHandlers, RemovalDuringDispatchSkipsTheRemovedAndKeepsTheRest) {
+    core::Internetwork net(134);
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b");
+    core::Gateway& g = net.add_gateway("g");
+    net.connect(a, g, link::presets::ethernet_hop());
+    net.connect(g, b, link::presets::ethernet_hop());
+    net.use_static_routes();
+
+    // The first observer removes itself and the second; the third stays.
+    std::vector<int> calls(3, 0);
+    IpStack::HandlerId ids[3] = {};
+    ids[0] = a.ip().add_icmp_error_handler([&](const IcmpMessage&, Ipv4Address) {
+        ++calls[0];
+        a.ip().remove_icmp_error_handler(ids[0]);
+        a.ip().remove_icmp_error_handler(ids[1]);
+    });
+    ids[1] = a.ip().add_icmp_error_handler([&](const IcmpMessage&, Ipv4Address) { ++calls[1]; });
+    ids[2] = a.ip().add_icmp_error_handler([&](const IcmpMessage&, Ipv4Address) { ++calls[2]; });
+    for (int probe = 0; probe < 2; ++probe) {
+        a.ip().ping(b.address(), 1, static_cast<std::uint16_t>(probe), {}, /*ttl=*/1);
+        net.run_for(sim::seconds(1));
+    }
+    EXPECT_EQ(calls, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(ProtocolHandlers, RemovalNeedsTheCurrentHandlersId) {
+    core::Internetwork net(135);
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b");
+    net.connect(a, b, link::presets::ethernet_hop());
+    net.use_static_routes();
+    constexpr std::uint8_t kProto = 200;
+    int first = 0;
+    int second = 0;
+    const IpStack::HandlerId old_id = b.ip().register_protocol(
+        kProto, [&](const Ipv4Header&, std::span<const std::uint8_t>, std::size_t) { ++first; });
+    IpStack::HandlerId new_id = 0;
+    new_id = b.ip().register_protocol(
+        kProto, [&](const Ipv4Header&, std::span<const std::uint8_t>, std::size_t) {
+            ++second;
+            b.ip().remove_protocol(kProto, new_id);  // from inside itself
+        });
+    EXPECT_NE(old_id, new_id);
+    b.ip().remove_protocol(kProto, old_id);  // replaced: leaves the new one
+    for (int i = 0; i < 2; ++i) {
+        a.ip().send(kProto, b.address(), util::ByteBuffer(8, 0x5a));
+        net.run_for(sim::seconds(1));
+    }
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, 1) << "the self-removed handler ran once";
+    EXPECT_EQ(b.ip().stats().icmp_errors_sent, 1u) << "then protocol 200 is unreachable";
+}
+
 TEST(IpStats, HeaderChecksumProtectsOnlyTheHeader) {
     // The end-to-end argument in miniature: IP's checksum covers 20 of
     // ~1020 bytes, so most corruption sails through the internet layer and

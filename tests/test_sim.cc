@@ -3,8 +3,12 @@
 // allocation guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -468,6 +472,194 @@ TEST(FarEvents, SteadyStateFarRearmIsAllocationFree) {
     EXPECT_EQ(g_heap_allocs - before, 0u)
         << "far-tier re-arm path allocated at steady state";
     EXPECT_GT(fires, 0u);
+}
+
+// --- the dispatch pipeline ---------------------------------------------
+// While an event runs, the engine has already looked at the next event
+// (its callback's prefetch() ran) and at the one after it (its slot was
+// prefetched). Whatever the running event does to those two, the fire
+// order must equal a reference model's: pending events ordered by
+// (when, seq), with a fresh seq at every schedule and reschedule.
+
+/// Prefetch-spy log: which labels had prefetch() called, in call order,
+/// interleaved with the labels cancelled (as -label - 1).
+std::vector<int> g_pipeline_log;
+
+struct Probe {
+    int label;
+    std::function<void(int)>* on_fire;
+    void operator()() { (*on_fire)(label); }
+    void prefetch() const noexcept { g_pipeline_log.push_back(label); }
+};
+
+class PipelineHarness {
+public:
+    PipelineHarness() {
+        g_pipeline_log.clear();
+        on_fire_ = [this](int label) { fired(label); };
+    }
+
+    /// Schedules `label` at `when` in the engine and the model.
+    void add(int label, std::int64_t when) {
+        ids_[label] = sim.schedule_at(Time(when), Probe{label, &on_fire_});
+        model_key(label, when);
+    }
+    void cancel(int label) {
+        sim.cancel(ids_.at(label));
+        model_.erase(keys_.at(label));
+        keys_.erase(label);
+        g_pipeline_log.push_back(-label - 1);
+    }
+    void reschedule(int label, std::int64_t when) {
+        ASSERT_TRUE(sim.reschedule(ids_.at(label), Time(when)));
+        model_.erase(keys_.at(label));
+        model_key(label, when);
+    }
+    /// Runs `action` inside the event labelled `label`.
+    void on(int label, std::function<void()> action) { actions_[label] = std::move(action); }
+
+    /// The model's next and after-next pending labels, as seen from inside
+    /// the running event.
+    int next() const { return model_.begin()->second; }
+    int after_next() const { return std::next(model_.begin())->second; }
+
+    Simulator sim;
+    std::vector<int> order;     ///< labels as the engine fired them
+    std::vector<int> expected;  ///< labels as the model pops them
+
+private:
+    void model_key(int label, std::int64_t when) {
+        keys_[label] = {when, ++seq_};
+        model_[keys_[label]] = label;
+    }
+    void fired(int label) {
+        order.push_back(label);
+        expected.push_back(model_.begin()->second);
+        keys_.erase(model_.begin()->second);
+        model_.erase(model_.begin());
+        if (auto it = actions_.find(label); it != actions_.end()) it->second();
+    }
+
+    std::function<void(int)> on_fire_;
+    std::map<int, EventId> ids_;
+    std::map<int, std::pair<std::int64_t, std::uint64_t>> keys_;
+    std::map<std::pair<std::int64_t, std::uint64_t>, int> model_;
+    std::map<int, std::function<void()>> actions_;
+    std::uint64_t seq_ = 0;
+};
+
+TEST(Pipeline, RunningEventMayChangeTheNextTwoEvents) {
+    // Labels 1..8 at 10, 20, ..., 80 ns; label 1 fires first and acts on
+    // the event the engine prepared next (2) or after next (3).
+    enum class Act { Cancel, Earlier, ToNow, Later, Rearm };
+    for (const Act act : {Act::Cancel, Act::Earlier, Act::ToNow, Act::Later, Act::Rearm}) {
+        for (const bool after_next : {false, true}) {
+            PipelineHarness h;
+            for (int label = 1; label <= 8; ++label) h.add(label, label * 10);
+            h.on(1, [&h, act, after_next] {
+                const int target = after_next ? h.after_next() : h.next();
+                switch (act) {
+                    case Act::Cancel: h.cancel(target); break;
+                    case Act::Earlier: h.reschedule(target, 15); break;
+                    case Act::ToNow: h.reschedule(target, 10); break;
+                    case Act::Later: h.reschedule(target, 55); break;
+                    case Act::Rearm:
+                        // The freed slot is the next one a schedule takes.
+                        h.cancel(target);
+                        h.add(100, 12);
+                        h.add(101, 45);
+                        break;
+                }
+            });
+            h.sim.run();
+            EXPECT_EQ(h.order, h.expected)
+                << "act " << static_cast<int>(act) << (after_next ? " after next" : " next");
+            EXPECT_EQ(h.sim.pending_events(), 0u);
+        }
+    }
+}
+
+TEST(Pipeline, EveryEventChurnsItsSuccessors) {
+    // Each event cancels, reschedules or re-arms one of the two events
+    // after it, cycling through the moves, for a few hundred events.
+    PipelineHarness h;
+    int next_label = 1;
+    for (; next_label <= 300; ++next_label) h.add(next_label, next_label * 7 % 50 + 10);
+    for (int label = 1; label < 300; ++label) {
+        h.on(label, [&h, &next_label, label] {
+            if (h.sim.pending_events() < 2) return;
+            const int target = label % 2 == 0 ? h.next() : h.after_next();
+            const std::int64_t now = h.sim.now().nanos();
+            switch (label % 4) {
+                case 0: h.cancel(target); break;
+                case 1: h.reschedule(target, now + label % 3); break;
+                case 2: h.reschedule(target, now + 40); break;
+                case 3:
+                    h.cancel(target);
+                    h.add(next_label++, now + label % 5);
+                    break;
+            }
+        });
+    }
+    h.sim.run();
+    EXPECT_EQ(h.order, h.expected);
+    EXPECT_GT(h.order.size(), 200u);
+}
+
+TEST(Pipeline, EqualTimeCohortOfAThousandFiresInScheduleOrder) {
+    PipelineHarness h;
+    for (int label = 1; label <= 1000; ++label) h.add(label, 500);
+    // Inside the cohort: cancel a later member, and append two more at the
+    // same time (they fire after everything already scheduled).
+    h.on(10, [&h] { h.cancel(11); });
+    h.on(20, [&h] { h.add(1001, 500); h.add(1002, 500); });
+    h.on(999, [&h] { h.cancel(1000); });
+    h.sim.run();
+    EXPECT_EQ(h.order, h.expected);
+    ASSERT_EQ(h.order.size(), 1000u);
+    EXPECT_EQ(h.order.back(), 1002);
+}
+
+TEST(Pipeline, RunUntilDeadlineBetweenTheTwoLookedAheadEvents) {
+    PipelineHarness h;
+    h.add(1, 10);
+    h.add(2, 20);
+    h.add(3, 30);
+    // When 1 fires, 2 is next and 3 after next; the deadline falls
+    // between them, so 3 must wait however far ahead the engine looked.
+    h.sim.run_until(Time(25));
+    EXPECT_EQ(h.order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(h.sim.now(), Time(25));
+    h.add(4, 27);
+    h.sim.run_until(Time(15) + Time(25));
+    EXPECT_EQ(h.order, (std::vector<int>{1, 2, 4, 3}));
+    EXPECT_EQ(h.order, h.expected);
+    // A deadline between the running event and the next one.
+    h.add(5, 50);
+    h.add(6, 60);
+    h.sim.run_until(Time(55));
+    EXPECT_EQ(h.order, (std::vector<int>{1, 2, 4, 3, 5}));
+    h.sim.run();
+    EXPECT_EQ(h.order, h.expected);
+}
+
+TEST(Pipeline, NextEventIsPrefetchedOnceAndACancelledOneNeverAfterItsCancel) {
+    PipelineHarness h;
+    for (int label = 1; label <= 6; ++label) h.add(label, label * 10);
+    h.on(2, [&h] { h.cancel(3); });  // 3 was prefetched as 2's successor
+    h.on(4, [&h] { h.cancel(6); });  // 6 was only the slot after next
+    h.sim.run();
+    EXPECT_EQ(h.order, (std::vector<int>{1, 2, 4, 5}));
+    // Each event was prefetched at most once, by its predecessor, before it
+    // fired: 2 by 1, 3 by 2 (then cancelled), 5 by 4. 4 was not: when 2
+    // ran, 3 was next. 6 was never next.
+    EXPECT_EQ(g_pipeline_log, (std::vector<int>{2, 3, -4, 5, -7}));
+    for (int cancelled : {3, 6}) {
+        const auto mark = std::find(g_pipeline_log.begin(), g_pipeline_log.end(), -cancelled - 1);
+        ASSERT_NE(mark, g_pipeline_log.end());
+        EXPECT_EQ(std::find(mark, g_pipeline_log.end(), cancelled), g_pipeline_log.end())
+            << cancelled << "'s prefetch ran after its cancel";
+    }
 }
 
 }  // namespace

@@ -536,6 +536,39 @@ TEST(Report, JsonIsDeterministicAcrossSameSeedReruns) {
     EXPECT_NE(first.find("\"recorder\":{"), std::string::npos);
 }
 
+TEST(Report, EngineRowPinsTheEngineCounters) {
+    // Four near events, one cancelled and one re-armed, and one far timer:
+    // 4 fire, the 2 orphaned heap entries are skimmed, the heap peaks at 5
+    // entries (the re-arm's second) and the far store at 1.
+    core::Internetwork net(8);
+    sim::Simulator& sim = net.sim();
+    int fired = 0;
+    auto count = [&fired] { ++fired; };
+    sim.schedule_at(sim::milliseconds(1), count);
+    const sim::EventId cancelled = sim.schedule_at(sim::milliseconds(2), count);
+    const sim::EventId rearmed = sim.schedule_at(sim::milliseconds(3), count);
+    sim.schedule_at(sim::milliseconds(4), count);
+    sim.cancel(cancelled);
+    ASSERT_TRUE(sim.reschedule(rearmed, sim::milliseconds(5)));
+    sim.schedule_at(sim::seconds(10), count);  // beyond the near tier's ~67 ms
+    net.run_for(sim::seconds(20));
+    ASSERT_EQ(fired, 4);
+
+    const telemetry::MetricsReport report = net.metrics_report();
+    ASSERT_EQ(report.engines.size(), 1u);
+    const sim::EngineStats& e = report.engines[0].stats;
+    EXPECT_EQ(report.engines[0].shard, 0u);
+    EXPECT_EQ(e.events, 4u);
+    EXPECT_EQ(e.stale_skimmed, 2u);
+    EXPECT_EQ(e.heap_max, 5u);
+    EXPECT_EQ(e.far_max, 1u);
+    EXPECT_NE(report.to_json().find("\"engines\":[{\"shard\":0,\"events\":4,"
+                                    "\"stale_skimmed\":2,\"heap_max\":5,\"far_max\":1}]"),
+              std::string::npos)
+        << report.to_json();
+    EXPECT_NE(report.to_table().find("-- engines --"), std::string::npos);
+}
+
 TEST(Report, TableListsNonzeroCountersAndRecorder) {
     core::Internetwork net(7);
     core::Host& a = net.add_host("a");

@@ -2,6 +2,8 @@
 // correct hop-by-hop path map with no cooperation from the network.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "app/traceroute.h"
 #include "core/internetwork.h"
 #include "ip/protocols.h"
@@ -95,6 +97,43 @@ TEST_F(TracerouteFixture, SingleHopPath) {
     ASSERT_EQ(trace.hops().size(), 1u);
     EXPECT_TRUE(trace.hops()[0].reached_destination);
     EXPECT_EQ(trace.hops()[0].responder, b.address());
+}
+
+TEST_F(TracerouteFixture, DestroyedWithAProbeInFlightWithdrawsItsHandlers) {
+    wire();
+    // A bystander observer, registered before the traceroute's, must see
+    // the Time Exceeded the dead traceroute's probe provokes.
+    int time_exceeded = 0;
+    src.ip().add_icmp_error_handler([&](const ip::IcmpMessage& m, util::Ipv4Address) {
+        if (m.type == ip::IcmpType::TimeExceeded) ++time_exceeded;
+    });
+    auto trace = std::make_unique<Traceroute>(src, dst.address());
+    trace->start([](const std::vector<TracerouteHop>&) { FAIL() << "a dead trace completed"; });
+    net.run_for(sim::microseconds(1));  // the TTL-1 probe is on the wire to g1
+    trace.reset();
+    net.run_for(sim::seconds(30));
+    EXPECT_EQ(time_exceeded, 1) << "g1's Time Exceeded reached the host";
+    EXPECT_EQ(g1.ip().stats().icmp_errors_sent, 1u);
+}
+
+TEST_F(TracerouteFixture, CompletionCallbackMayDestroyItsTraceroute) {
+    wire();
+    // Completion on the destination's Echo Reply runs inside the host's ICMP
+    // protocol handler; at max_hops it runs inside the Time Exceeded
+    // observer. Either may destroy the Traceroute that owns the handler.
+    for (const int max_hops : {30, 2}) {
+        TracerouteConfig config;
+        config.max_hops = max_hops;
+        auto trace = std::make_unique<Traceroute>(src, dst.address(), config);
+        std::size_t hops_seen = 0;
+        trace->start([&](const std::vector<TracerouteHop>& hops) {
+            hops_seen = hops.size();
+            trace.reset();
+        });
+        net.run_for(sim::seconds(30));
+        EXPECT_EQ(trace, nullptr) << "max_hops " << max_hops;
+        EXPECT_EQ(hops_seen, max_hops == 2 ? 2u : 4u) << "max_hops " << max_hops;
+    }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "util/byte_buffer.h"
 #include "util/checksum.h"
+#include "util/inline_function.h"
 #include "util/ip_address.h"
 #include "util/random.h"
 #include "util/ring_buffer.h"
@@ -628,6 +629,66 @@ TEST(Rng, ExponentialHasRequestedMean) {
     constexpr int kSamples = 20000;
     for (int i = 0; i < kSamples; ++i) sum += rng.exponential(5.0);
     EXPECT_NEAR(sum / kSamples, 5.0, 0.15);
+}
+
+// --- InlineCallback::prefetch ------------------------------------------
+
+// Spies count into these; a library callable's prefetch() may only issue
+// cache prefetches, but a test spy has to leave a trace.
+int g_spy_prefetches = 0;
+int g_spy_calls = 0;
+
+template <std::size_t Pad>
+struct PrefetchSpy {
+    unsigned char pad[Pad] = {};
+    void operator()() { ++g_spy_calls; }
+    void prefetch() const noexcept { ++g_spy_prefetches; }
+};
+
+struct MutablePrefetch {  // prefetch() not const: not the declared shape
+    void operator()() { ++g_spy_calls; }
+    void prefetch() noexcept { ++g_spy_prefetches; }
+};
+
+TEST(InlineCallback, PrefetchCallsTheCallablesPrefetchInlineAndOnTheHeap) {
+    g_spy_prefetches = g_spy_calls = 0;
+    InlineCallback small(PrefetchSpy<8>{});
+    ASSERT_TRUE(small.is_inline());
+    small.prefetch();
+    EXPECT_EQ(g_spy_prefetches, 1);
+
+    InlineCallback big(PrefetchSpy<2 * InlineCallback::kInlineSize>{});
+    ASSERT_FALSE(big.is_inline());
+    big.prefetch();
+    EXPECT_EQ(g_spy_prefetches, 2);
+
+    // It survives a move, and it never runs the callable.
+    InlineCallback moved = std::move(big);
+    moved.prefetch();
+    EXPECT_EQ(g_spy_prefetches, 3);
+    EXPECT_EQ(g_spy_calls, 0);
+    small();
+    moved();
+    EXPECT_EQ(g_spy_calls, 2);
+    EXPECT_EQ(g_spy_prefetches, 3);
+}
+
+TEST(InlineCallback, PrefetchDoesNothingWithoutADeclaredPrefetch) {
+    g_spy_prefetches = g_spy_calls = 0;
+    int lambda_calls = 0;
+    InlineCallback plain([&lambda_calls] { ++lambda_calls; });
+    plain.prefetch();
+    EXPECT_EQ(lambda_calls, 0);
+    InlineCallback non_const(MutablePrefetch{});
+    non_const.prefetch();
+    EXPECT_EQ(g_spy_prefetches, 0);
+    EXPECT_EQ(g_spy_calls, 0);
+    InlineCallback empty;
+    empty.prefetch();
+    InlineCallback reset(PrefetchSpy<8>{});
+    reset.reset();
+    reset.prefetch();
+    EXPECT_EQ(g_spy_prefetches, 0);
 }
 
 }  // namespace

@@ -143,11 +143,10 @@ public:
     telemetry::Registry& metrics() noexcept { return registry_; }
     const telemetry::Registry& metrics() const noexcept { return registry_; }
 
-    /// Attaches a binary flight recorder: one lane per node, in node
-    /// construction order (the deterministic merge tie-break order, same
-    /// rule as ip::TraceCollector). Call after the topology is built —
-    /// nodes added later are not recorded. Idempotent; returns the
-    /// recorder.
+    /// Attaches a binary flight recorder, the packet trace: one lane per
+    /// node, in node construction order (the deterministic merge
+    /// tie-break order). Call after the topology is built — nodes added
+    /// later are not recorded. Idempotent; returns the recorder.
     telemetry::FlightRecorder& attach_flight_recorder(
         std::size_t lane_capacity = telemetry::FlightRecorder::kDefaultLaneCapacity);
     telemetry::FlightRecorder* flight_recorder() noexcept { return recorder_.get(); }

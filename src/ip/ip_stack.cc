@@ -116,6 +116,7 @@ bool IpStack::send(std::uint8_t protocol, util::Ipv4Address dst,
         h.src = options.source.is_unspecified() ? dst : options.source;
         h.dst = dst;
         counters_.inc(telemetry::Counter::IpTx);
+        note(telemetry::PacketEvent::Tx, h, kIpv4HeaderSize + payload.size());
         auto data = util::to_buffer(payload);
         sim_.schedule_after(sim::Time(0), [this, h, data = std::move(data)] {
             deliver_local(h, data, 0);
@@ -123,21 +124,22 @@ bool IpStack::send(std::uint8_t protocol, util::Ipv4Address dst,
         return true;
     }
 
-    const Route* route = lookup_route(dst);
-    if (route == nullptr) {
-        counters_.inc(telemetry::Counter::IpDropNoRoute);
-        return false;
-    }
     Ipv4Header header;
     header.protocol = protocol;
     header.tos = options.tos;
     header.ttl = options.ttl;
     header.dont_fragment = options.dont_fragment;
-    header.identification = next_identification_++;
-    header.src = options.source.is_unspecified()
-                     ? interfaces_.at(route->ifindex).address
-                     : options.source;
+    header.src = options.source;
     header.dst = dst;
+    const Route* route = lookup_route(dst);
+    if (route == nullptr) {
+        counters_.inc(telemetry::Counter::IpDropNoRoute);
+        note(telemetry::PacketEvent::Drop, header, kIpv4HeaderSize + payload.size(),
+             telemetry::DropReason::NoRoute);
+        return false;
+    }
+    header.identification = next_identification_++;
+    if (header.src.is_unspecified()) header.src = interfaces_.at(route->ifindex).address;
     counters_.inc(telemetry::Counter::IpTx);
     note(telemetry::PacketEvent::Tx, header, kIpv4HeaderSize + payload.size());
     return transmit(header, payload, *route);
@@ -158,26 +160,31 @@ bool IpStack::send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
         return ok;
     }
 
-    const Route* route = lookup_route(dst);
-    if (route == nullptr) {
-        counters_.inc(telemetry::Counter::IpDropNoRoute);
-        sim_.buffer_pool().recycle(std::move(wire));
-        return false;
-    }
-    auto& iface = interfaces_.at(route->ifindex);
     Ipv4Header header;
     header.protocol = protocol;
     header.tos = options.tos;
     header.ttl = options.ttl;
     header.dont_fragment = options.dont_fragment;
-    header.identification = next_identification_++;
-    header.src = options.source.is_unspecified() ? iface.address : options.source;
+    header.src = options.source;
     header.dst = dst;
+    const Route* route = lookup_route(dst);
+    if (route == nullptr) {
+        counters_.inc(telemetry::Counter::IpDropNoRoute);
+        note(telemetry::PacketEvent::Drop, header, wire.size(),
+             telemetry::DropReason::NoRoute);
+        sim_.buffer_pool().recycle(std::move(wire));
+        return false;
+    }
+    auto& iface = interfaces_.at(route->ifindex);
+    header.identification = next_identification_++;
+    if (header.src.is_unspecified()) header.src = iface.address;
 
     counters_.inc(telemetry::Counter::IpTx);
     note(telemetry::PacketEvent::Tx, header, wire.size());
     if (!iface.netif->is_up()) {
         counters_.inc(telemetry::Counter::IpDropIfaceDown);
+        note(telemetry::PacketEvent::Drop, header, wire.size(),
+             telemetry::DropReason::IfaceDown);
         sim_.buffer_pool().recycle(std::move(wire));
         return false;
     }
@@ -191,11 +198,9 @@ bool IpStack::send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
     write_ipv4_header(wire, header, wire.size());
     const util::Ipv4Address next_hop =
         route->next_hop.is_unspecified() ? dst : route->next_hop;
-    link::Packet packet = link::make_packet(std::move(wire), sim_);
     // Both checksums are known good here: the caller computed the transport
     // fold and write_ipv4_header just computed the header's.
-    packet.csum_ok = true;
-    iface.netif->send(std::move(packet), next_hop);
+    iface.netif->send(link::Packet{std::move(wire), /*csum_ok=*/true}, next_hop);
     return true;
 }
 
@@ -225,20 +230,23 @@ bool IpStack::send_broadcast(std::uint8_t protocol, std::size_t ifindex,
                              const SendOptions& options) {
     if (down_ || ifindex >= interfaces_.size()) return false;
     auto& iface = interfaces_[ifindex];
-    if (!iface.netif->is_up()) {
-        counters_.inc(telemetry::Counter::IpDropIfaceDown);
-        return false;
-    }
     Ipv4Header header;
     header.protocol = protocol;
     header.tos = options.tos;
     header.ttl = 1;
-    header.identification = next_identification_++;
     header.src = iface.address;
     header.dst = kBroadcastAddress;
+    if (!iface.netif->is_up()) {
+        counters_.inc(telemetry::Counter::IpDropIfaceDown);
+        note(telemetry::PacketEvent::Drop, header, kIpv4HeaderSize + payload.size(),
+             telemetry::DropReason::IfaceDown);
+        return false;
+    }
+    header.identification = next_identification_++;
     counters_.inc(telemetry::Counter::IpTx);
+    note(telemetry::PacketEvent::Tx, header, kIpv4HeaderSize + payload.size());
     auto wire = encode_datagram(header, payload, sim_.buffer_pool());
-    iface.netif->send(link::make_packet(std::move(wire), sim_), util::Ipv4Address{});
+    iface.netif->send(link::Packet{std::move(wire)}, util::Ipv4Address{});
     return true;
 }
 
@@ -261,6 +269,8 @@ bool IpStack::transmit(const Ipv4Header& header, std::span<const std::uint8_t> p
     auto& iface = interfaces_.at(route.ifindex);
     if (!iface.netif->is_up()) {
         counters_.inc(telemetry::Counter::IpDropIfaceDown);
+        note(telemetry::PacketEvent::Drop, header, kIpv4HeaderSize + payload.size(),
+             telemetry::DropReason::IfaceDown);
         return false;
     }
     const util::Ipv4Address next_hop =
@@ -269,7 +279,7 @@ bool IpStack::transmit(const Ipv4Header& header, std::span<const std::uint8_t> p
 
     if (kIpv4HeaderSize + payload.size() <= mtu) {
         auto wire = encode_datagram(header, payload, sim_.buffer_pool());
-        iface.netif->send(link::make_packet(std::move(wire), sim_), next_hop);
+        iface.netif->send(link::Packet{std::move(wire)}, next_hop);
         return true;
     }
 
@@ -290,7 +300,7 @@ bool IpStack::transmit(const Ipv4Header& header, std::span<const std::uint8_t> p
         frag.more_fragments = header.more_fragments || (pos + len < payload.size());
         auto wire = encode_datagram(frag, payload.subspan(pos, len), sim_.buffer_pool());
         counters_.inc(telemetry::Counter::IpFragsCreated);
-        iface.netif->send(link::make_packet(std::move(wire), sim_), next_hop);
+        iface.netif->send(link::Packet{std::move(wire)}, next_hop);
     }
     return true;
 }
@@ -342,6 +352,8 @@ void IpStack::receive(std::size_t ifindex, link::Packet packet) {
         }
     } else if (!forwarding_) {
         counters_.inc(telemetry::Counter::IpDropNotForUs);
+        note(telemetry::PacketEvent::Drop, d.header, packet.size(),
+             telemetry::DropReason::NotForUs);
     } else {
         forward(d, packet);
     }
@@ -406,6 +418,8 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
         wire.size() <= mtu) {
         if (!iface.netif->is_up()) {
             counters_.inc(telemetry::Counter::IpDropIfaceDown);
+            note(telemetry::PacketEvent::Drop, header, wire.size(),
+                 telemetry::DropReason::IfaceDown);
             return;
         }
         const std::size_t wire_bytes = wire.size();
@@ -414,7 +428,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
         decrement_ttl(packet.bytes);
         iface.netif->send(std::move(packet), next_hop);
         counters_.inc(telemetry::Counter::IpFwd);
-        if (trace_ || forward_tap_ || recorder_ != nullptr) {
+        if (forward_tap_ || recorder_ != nullptr) {
             // Observers want the header as sent; built only when someone
             // is actually watching.
             Ipv4Header out = header;

@@ -211,16 +211,10 @@ public:
     using ForwardTap = std::function<void(const Ipv4Header&, std::size_t wire_bytes)>;
     void set_forward_tap(ForwardTap tap) { forward_tap_ = std::move(tap); }
 
-    /// Full-stack event trace (tcpdump-style; see ip/trace.h). Fires on
-    /// tx / rx / deliver / fwd / drop with the decoded header.
-    using TraceHook = std::function<void(const char* event, const Ipv4Header&,
-                                         std::size_t wire_bytes)>;
-    void set_trace(TraceHook trace) { trace_ = std::move(trace); }
-
-    /// Attaches a flight-recorder lane: every event the text tracer would
-    /// report is also appended as a 32-byte binary record (see
-    /// telemetry/record.h). Unlike set_trace, recording costs no
-    /// formatting — decode happens after the run. nullptr detaches.
+    /// Attaches a flight-recorder lane, the stack's packet trace: every
+    /// tx / rx / deliver / fwd / drop event is appended as a 32-byte binary
+    /// record (see telemetry/record.h). Recording costs no formatting —
+    /// FlightRecorder renders trace lines after the run. nullptr detaches.
     void set_recorder(telemetry::RecorderLane* lane) noexcept { recorder_ = lane; }
 
     /// This node's internet-layer counters (single writer: the shard
@@ -281,13 +275,14 @@ private:
     /// cache hit or miss. Serves the lookups in send() and forward().
     const Route* lookup_route(util::Ipv4Address dst);
 
-    /// One observation point feeding both the text tracer and the flight
-    /// recorder, so they can never disagree about which events happened.
-    /// The counters are wired separately (they fire on a few paths the
-    /// tracer stays silent on).
+    /// The flight recorder's one observation point. Every datagram event an
+    /// ip.* counter counts is noted beside its increment: ip.tx, ip.rx
+    /// (as an rx record, or a checksum or malformed drop), ip.fwd,
+    /// ip.deliver and each ip.drop.* reason but one. Reassembly timeouts
+    /// stay counted only: the Reassembler counts them lazily, with no
+    /// header at hand.
     void note(telemetry::PacketEvent event, const Ipv4Header& h, std::size_t wire_bytes,
               telemetry::DropReason reason = telemetry::DropReason::None) {
-        if (trace_) trace_(telemetry::to_cstr(event), h, wire_bytes);
 #ifndef CATENET_NO_TELEMETRY
         if (recorder_ != nullptr) {
             telemetry::PacketRecord r;
@@ -305,6 +300,9 @@ private:
             recorder_->append(r);
         }
 #else
+        (void)event;
+        (void)h;
+        (void)wire_bytes;
         (void)reason;
 #endif
     }
@@ -343,7 +341,6 @@ private:
     std::vector<IcmpErrorEntry> icmp_error_handlers_;
     HandlerId last_handler_id_ = 0;
     ForwardTap forward_tap_;
-    TraceHook trace_;
     telemetry::CounterBlock counters_;
     telemetry::RecorderLane* recorder_ = nullptr;
     bool source_quench_ = false;

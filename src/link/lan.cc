@@ -50,7 +50,6 @@ public:
             }
             dst = static_cast<std::uint16_t>(it->second);
         }
-        packet.enqueued = lan_.sim_.now();
         const std::size_t wire_size = packet.size() + kFrameHeader;
         Packet frame = frame_packet(std::move(packet), dst);
         if (!queue_->enqueue(std::move(frame))) {
@@ -148,11 +147,12 @@ void Lan::medium_idle() {
         const sim::Time tx = sim::Time(static_cast<std::int64_t>(
             static_cast<double>(frame->size()) * 8.0 /
             static_cast<double>(params_.bits_per_second) * 1e9));
-        // The frame rides inside the event slot itself (InlineCallback's
-        // capture budget covers this + src + Packet): a forwarding station
-        // can re-enter medium_idle() from inside a delivery, so more than
-        // one frame can be in flight at once, and each slot is its own
-        // storage — no side free list, no heap traffic.
+        // The frame rides inside the event slot itself: this + src + a
+        // 32-byte Packet is a 48-byte capture, inside InlineCallback's
+        // 64-byte budget. A forwarding station can re-enter medium_idle()
+        // from inside a delivery, so more than one frame can be in flight
+        // at once, and each slot is its own storage — no side free list,
+        // no heap traffic.
         sim_.schedule_after(tx + params_.propagation_delay,
                             [this, src, delivered = std::move(*frame)]() mutable {
             medium_busy_ = false;

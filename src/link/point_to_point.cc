@@ -56,9 +56,6 @@ public:
         src_pool_.recycle(std::move(f.bytes));
         f.deliver_ns = std::max(deliver_ns, send_ns + lookahead_ns_);
         f.seq = next_seq_++;
-        f.uid = packet.uid;
-        f.created_ns = packet.created.nanos();
-        f.send_ns = send_ns;
         f.csum_ok = packet.csum_ok;
         f.bytes = std::move(packet.bytes);
     }
@@ -85,9 +82,6 @@ private:
     struct Frame {
         std::int64_t deliver_ns = 0;
         std::uint64_t seq = 0;
-        std::uint64_t uid = 0;
-        std::int64_t created_ns = 0;
-        std::int64_t send_ns = 0;
         bool csum_ok = false;  ///< Packet::csum_ok, carried across the boundary
         util::ByteBuffer bytes;
     };
@@ -155,7 +149,6 @@ public:
             return;
         }
         const sim::Time now = sim_.now();
-        packet.enqueued = now;
         if (now >= busy_until_ && queue_->empty()) {
             // Idle wire, no backlog: any discipline would hand this exact
             // packet straight back, so it skips the queue entirely.
@@ -340,13 +333,7 @@ void PointToPointLink::Channel::deliver_head() {
     std::pop_heap(staged_.begin(), staged_.end(), later_);
     Frame f = std::move(staged_.back());
     staged_.pop_back();
-    Packet p;
-    p.bytes = std::move(f.bytes);
-    p.uid = f.uid;
-    p.created = sim::Time(f.created_ns);
-    p.enqueued = sim::Time(f.send_ns);
-    p.csum_ok = f.csum_ok;
-    dst_port_->arrive(std::move(p));
+    dst_port_->arrive(Packet{std::move(f.bytes), f.csum_ok});
 }
 
 namespace {

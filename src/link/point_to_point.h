@@ -13,7 +13,7 @@
 // lookahead — the paper's argument that networks are coupled only by
 // links with real latency, made load-bearing. Datagrams are
 // self-contained (fate-sharing), so the hand-off moves nothing but the
-// wire bytes and trace metadata.
+// wire bytes and their checksum vouch.
 //
 // Each direction draws its loss, jitter and bit errors from a stream of
 // its own: every constructor forks the link's stream off the parent and

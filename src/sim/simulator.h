@@ -78,7 +78,6 @@ public:
         if (when < now_) throw_past("schedule_at", when);
         const std::uint32_t slot = acquire_slot();
         EventSlot& s = slots_[slot];
-        s.when = when;
         s.seq = next_seq_++;
         s.armed = true;
         if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
@@ -114,7 +113,6 @@ public:
         std::uint32_t slot;
         EventSlot* s = resolve(id, slot);
         if (s == nullptr) return false;
-        s->when = when;
         s->seq = next_seq_++;  // orphans the old heap/bucket entry
         push_event(when, s->seq, slot);
         return true;
@@ -165,16 +163,10 @@ public:
         return EngineStats{events_processed_, stale_skimmed_, heap_max_, far_max_};
     }
 
-    /// Monotonic per-simulation id source (packet trace uids and the
-    /// like). Part of the deterministic replay state: same scenario, same
-    /// ids — and independent scenarios in one process never share it.
-    std::uint64_t next_uid() noexcept { return ++last_uid_; }
-
     /// Per-simulation recycling pool for packet wire buffers. Every stack
     /// and link in a scenario shares it, so a datagram retired at one node
     /// funds the next datagram encoded at another. Scoped to the Simulator
-    /// for the same reason as next_uid(): scenarios in one process must
-    /// not share mutable state.
+    /// because scenarios in one process must not share mutable state.
     util::BufferPool& buffer_pool() noexcept { return buffer_pool_; }
 
 private:
@@ -184,8 +176,9 @@ private:
     // slot's current arming: it breaks ties FIFO in the heap and doubles
     // as the staleness check at pop (a cancelled or rescheduled arming
     // leaves its old heap entry pointing at a slot whose seq moved on).
+    // The firing time lives only in the heap entry or far node that
+    // points here.
     struct EventSlot {
-        Time when;
         std::uint64_t seq = 0;
         std::uint32_t generation = 1;
         std::uint32_t next_free = kNilSlot;
@@ -388,7 +381,6 @@ private:
     std::uint64_t stale_skimmed_ = 0;
     std::uint64_t heap_max_ = 0;
     std::uint64_t far_max_ = 0;
-    std::uint64_t last_uid_ = 0;
     util::BufferPool buffer_pool_;
 };
 

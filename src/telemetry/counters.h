@@ -87,8 +87,9 @@ constexpr bool offload_diagnostic(Counter c) noexcept {
 inline constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
 
 /// MIB-style dotted name per slot. Drop counters end in the shared
-/// DropReason spelling (asserted by test) so traces and counters can never
-/// disagree about what a reason is called.
+/// DropReason spelling (asserted by test) so the flight recorder's drop
+/// records and the counters can never disagree about what a reason is
+/// called.
 constexpr const char* counter_name(Counter c) noexcept {
     switch (c) {
         case Counter::IpTx: return "ip.tx";
@@ -152,7 +153,7 @@ constexpr Counter drop_counter(DropReason r) noexcept {
 
 /// One node's counters: a flat slab of slots. Single writer (the shard
 /// thread that owns the node); readers wait for quiescence, exactly like
-/// RunningStats and the TraceCollector lanes.
+/// RunningStats and the flight recorder's lanes.
 struct CounterBlock {
     std::array<std::uint64_t, kCounterCount> slots{};
 

@@ -1,34 +1,50 @@
 #include "telemetry/flight_recorder.h"
 
-#include "ip/ipv4_header.h"
-#include "ip/trace.h"
+#include <iomanip>
+#include <sstream>
+
+#include "ip/protocols.h"
+#include "util/ip_address.h"
 
 namespace catenet::telemetry {
+
+std::string protocol_name(std::uint8_t protocol) {
+    switch (protocol) {
+        case ip::kProtoIcmp: return "ICMP";
+        case ip::kProtoTcp: return "TCP";
+        case ip::kProtoUdp: return "UDP";
+        case ip::kProtoEgp: return "EGP";
+        case ip::kProtoDistanceVector: return "DV";
+        default: return std::to_string(protocol);
+    }
+}
+
+std::string format_trace_line(const PacketRecord& r, const std::string& name) {
+    std::ostringstream os;
+    os << "[" << std::fixed << std::setprecision(6) << std::setw(11)
+       << static_cast<double>(r.t_ns) / 1e9 << "] " << name << " "
+       << std::left << std::setw(7) << to_cstr(static_cast<PacketEvent>(r.event))
+       << std::right << " " << util::Ipv4Address{r.src}.to_string() << " > "
+       << util::Ipv4Address{r.dst}.to_string() << " " << protocol_name(r.protocol) << " "
+       << r.wire_bytes << "B ttl=" << int(r.ttl);
+    if (r.tos != 0) os << " tos=0x" << std::hex << int(r.tos) << std::dec;
+    if (r.frag_off != 0 || r.more_fragments != 0) {
+        os << " frag=" << std::size_t{r.frag_off} * 8 << (r.more_fragments ? "+" : "$");
+    }
+    os << "\n";
+    return os.str();
+}
 
 std::size_t FlightRecorder::add_lane(std::string name, std::size_t capacity) {
     lanes_.push_back(std::make_unique<Lane>(std::move(name), capacity));
     return lanes_.size() - 1;
 }
 
-std::string FlightRecorder::render(const Lane& lane, const PacketRecord& r) {
-    ip::Ipv4Header h;
-    h.src = util::Ipv4Address{r.src};
-    h.dst = util::Ipv4Address{r.dst};
-    h.protocol = r.protocol;
-    h.ttl = r.ttl;
-    h.tos = r.tos;
-    h.fragment_offset = r.frag_off;
-    h.more_fragments = r.more_fragments != 0;
-    return ip::format_trace_line(static_cast<double>(r.t_ns) / 1e9, lane.name,
-                                 to_cstr(static_cast<PacketEvent>(r.event)), h,
-                                 r.wire_bytes);
-}
-
 std::string FlightRecorder::decode_lane(std::size_t i) const {
     const Lane& lane = *lanes_.at(i);
     std::string out;
     for (std::size_t k = 0; k < lane.ring.held(); ++k) {
-        out += render(lane, lane.ring.at(k));
+        out += format_trace_line(lane.ring.at(k), lane.name);
     }
     return out;
 }
@@ -36,7 +52,7 @@ std::string FlightRecorder::decode_lane(std::size_t i) const {
 std::string FlightRecorder::merged() const {
     // Per-lane records are already time-sorted (each node's clock is
     // monotone); k-way index merge, ties to the lower lane id then
-    // per-lane order — byte-compatible with TraceCollector::merged().
+    // per-lane order.
     std::vector<std::size_t> pos(lanes_.size(), 0);
     std::size_t remaining = 0;
     for (const auto& l : lanes_) remaining += l->ring.held();
@@ -52,7 +68,7 @@ std::string FlightRecorder::merged() const {
                 best_t = t;
             }
         }
-        out += render(*lanes_[best], lanes_[best]->ring.at(pos[best]));
+        out += format_trace_line(lanes_[best]->ring.at(pos[best]), lanes_[best]->name);
         ++pos[best];
         --remaining;
     }

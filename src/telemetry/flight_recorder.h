@@ -1,12 +1,9 @@
 // The flight recorder's cold half: lane management and post-run decoding.
 // Lanes are created in deterministic order (lane id = merge tie-break
-// rank, same rule as ip::TraceCollector); each lane is attached to one
-// IpStack via IpStack::set_recorder and written only by that node's shard
-// thread. After the run, decode() / merged() re-render the binary records
-// through ip::format_trace_line — the single formatter the live tracer
-// uses — so a recorded run's transcript is byte-identical to a live text
-// trace of the same nodes, and the existing trace tests double as decoder
-// tests.
+// rank); each lane is attached to one IpStack via IpStack::set_recorder and
+// written only by that node's shard thread. Between runs, decode_lane() /
+// merged() render the binary records as tcpdump-style trace lines through
+// format_trace_line, the library's one packet-trace formatter.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +14,16 @@
 #include "telemetry/record.h"
 
 namespace catenet::telemetry {
+
+/// Protocol number -> short name ("TCP", "UDP", "ICMP", "EGP", "DV", or
+/// the number in decimal).
+std::string protocol_name(std::uint8_t protocol);
+
+/// Renders one record of node `name` as a complete trace line (trailing
+/// newline included):
+///   [   1.234567] gw fwd     10.0.1.1 > 10.0.3.2 TCP 1460B ttl=63 tos=0x10 frag=1480+
+/// Ports are not parsed: the stack records at the IP layer.
+std::string format_trace_line(const PacketRecord& r, const std::string& name);
 
 class FlightRecorder {
 public:
@@ -37,8 +44,7 @@ public:
     std::string decode_lane(std::size_t i) const;
 
     /// All lanes merged into one transcript ordered by (timestamp, lane
-    /// id, per-lane order) — the same deterministic rule as
-    /// ip::TraceCollector::merged().
+    /// id, per-lane order) — deterministic at any shard or thread count.
     std::string merged() const;
 
     std::uint64_t total_records() const noexcept;
@@ -51,8 +57,6 @@ private:
         RecorderLane ring;
         Lane(std::string n, std::size_t cap) : name(std::move(n)), ring(cap) {}
     };
-
-    static std::string render(const Lane& lane, const PacketRecord& r);
 
     std::vector<std::unique_ptr<Lane>> lanes_;
 };

@@ -52,10 +52,10 @@ public:
     /// Most recent sample; meaningless when total() == 0.
     const Sample& last() const noexcept { return at(held() - 1); }
 
-    /// Moments over every sample ever recorded. NOTE: RunningStats
-    /// reports min()/max()/mean() as 0.0 when empty — an empty series must
-    /// be reported explicitly (null), never as an observation of zero;
-    /// MetricsReport does exactly that.
+    /// Moments over every sample ever recorded. NOTE: when empty,
+    /// RunningStats reports min() and max() as NaN and mean() as 0.0 — an
+    /// empty series must be reported explicitly (null), never as an
+    /// observation of zero; MetricsReport does exactly that.
     const util::RunningStats& stats() const noexcept { return stats_; }
 
 private:

@@ -2,10 +2,10 @@
 // record and a bounded per-lane ring to store it in. Writing a record is
 // one index computation and one trivially-copyable struct store — no
 // formatting, no allocation, no synchronization (each lane has exactly one
-// writer: the shard thread that owns the node). The cold half — decoding
-// rings back into text byte-identical to ip::format_trace_line — lives in
-// flight_recorder.h, which this header deliberately does not include: the
-// IP stack's per-packet path depends only on what is defined here.
+// writer: the shard thread that owns the node). The cold half — rendering
+// rings back into trace lines — lives in flight_recorder.h, which this
+// header deliberately does not include: the IP stack's per-packet path
+// depends only on what is defined here.
 #pragma once
 
 #include <cstddef>
@@ -16,11 +16,13 @@
 
 namespace catenet::telemetry {
 
-/// Datagram event kinds, mirroring the text tracer's vocabulary exactly.
+/// Datagram event kinds: "tx" = first transmission of a locally
+/// originated datagram, "rx" = arrived from a network, "deliver" = handed
+/// to a local protocol, "fwd" = forwarded toward the next hop, "drop" =
+/// discarded (the record's reason says why).
 enum class PacketEvent : std::uint8_t { Tx = 0, Rx, Deliver, Fwd, Drop };
 
-/// The tracer spelling of an event — the recorder and the live tracer
-/// share it, so their outputs can be compared byte for byte.
+/// An event's spelling in a rendered trace line.
 constexpr const char* to_cstr(PacketEvent e) noexcept {
     switch (e) {
         case PacketEvent::Tx: return "tx";

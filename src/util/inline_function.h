@@ -26,10 +26,11 @@ namespace catenet::util {
 class InlineCallback {
 public:
     /// Inline capture capacity. Large enough for a `this` pointer plus a
-    /// link::Packet moved in by value plus a scalar — the largest capture in
-    /// the library is a LAN delivery (this + port index + Packet = 64 bytes),
-    /// which lets links carry in-flight packets inside the event slot instead
-    /// of through a side free list.
+    /// link::Packet moved in by value plus a scalar — a LAN delivery (this +
+    /// port index + Packet = 48 bytes) — which lets links carry in-flight
+    /// packets inside the event slot instead of through a side free list.
+    /// The largest capture in the library is IpStack's loopback delivery
+    /// (this + header + buffer = 56 bytes).
     static constexpr std::size_t kInlineSize = 64;
 
     InlineCallback() noexcept = default;

@@ -15,8 +15,7 @@ bool seq16_lt(std::uint16_t a, std::uint16_t b) {
 }  // namespace
 
 LinkArq::LinkArq(sim::Simulator& sim, link::NetIf& netif, LinkArqConfig config)
-    : sim_(sim),
-      netif_(netif),
+    : netif_(netif),
       config_(config),
       rto_timer_(sim, [this] { on_rto(); }) {
     netif_.set_receiver([this](link::Packet p) { on_packet(std::move(p)); });
@@ -53,7 +52,7 @@ void LinkArq::transmit(std::uint16_t seq, const util::ByteBuffer& frame) {
     w.put_u16(seq);
     w.put_u16(rcv_expected_);  // piggybacked cumulative ack
     w.put_bytes(frame);
-    netif_.send(link::make_packet(w.take(), sim_), util::Ipv4Address{});
+    netif_.send(link::Packet{w.take()}, util::Ipv4Address{});
 }
 
 void LinkArq::send_ack() {
@@ -61,7 +60,7 @@ void LinkArq::send_ack() {
     w.put_u8(kKindAck);
     w.put_u16(0);
     w.put_u16(rcv_expected_);
-    netif_.send(link::make_packet(w.take(), sim_), util::Ipv4Address{});
+    netif_.send(link::Packet{w.take()}, util::Ipv4Address{});
     ++stats_.acks_sent;
 }
 

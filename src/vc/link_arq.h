@@ -60,7 +60,6 @@ private:
     void send_ack();
     void on_rto();
 
-    sim::Simulator& sim_;
     link::NetIf& netif_;
     LinkArqConfig config_;
     DeliverFn deliver_;

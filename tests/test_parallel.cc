@@ -5,8 +5,8 @@
 // the boundary latency is the global minimum, the window rule's clock and
 // window count, 3,000 frames crossing in one window, equal-time arrivals
 // from 80 channels merging in channel order, allocation-freedom of
-// steady-state cross-shard forwarding, and the shard-safe
-// stats/trace/logging utilities.
+// steady-state cross-shard forwarding, and the shard-safe stats and
+// logging utilities.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,9 +20,9 @@
 #include "app/bulk.h"
 #include "app/voice.h"
 #include "core/internetwork.h"
-#include "ip/trace.h"
 #include "link/presets.h"
 #include "sim/parallel.h"
+#include "telemetry/flight_recorder.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -188,11 +188,8 @@ RunSignature run_cross_scenario(std::uint64_t seed, bool parallel,
     net.connect(g2, b, lossy);
     net.use_static_routes();
 
-    ip::TraceCollector traces;
-    const auto lane_a = traces.add_lane("a");
-    const auto lane_b = traces.add_lane("b");
-    a.ip().set_trace(traces.make_tracer(lane_a, "a", a.simulator()));
-    b.ip().set_trace(traces.make_tracer(lane_b, "b", b.simulator()));
+    // Every node's lane is written from its own shard's thread.
+    telemetry::FlightRecorder& rec = net.attach_flight_recorder();
 
     app::BulkServer server(b, 21);
     app::BulkSender sender(a, b.address(), 21, 256 * 1024);
@@ -207,7 +204,8 @@ RunSignature run_cross_scenario(std::uint64_t seed, bool parallel,
     sig.bytes_received = server.total_bytes_received();
     sig.retransmits = sender.socket_stats().retransmitted_segments;
     sig.voice_received = voice.report().frames_received;
-    sig.trace = traces.merged();
+    EXPECT_EQ(rec.total_overwritten(), 0u);
+    sig.trace = rec.merged();
     return sig;
 }
 

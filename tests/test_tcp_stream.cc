@@ -23,7 +23,6 @@
 
 #include "core/internetwork.h"
 #include "ip/ip_stack.h"
-#include "ip/trace.h"
 #include "link/point_to_point.h"
 #include "sim/time.h"
 #include "tcp/tcp.h"
@@ -79,7 +78,6 @@ struct Observation {
     std::uint64_t foreign = 0;           ///< interleaved datagrams seen at b
     std::uint64_t link_bytes = 0;
     bool client_closed = false;
-    std::string trace;                   ///< TraceCollector::merged(), every node
     std::string recorder;                ///< FlightRecorder::merged(), every node
     std::vector<std::uint64_t> wire_at_b;  ///< digest stream into b (data dir)
     std::vector<std::uint64_t> wire_at_a;  ///< digest stream into a (ACK dir)
@@ -109,12 +107,6 @@ Observation run_stream(const Knobs& k) {
     net.use_static_routes();
 
     telemetry::FlightRecorder& rec = net.attach_flight_recorder();
-    ip::TraceCollector traces;
-    for (core::Node* n : {static_cast<core::Node*>(&a), static_cast<core::Node*>(&gw),
-                          static_cast<core::Node*>(&b)}) {
-        const std::size_t lane = traces.add_lane(n->name());
-        n->ip().set_trace(traces.make_tracer(lane, n->name(), net.sim()));
-    }
 
     Observation obs;
     a.ip().interface(0).set_wire_tap(
@@ -205,7 +197,7 @@ Observation run_stream(const Knobs& k) {
 
     obs.counters = net.metrics().totals();
     obs.link_bytes = net.total_link_bytes();
-    obs.trace = traces.merged();
+    EXPECT_EQ(rec.total_overwritten(), 0u);
     obs.recorder = rec.merged();
     append_socket(obs.socket_stats, client->stats());
     if (server != nullptr) append_socket(obs.socket_stats, server->stats());

@@ -1,11 +1,12 @@
 // The telemetry subsystem: drop-reason/counter-name unification, exactness
 // of the counter registry against the legacy per-stack statistics on a
-// seeded lossy multi-hop transfer, byte-identity of the binary flight
-// recorder against the live text tracer, bounded-ring overwrite
+// seeded lossy multi-hop transfer, the flight recorder's records against
+// the IP counters on every counted path, bounded-ring overwrite
 // accounting, allocation-freedom of steady-state instrumentation, gauge
 // sampling, and determinism of the exported JSON report.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -18,7 +19,8 @@
 #include "app/bulk.h"
 #include "app/voice.h"
 #include "core/internetwork.h"
-#include "ip/trace.h"
+#include "ip/ip_stack.h"
+#include "ip/ipv4_header.h"
 #include "link/presets.h"
 #include "telemetry/counters.h"
 #include "telemetry/drop_reason.h"
@@ -304,78 +306,211 @@ TEST(CounterExactness, LossyFourHopTransferMirrorsLegacyStats) {
 
 // --- flight recorder ----------------------------------------------------
 
-// Attaches both the live text tracer and the binary recorder to every
-// node, runs a lossy transfer, and demands the recorder's decoded
-// transcript equal the tracer's, byte for byte — per lane and merged.
-TEST(FlightRecorder, DecodeIsByteIdenticalToLiveTracer) {
+// One lane's records, counted by event and, for drops, by reason.
+struct LaneTally {
+    std::array<std::uint64_t, 5> events{};
+    std::array<std::uint64_t, telemetry::kDropReasonCount> drops{};
+
+    std::uint64_t of(telemetry::PacketEvent e) const {
+        return events[static_cast<std::size_t>(e)];
+    }
+    std::uint64_t of(telemetry::DropReason r) const {
+        return drops[static_cast<std::size_t>(r)];
+    }
+};
+
+LaneTally tally(const telemetry::RecorderLane& lane) {
+    LaneTally t;
+    for (std::size_t i = 0; i < lane.held(); ++i) {
+        const telemetry::PacketRecord& r = lane.at(i);
+        ++t.events.at(r.event);
+        if (r.event == static_cast<std::uint8_t>(telemetry::PacketEvent::Drop)) {
+            ++t.drops.at(r.reason);
+        }
+    }
+    return t;
+}
+
+// The recorder's oracle is the counter block: every datagram event an
+// ip.* counter counts is also a record. The scenario takes every path
+// that counts one: loopback, broadcasts, both send paths, forwarding
+// (fast and fragmenting), reassembly, and each drop reason but the
+// reassembly timeout (counted lazily, with no header at hand, so it has
+// no record) — across a lossy, bit-erroring hop.
+TEST(FlightRecorder, RecordsEveryDatagramEventTheIpCountersCount) {
+    using telemetry::Counter;
+    using telemetry::DropReason;
+    using telemetry::PacketEvent;
+    constexpr std::uint8_t kProto = 253;  // RFC 3692 experimental
+
     core::Internetwork net(4242);
     core::Host& a = net.add_host("a");
     core::Gateway& g = net.add_gateway("g");
     core::Host& b = net.add_host("b");
+    core::Host& c = net.add_host("c");
     link::LinkParams lossy = link::presets::ethernet_hop();
     lossy.drop_probability = 0.03;
-    lossy.bit_error_rate = 1e-6;
+    lossy.bit_error_rate = 1e-4;
     lossy.jitter = sim::milliseconds(1);
-    net.connect(a, g, lossy);
-    net.connect(g, b, link::presets::ethernet_hop());
+    link::LinkParams narrow = link::presets::ethernet_hop();
+    narrow.mtu = 576;
+    net.connect(a, g, lossy);                            // a:0  g:0
+    net.connect(g, b, link::presets::ethernet_hop());    // g:1  b:0
+    net.connect(g, c, narrow);                           // g:2  c:0
     net.use_static_routes();
-
-    telemetry::FlightRecorder& rec = net.attach_flight_recorder();
-    ip::TraceCollector col;
+    // g sends 10.99/16 on to b, which forwards nothing; a sends 10.98/16 to
+    // g, which has no route for it.
+    ip::Route stray;
+    stray.prefix = util::Ipv4Prefix(util::Ipv4Address(10, 99, 0, 0), 16);
+    stray.ifindex = 1;
+    g.ip().routing_table().install(stray);
+    ip::Route dead_end;
+    dead_end.prefix = util::Ipv4Prefix(util::Ipv4Address(10, 98, 0, 0), 16);
+    dead_end.ifindex = 0;
+    a.ip().routing_table().install(dead_end);
     for (core::Node* n : net.nodes()) {
-        const std::size_t lane = col.add_lane(n->name());
-        n->ip().set_trace(col.make_tracer(lane, n->name(), n->simulator()));
+        n->ip().register_protocol(kProto, [](const ip::Ipv4Header&,
+                                             std::span<const std::uint8_t>, std::size_t) {});
     }
+    telemetry::FlightRecorder& rec = net.attach_flight_recorder();
 
-    app::BulkServer server(b, 21);
-    app::BulkSender sender(a, b.address(), 21, 64 * 1024);
-    sender.start();
-    net.run_for(sim::seconds(30));
+    const std::vector<std::uint8_t> small(8, 0x5a);
+    const std::vector<std::uint8_t> big(1000, 0xa5);  // fragments toward c
+    auto headroom = [&](util::Ipv4Address dst) {
+        util::ByteBuffer wire(ip::kIpv4HeaderSize, 0);
+        wire.insert(wire.end(), small.begin(), small.end());
+        return a.ip().send_with_headroom(kProto, dst, std::move(wire));
+    };
+    auto settle = [&] { net.run_for(sim::milliseconds(20)); };
 
-    ASSERT_GT(rec.total_records(), 0u);
-    EXPECT_EQ(rec.total_overwritten(), 0u);  // default lanes are ample here
-    ASSERT_EQ(rec.lane_count(), net.nodes().size());
+    // Small datagrams both ways across the bit-erroring hop, through both
+    // send paths: checksum drops at a and at g.
+    for (int i = 0; i < 300; ++i) {
+        a.ip().send(kProto, b.address(), small);
+        headroom(b.address());
+        b.ip().send(kProto, a.address(), small);
+        settle();
+    }
+    for (int i = 0; i < 8; ++i) {
+        a.ip().send(kProto, c.address(), big);  // g fragments, c reassembles
+        a.ip().send(kProto, a.address(), small);                 // loopback
+        g.ip().send_broadcast(kProto, 0, small);                 // to a
+        g.ip().send_broadcast(kProto, 2, small);                 // to c
+        ip::SendOptions once;
+        once.ttl = 1;
+        a.ip().send(kProto, b.address(), small, once);           // ttl at g
+        a.ip().send(kProto, util::Ipv4Address(10, 98, 0, 1), small);  // no route at g
+        EXPECT_FALSE(a.ip().send(kProto, util::Ipv4Address(192, 0, 2, 1), small));
+        EXPECT_FALSE(headroom(util::Ipv4Address(192, 0, 2, 1)));  // no route at a
+        g.ip().send(kProto, util::Ipv4Address(10, 99, 0, 1), small);  // not for b
+        a.ip().interface(0).send(link::Packet{util::ByteBuffer(40, 0xff)},
+                                 util::Ipv4Address{});           // malformed at g
+        settle();
+    }
+    // Interfaces down: at the source (both send paths and a broadcast) and
+    // at g's egress (the forwarding fast path, a fragmenting forward, a
+    // broadcast).
+    a.ip().interface(0).set_up(false);
+    EXPECT_FALSE(a.ip().send(kProto, b.address(), small));
+    EXPECT_FALSE(headroom(b.address()));
+    EXPECT_FALSE(a.ip().send_broadcast(kProto, 0, small));
+    a.ip().interface(0).set_up(true);
+    g.ip().interface(2).set_up(false);
+    for (int i = 0; i < 8; ++i) {
+        a.ip().send(kProto, c.address(), small);
+        a.ip().send(kProto, c.address(), big);
+        settle();
+    }
+    EXPECT_FALSE(g.ip().send_broadcast(kProto, 2, small));
+    g.ip().interface(2).set_up(true);
+    settle();
+
+    ASSERT_EQ(rec.total_overwritten(), 0u);
+    telemetry::CounterBlock all;
     for (std::size_t i = 0; i < rec.lane_count(); ++i) {
-        EXPECT_EQ(rec.decode_lane(i), col.lane_text(i)) << rec.lane_name(i);
+        const core::Node& n = *net.nodes()[i];
+        ASSERT_EQ(rec.lane_name(i), n.name());
+        const telemetry::CounterBlock& k = n.ip().counters();
+        all.merge(k);
+        const LaneTally t = tally(rec.lane(i));
+        EXPECT_EQ(t.of(PacketEvent::Tx), k.get(Counter::IpTx)) << n.name();
+        EXPECT_EQ(t.of(PacketEvent::Fwd), k.get(Counter::IpFwd)) << n.name();
+        EXPECT_EQ(t.of(PacketEvent::Deliver), k.get(Counter::IpDeliver)) << n.name();
+        EXPECT_EQ(t.of(PacketEvent::Drop), t.of(DropReason::Checksum) +
+                                               t.of(DropReason::Malformed) +
+                                               t.of(DropReason::NoRoute) +
+                                               t.of(DropReason::TtlExpired) +
+                                               t.of(DropReason::IfaceDown) +
+                                               t.of(DropReason::NotForUs))
+            << n.name();
+        for (const DropReason r : {DropReason::Checksum, DropReason::Malformed,
+                                   DropReason::NoRoute, DropReason::TtlExpired,
+                                   DropReason::IfaceDown, DropReason::NotForUs}) {
+            EXPECT_EQ(t.of(r), k.get(telemetry::drop_counter(r)))
+                << n.name() << " " << telemetry::to_string(r);
+        }
+        EXPECT_EQ(t.of(PacketEvent::Rx) + t.of(DropReason::Checksum) +
+                      t.of(DropReason::Malformed),
+                  k.get(Counter::IpRx))
+            << n.name();
     }
-    EXPECT_EQ(rec.merged(), col.merged());
+    // The scenario really took every path.
+    for (const Counter slot :
+         {Counter::IpDropChecksum, Counter::IpDropMalformed, Counter::IpDropNoRoute,
+          Counter::IpDropTtlExpired, Counter::IpDropIfaceDown, Counter::IpDropNotForUs,
+          Counter::IpFragsCreated, Counter::IpFwd, Counter::IpDeliver}) {
+        EXPECT_GT(all.get(slot), 0u) << telemetry::counter_name(slot);
+    }
+    EXPECT_EQ(all.get(Counter::IpDropReassemblyTimeout), 0u);
 }
 
-TEST(FlightRecorder, BoundedLaneOverwritesOldestAndReportsIt) {
+// a sends 50 datagrams to b, one at a time, with `lane_capacity` records
+// per lane; returns a's lane as counted and as decoded.
+struct LaneOutcome {
+    std::string name;
+    std::uint64_t total = 0;
+    std::size_t held = 0;
+    std::uint64_t overwritten = 0;
+    std::uint64_t recorder_overwritten = 0;
+    std::string text;
+};
+
+LaneOutcome fifty_datagrams(std::size_t lane_capacity) {
     core::Internetwork net(9);
     core::Host& a = net.add_host("a");
     core::Host& b = net.add_host("b");
     net.connect(a, b, link::presets::ethernet_hop());
     net.use_static_routes();
 
-    telemetry::FlightRecorder& rec = net.attach_flight_recorder(/*lane_capacity=*/8);
-    ip::TraceCollector col;
-    for (core::Node* n : net.nodes()) {
-        const std::size_t lane = col.add_lane(n->name());
-        n->ip().set_trace(col.make_tracer(lane, n->name(), n->simulator()));
-    }
-
+    telemetry::FlightRecorder& rec = net.attach_flight_recorder(lane_capacity);
     const std::vector<std::uint8_t> payload(64, 0x5a);
     b.ip().register_protocol(
         253, [](const ip::Ipv4Header&, std::span<const std::uint8_t>, std::size_t) {});
     for (int i = 0; i < 50; ++i) {
-        ASSERT_TRUE(a.ip().send(253, b.address(), payload));
+        EXPECT_TRUE(a.ip().send(253, b.address(), payload));
         net.sim().run();
     }
+    const telemetry::RecorderLane& lane = rec.lane(0);
+    return LaneOutcome{rec.lane_name(0), lane.total(),           lane.held(),
+                       lane.overwritten(), rec.total_overwritten(), rec.decode_lane(0)};
+}
 
-    const telemetry::RecorderLane& lane_a = rec.lane(0);
-    EXPECT_EQ(rec.lane_name(0), "a");
-    EXPECT_EQ(lane_a.total(), 50u);  // one tx event per send
-    EXPECT_EQ(lane_a.held(), 8u);
-    EXPECT_EQ(lane_a.overwritten(), 42u);
-    EXPECT_GT(rec.total_overwritten(), 0u);
+TEST(FlightRecorder, BoundedLaneOverwritesOldestAndReportsIt) {
+    const LaneOutcome bounded = fifty_datagrams(/*lane_capacity=*/8);
+    EXPECT_EQ(bounded.name, "a");
+    EXPECT_EQ(bounded.total, 50u);  // one tx event per send
+    EXPECT_EQ(bounded.held, 8u);
+    EXPECT_EQ(bounded.overwritten, 42u);
+    EXPECT_GT(bounded.recorder_overwritten, 0u);
 
-    // The decode renders exactly the held suffix of the full transcript.
-    const std::string full = col.lane_text(0);
-    const std::string kept = rec.decode_lane(0);
-    ASSERT_FALSE(kept.empty());
-    EXPECT_LT(kept.size(), full.size());
-    EXPECT_TRUE(full.ends_with(kept));
+    // The full transcript comes from a twin run whose lanes never lap; the
+    // bounded decode renders exactly its last eight lines.
+    const LaneOutcome ample = fifty_datagrams(telemetry::FlightRecorder::kDefaultLaneCapacity);
+    ASSERT_EQ(ample.recorder_overwritten, 0u);
+    ASSERT_EQ(ample.total, 50u);
+    std::size_t cut = ample.text.size();
+    for (int line = 0; line <= 8; ++line) cut = ample.text.rfind('\n', cut - 1);
+    EXPECT_EQ(bounded.text, ample.text.substr(cut + 1));
 }
 
 // --- allocation freedom -------------------------------------------------

@@ -1,14 +1,18 @@
-# Determinism probe: runs PROGRAM (with ARGS, a ;-separated list) twice and
-# fails unless both runs exit 0 and print byte-identical stdout.
-#   cmake -DPROGRAM=<binary> [-DARGS=<args>] -P replay.cmake
+# Determinism and regression probe: runs PROGRAM (with ARGS, a ;-separated
+# list) twice and fails unless both runs exit 0 and print exactly the
+# committed EXPECTED file, byte for byte.
+#   cmake -DPROGRAM=<binary> [-DARGS=<args>] -DEXPECTED=<file> -P replay.cmake
+# To refresh EXPECTED after an intended change, rerun the program from the
+# test's working directory and redirect its stdout into the file.
+file(READ ${EXPECTED} expected)
 foreach(run 1 2)
   execute_process(COMMAND ${PROGRAM} ${ARGS}
-                  OUTPUT_VARIABLE out${run}
-                  RESULT_VARIABLE rc${run})
-  if(NOT rc${run} EQUAL 0)
-    message(FATAL_ERROR "${PROGRAM} ${ARGS}: run ${run} exited with ${rc${run}}")
+                  OUTPUT_VARIABLE out
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${PROGRAM} ${ARGS}: run ${run} exited with ${rc}")
+  endif()
+  if(NOT out STREQUAL expected)
+    message(FATAL_ERROR "${PROGRAM} ${ARGS}: run ${run} printed other than ${EXPECTED}")
   endif()
 endforeach()
-if(NOT out1 STREQUAL out2)
-  message(FATAL_ERROR "${PROGRAM} ${ARGS}: two runs printed different output")
-endif()

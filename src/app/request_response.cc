@@ -22,13 +22,16 @@ RpcServer::RpcServer(core::Host& host, std::uint16_t port, const tcp::TcpConfig&
             conns_.push_back(conn);
             // Raw Conn capture: the socket owns these callbacks, so a
             // strong capture of the Conn (which owns the socket) would be
-            // a reference cycle. conns_ keeps the Conn alive for the
-            // server's lifetime, the same contract as the `this` capture.
+            // a reference cycle. conns_ keeps the Conn alive until its
+            // socket closes, and a closed socket calls back no more.
             Conn* c = conn.get();
             socket->on_data = [this, c](std::span<const std::uint8_t> data) {
                 on_bytes(*c, data);
             };
             socket->on_remote_close = [c] { c->socket->close(); };
+            socket->on_closed = [this, c] {
+                std::erase_if(conns_, [c](const auto& kept) { return kept.get() == c; });
+            };
         },
         rpc_config);
 }
@@ -39,9 +42,10 @@ void RpcServer::on_bytes(Conn& conn, std::span<const std::uint8_t> data) {
         util::BufferReader r(conn.accum);
         const std::uint32_t id = r.get_u32();
         const std::uint16_t response_size = r.get_u16();
-        // Requests are exactly header-sized in this protocol; any extra
-        // request payload rides in front of the next header and is skipped
-        // by the client's sizing, so consume only the header here.
+        // The wire carries no request length, so only the header is
+        // consumed: extra request payload (RpcClientConfig::
+        // request_extra_bytes) is parsed as further requests and answered,
+        // which the client's fixed-size response framing does not expect.
         conn.accum.erase(conn.accum.begin(), conn.accum.begin() + kRequestHeader);
 
         const std::size_t size = std::max<std::size_t>(response_size, 4);

@@ -21,6 +21,8 @@ public:
     RpcServer(core::Host& host, std::uint16_t port, const tcp::TcpConfig& config = {});
 
     std::uint64_t requests_served() const noexcept { return served_; }
+    /// Accepted connections whose sockets have not closed yet.
+    std::size_t open_connections() const noexcept { return conns_.size(); }
 
 private:
     struct Conn {

@@ -188,8 +188,9 @@ void Lan::deliver_frame(std::size_t src_port, Packet frame) {
     if (dst == kBroadcastPort) {
         for (std::size_t i = 0; i < ports_.size(); ++i) {
             if (i == src_port) continue;
-            Packet copy = frame;
-            ports_[i]->receive_frame(std::move(copy));
+            util::ByteBuffer copy = sim_.buffer_pool().acquire(frame.size());
+            copy.assign(frame.bytes.begin(), frame.bytes.end());
+            ports_[i]->receive_frame(Packet{std::move(copy), frame.csum_ok});
         }
         sim_.buffer_pool().recycle(std::move(frame.bytes));
     } else if (dst < ports_.size() && dst != src_port) {

@@ -358,7 +358,7 @@ void TcpSocket::send_segment(SeqNum seq, std::size_t length, bool fin, bool forc
     const bool is_retransmission = seq_lt(seq, snd_max_);
     if (is_retransmission) {
         ++stats_.retransmitted_segments;
-    stack_.counters_.inc(telemetry::Counter::TcpRetransSegs);
+        stack_.counters_.inc(telemetry::Counter::TcpRetransSegs);
         stats_.retransmitted_bytes += length;
         // Karn's rule: a retransmission invalidates RTT timing.
         timing_ = false;
@@ -510,22 +510,14 @@ void TcpSocket::on_rto_fire() {
     if (config_.adaptive_rto) ++backoff_;
     timing_ = false;  // Karn
 
-    if (state_ == TcpState::SynSent) {
+    if (state_ == TcpState::SynSent || state_ == TcpState::SynReceived) {
+        // Resend our SYN; the passive side's carries the ACK of the peer's.
         TcpFlags syn;
         syn.syn = true;
+        syn.ack = state_ == TcpState::SynReceived;
         send_control(syn, iss_);
         ++stats_.retransmitted_segments;
-    stack_.counters_.inc(telemetry::Counter::TcpRetransSegs);
-        arm_rto();
-        return;
-    }
-    if (state_ == TcpState::SynReceived) {
-        TcpFlags synack;
-        synack.syn = true;
-        synack.ack = true;
-        send_control(synack, iss_);
-        ++stats_.retransmitted_segments;
-    stack_.counters_.inc(telemetry::Counter::TcpRetransSegs);
+        stack_.counters_.inc(telemetry::Counter::TcpRetransSegs);
         arm_rto();
         return;
     }
@@ -634,71 +626,8 @@ void TcpSocket::enter_loss_recovery() {
 
 // --- segment arrival ----------------------------------------------------------------
 
-// Header prediction, after Van Jacobson: on an Established connection that
-// is not mid-recovery, not closing, and has no window news, the only two
-// segment shapes that occur are "next in-order data, same ack" (receiver
-// side of a bulk transfer) and "pure ack advancing snd_una_" (sender side).
-// Both are handled here with straight-line code; anything else falls back
-// to the full RFC 793 processing in on_segment, which remains the single
-// source of truth for every corner case.
-bool TcpSocket::try_fast_path(const TcpHeader& h, std::span<const std::uint8_t> payload) {
-    if (h.flags.syn || h.flags.fin || h.flags.rst || h.flags.urg || !h.flags.ack) {
-        return false;
-    }
-    if (h.seq != rcv_nxt_) return false;
-    if (h.window != snd_wnd_ || snd_wnd_ == 0) return false;
-    if (snd_nxt_ != snd_max_) return false;  // RTO rewind in progress
-    if (fin_queued_ || fin_received_ || fin_seq_out_.has_value()) return false;
-
-    if (payload.empty()) {
-        // Pure ACK moving forward: snd_una_ < ack <= snd_max_, and no
-        // fast-retransmit streak to account for.
-        if (!(seq_gt(h.ack, snd_una_) && seq_leq(h.ack, snd_max_))) return false;
-        if (dup_acks_ != 0) return false;
-        ++stats_.fast_path_acks;
-        stack_.counters_.inc(telemetry::Counter::TcpPredAcks);
-        const std::uint32_t acked = h.ack - snd_una_;
-        // RTT sample (Karn-safe: timing_ was invalidated on retransmit).
-        if (timing_ && seq_gt(h.ack, timed_seq_)) {
-            update_rtt(stack_.ip().simulator().now() - timed_sent_at_);
-            timing_ = false;
-        }
-        const bool buffer_was_full = send_space() == 0;
-        send_ring_.consume(acked);
-        snd_una_ = h.ack;
-        on_ack_advance(acked);
-        if (flight_size() == 0) {
-            rto_timer_.cancel();
-        } else {
-            arm_rto();
-        }
-        if (buffer_was_full && send_space() > 0 && on_send_space) on_send_space();
-        try_send();
-        return true;
-    }
-
-    // Next expected data, nothing in flight disturbed (ack repeats
-    // snd_una_), reassembly queue empty, auto-delivering receiver with the
-    // whole payload inside the advertised window.
-    if (h.ack != snd_una_) return false;
-    if (!out_of_order_.empty()) return false;
-    if (manual_receive_ || !recv_open_) return false;
-    if (payload.size() > std::min<std::size_t>(config_.recv_buffer, 0xffff)) {
-        return false;
-    }
-    ++stats_.fast_path_data;
-    stack_.counters_.inc(telemetry::Counter::TcpPredData);
-    rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
-    stats_.bytes_received += payload.size();
-    if (on_data) on_data(payload);
-    schedule_ack();
-    return true;
-}
-
 void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> payload) {
     ++stats_.segments_received;
-
-    if (state_ == TcpState::Established && try_fast_path(h, payload)) return;
 
     if (state_ == TcpState::SynSent) {
         if (h.flags.ack && (seq_leq(h.ack, iss_) || seq_gt(h.ack, snd_nxt_))) {
@@ -777,7 +706,8 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
 
     if (!h.flags.ack) return;
 
-    if (state_ == TcpState::SynReceived) {
+    const bool opening = state_ == TcpState::SynReceived;
+    if (opening) {
         if (seq_in_window(h.ack, snd_una_ + 1, flight_size()) || h.ack == snd_nxt_) {
             snd_una_ = h.ack;
             snd_wnd_ = h.window;
@@ -798,6 +728,9 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
 
     handle_ack(h, !payload.empty());
     if (state_ == TcpState::Closed) return;
+    // Bytes queued before the handshake completed: handle_ack sends only
+    // what a moved ack or window releases.
+    if (opening) try_send();
 
     if (!payload.empty()) {
         process_payload(h, payload);
@@ -807,7 +740,6 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
         const SeqNum fin_seq = h.seq + static_cast<std::uint32_t>(payload.size());
         if (fin_seq == rcv_nxt_) {
             rcv_nxt_ += 1;
-            fin_received_ = true;
             send_ack_now();
             // Transition FIRST: an on_remote_close callback that calls
             // close() must observe CloseWait, not the pre-FIN state.
@@ -889,14 +821,19 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool has_payload) {
         if (buffer_was_full && send_space() > 0 && on_send_space) on_send_space();
         try_send();
     } else if (h.ack == snd_una_) {
-        // Window update or duplicate.
-        const bool dup = flight_size() > 0 && h.window == snd_wnd_ && !has_payload;
+        // Window update or duplicate. With the ack and the window both
+        // unchanged nothing the sender may send has changed since the last
+        // try_send(): new data, an ack advance, a completed handshake and
+        // every timer run it themselves, so only a moved window earns
+        // another pass.
+        const bool window_moved = h.window != snd_wnd_;
+        const bool dup = flight_size() > 0 && !window_moved && !has_payload;
         snd_wnd_ = h.window;
         if (snd_wnd_ > 0) persist_timer_.cancel();
         if (dup) {
             on_duplicate_ack();
-        } else {
-            try_send();  // window may have opened
+        } else if (window_moved) {
+            try_send();
         }
     }
 }
@@ -917,18 +854,7 @@ void TcpSocket::process_payload(const TcpHeader& h, std::span<const std::uint8_t
     }
 
     if (seq == rcv_nxt_) {
-        // Manual mode stores before advancing so rcv_nxt_ only covers bytes
-        // the ring actually holds; a sender that overruns the advertised
-        // window retransmits the truncated tail.
-        std::size_t taken = data.size();
-        if (manual_receive_) taken = recv_ring_.write(data);
-        rcv_nxt_ += static_cast<std::uint32_t>(taken);
-        stats_.bytes_received += taken;
-        if (manual_receive_) {
-            if (taken > 0 && on_readable) on_readable();
-        } else if (on_data) {
-            on_data(data);
-        }
+        deliver(data);
         deliver_in_order();
         schedule_ack();
     } else {
@@ -968,17 +894,23 @@ void TcpSocket::deliver_in_order() {
             continue;
         }
         const std::uint32_t skip = rcv_nxt_ - seq;
-        const std::span<const std::uint8_t> fresh(data.data() + skip, data.size() - skip);
-        std::size_t taken = fresh.size();
-        if (manual_receive_) taken = recv_ring_.write(fresh);
-        rcv_nxt_ += static_cast<std::uint32_t>(taken);
-        stats_.bytes_received += taken;
-        if (manual_receive_) {
-            if (taken > 0 && on_readable) on_readable();
-        } else if (on_data) {
-            on_data(fresh);
-        }
+        deliver({data.data() + skip, data.size() - skip});
         stack_.ip().simulator().buffer_pool().recycle(std::move(data));
+    }
+}
+
+void TcpSocket::deliver(std::span<const std::uint8_t> data) {
+    // Manual mode stores before advancing so rcv_nxt_ only covers bytes
+    // the ring actually holds; a sender that overruns the advertised
+    // window retransmits the truncated tail.
+    std::size_t taken = data.size();
+    if (manual_receive_) taken = recv_ring_.write(data);
+    rcv_nxt_ += static_cast<std::uint32_t>(taken);
+    stats_.bytes_received += taken;
+    if (manual_receive_) {
+        if (taken > 0 && on_readable) on_readable();
+    } else if (on_data) {
+        on_data(data);
     }
 }
 

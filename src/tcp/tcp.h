@@ -16,10 +16,9 @@
 // ring (a resend is a peek at a smaller offset), segment wire buffers come
 // from the per-simulator BufferPool with IP-header headroom so the IP layer
 // serializes in place, out-of-order segments are held in pooled buffers,
-// and demux is an open-addressed hash (ConnTable). A Van Jacobson style
-// header-prediction fast path short-circuits the two overwhelmingly common
-// segment shapes — pure ACK and next-expected data — past the full RFC 793
-// receive processing; see try_fast_path for the exact predicate.
+// and demux is an open-addressed hash (ConnTable). Every segment takes the
+// one RFC 793 receive path (on_segment); there is no header-prediction
+// shortcut beside it (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -103,9 +102,6 @@ struct TcpSocketStats {
     std::uint64_t source_quenches = 0;
     std::uint64_t duplicate_acks_received = 0;
     std::uint64_t out_of_order_segments = 0;
-    /// Header-prediction hits: segments fully handled by the fast path.
-    std::uint64_t fast_path_acks = 0;
-    std::uint64_t fast_path_data = 0;
     double srtt_ms = 0.0;
     double rto_ms = 0.0;
     std::uint64_t cwnd_bytes = 0;
@@ -196,11 +192,6 @@ private:
     void open_passive(util::Ipv4Address peer, std::uint16_t peer_port,
                       std::uint16_t local_port, const TcpHeader& syn);
     void on_segment(const TcpHeader& header, std::span<const std::uint8_t> payload);
-    /// Header prediction (Van Jacobson's receive fast path): handles an
-    /// in-order data segment or a forward pure ACK on an undisturbed
-    /// Established connection without entering the RFC 793 slow path.
-    /// Returns false (having done nothing) on any deviation.
-    bool try_fast_path(const TcpHeader& header, std::span<const std::uint8_t> payload);
     void enter_state(TcpState next);
 
     // --- send machinery ------------------------------------------------
@@ -220,7 +211,11 @@ private:
 
     // --- receive machinery ---------------------------------------------
     void process_payload(const TcpHeader& header, std::span<const std::uint8_t> payload);
+    /// Drains the held segments that rcv_nxt_ has reached.
     void deliver_in_order();
+    /// Hands bytes starting at rcv_nxt_ to the application (the ring in
+    /// manual mode, on_data otherwise) and advances rcv_nxt_ past them.
+    void deliver(std::span<const std::uint8_t> data);
 
     // --- timers ----------------------------------------------------------
     void arm_rto();
@@ -289,8 +284,6 @@ private:
     std::size_t ooo_bytes_ = 0;
     util::RingBuffer recv_ring_;  ///< manual mode only
     bool manual_receive_ = false;
-    bool fin_received_ = false;
-    SeqNum fin_seq_ = 0;
 
     // Congestion control.
     std::uint32_t cwnd_ = 0;

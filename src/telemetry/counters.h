@@ -55,8 +55,11 @@ enum class Counter : std::uint16_t {
     TcpDupAcks,
     TcpFastRetransmits,
     TcpZeroWindowEvents,  ///< sender stalls on a closed peer window
-    TcpPredAcks,          ///< header-prediction fast-path pure ACKs
-    TcpPredData,          ///< header-prediction fast-path data segments
+    // Nothing increments these two slots: every segment takes the one
+    // RFC 793 receive path, and there is no header prediction (DESIGN.md
+    // §7). They are kept only because perfbench's tcp.pred.share reads them.
+    TcpPredAcks,
+    TcpPredData,
     TcpDropChecksum,
     TcpDropNoConnection,
     TcpResetsSent,

@@ -188,5 +188,27 @@ TEST_F(AppFixture, RpcConnectionPerRequestReassemblesEachResponseApart) {
     EXPECT_EQ(client.responses_received(), client.requests_sent());
 }
 
+TEST_F(AppFixture, RpcServerForgetsClosedConnections) {
+    // Every transaction opens and closes its own connection. While they
+    // overlap the server holds several; once they drain it holds none.
+    link::LinkParams params = link::presets::ethernet_hop();
+    params.propagation_delay = sim::milliseconds(20);
+    wire(params);
+    RpcServer server(b, 111);
+    RpcClientConfig config;
+    config.mean_interarrival = sim::milliseconds(20);
+    config.connection_per_request = true;
+    RpcClient client(a, b.address(), 111, config);
+    client.start();
+    net.run_for(sim::seconds(5));
+    EXPECT_GT(server.open_connections(), 0u);
+    client.stop();
+    net.run_for(sim::seconds(30));  // drain every open transaction
+
+    ASSERT_GT(client.requests_sent(), 100u);
+    EXPECT_EQ(server.requests_served(), client.requests_sent());
+    EXPECT_EQ(server.open_connections(), 0u);
+}
+
 }  // namespace
 }  // namespace catenet::app

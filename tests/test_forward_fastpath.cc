@@ -1,8 +1,8 @@
 // The zero-copy forwarding fast path: RFC 1624 incremental checksum
 // equivalence, byte-identity of the in-place TTL rewrite against full
 // re-serialization, allocation-freedom of the N-hop forward loop over
-// point-to-point links and across Ethernet LANs, trains
-// of back-to-back datagrams through one gateway (TTL expiry, malformed
+// point-to-point links and across Ethernet LANs (broadcast included),
+// trains of back-to-back datagrams through one gateway (TTL expiry, malformed
 // frames and route changes inside a train, a carrier cut with packets in
 // flight), the soft-state destination cache's invalidation-by-generation
 // discipline, and LinkParams' serialization math and input validation.
@@ -319,6 +319,49 @@ TEST(FastPath, LanForwardingIsAllocationFreeInSteadyState) {
     const std::uint64_t delta = g_heap_allocs - before;
     EXPECT_EQ(delivered, kWarmRounds + kRounds);
     EXPECT_EQ(delta, 0u) << "heap allocations on the steady-state LAN path";
+}
+
+TEST(FastPath, LanBroadcastIsAllocationFreeInSteadyState) {
+    // a, b and c share one Ethernet LAN and a broadcasts: the medium copies
+    // each frame once per receiver, into buffers from the simulator's pool,
+    // so a routing advertisement to every neighbor allocates nothing.
+    core::Internetwork net(42);
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b");
+    core::Host& c = net.add_host("c");
+    const std::size_t lan = net.add_lan(link::presets::ethernet_lan(), "lan");
+    net.attach_to_lan(a, lan);
+    net.attach_to_lan(b, lan);
+    net.attach_to_lan(c, lan);
+    net.use_static_routes();
+
+    std::uint64_t delivered = 0;
+    const auto count = [&delivered](const ip::Ipv4Header&, std::span<const std::uint8_t>,
+                                    std::size_t) { ++delivered; };
+    b.ip().register_protocol(253, count);
+    c.ip().register_protocol(253, count);
+    const std::vector<std::uint8_t> payload(512, 0xab);
+
+    // Warm every pool, the engine's far-tier store included. A round takes
+    // about 0.43 ms here, so it takes 192 rounds, not the forwarding test's
+    // 128, to pass the near tier's ~67 ms window.
+    constexpr std::uint64_t kWarmRounds = 192;
+    for (std::uint64_t i = 0; i < kWarmRounds; ++i) {
+        ASSERT_TRUE(a.ip().send_broadcast(253, 0, payload));
+        net.sim().run();
+    }
+    ASSERT_EQ(delivered, 2 * kWarmRounds);
+    ASSERT_GT(net.sim().now(), sim::milliseconds(67));
+
+    const std::uint64_t before = g_heap_allocs;
+    constexpr std::uint64_t kRounds = 256;
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+        a.ip().send_broadcast(253, 0, payload);
+        net.sim().run();
+    }
+    const std::uint64_t delta = g_heap_allocs - before;
+    EXPECT_EQ(delivered, 2 * (kWarmRounds + kRounds));
+    EXPECT_EQ(delta, 0u) << "heap allocations on the steady-state LAN broadcast path";
 }
 
 // --- trains through one gateway -----------------------------------------

@@ -495,6 +495,24 @@ TEST_F(TcpPair, DataTransferBothDirections) {
     EXPECT_EQ(util::string_from_buffer(client_received), "hello from b");
 }
 
+TEST_F(TcpPair, DataQueuedInSynReceivedIsSentOnceEstablished) {
+    // A server that writes from its accept handler queues the bytes in
+    // SYN-RECEIVED, where nothing may be sent yet. The ACK that completes
+    // the handshake moves neither the acknowledgment nor the window past
+    // what the SYN exchange set, and it must still release them.
+    wire();
+    b.tcp().listen(80, [](std::shared_ptr<TcpSocket> s) {
+        s->send(util::buffer_from_string("greeting"));
+    });
+    auto client = a.tcp().connect(b.address(), 80);
+    util::ByteBuffer client_received;
+    client->on_data = [&](std::span<const std::uint8_t> d) {
+        client_received.insert(client_received.end(), d.begin(), d.end());
+    };
+    net.run_for(sim::seconds(1));
+    EXPECT_EQ(util::string_from_buffer(client_received), "greeting");
+}
+
 TEST_F(TcpPair, GracefulCloseRunsFullSequence) {
     wire();
     serve(80);
@@ -919,31 +937,12 @@ TEST_F(TcpPair, RetransmissionRepacketizesAtCurrentMss) {
         << "byte sequencing must coalesce retransmissions";
 }
 
-// --- header prediction ---------------------------------------------------------------
+// --- loss recovery -------------------------------------------------------------------
 
-TEST_F(TcpPair, HeaderPredictionCarriesBulkTransfer) {
-    wire();
-    serve(80);
-    auto client = a.tcp().connect(b.address(), 80);
-    constexpr std::size_t kBytes = 48 * 1024;
-    client->on_connected = [&] { client->send(util::ByteBuffer(kBytes, 0x42)); };
-    net.run_for(sim::seconds(5));
-    ASSERT_EQ(last_server()->received.size(), kBytes);
-
-    // Steady-state bulk traffic is exactly the two predicted shapes: the
-    // receiver should take nearly every data segment on the fast path, the
-    // sender nearly every ACK.
-    const auto& server_stats = last_server()->socket->stats();
-    const auto& client_stats = client->stats();
-    EXPECT_GT(server_stats.fast_path_data, server_stats.segments_received / 2);
-    EXPECT_GT(client_stats.fast_path_acks, 0u);
-    EXPECT_EQ(server_stats.bytes_received, kBytes);
-}
-
-TEST_F(TcpPair, FastPathStaysOffDuringRecovery) {
-    // With loss in play the fast path must keep yielding to the slow path
-    // (dup ACKs, rewinds, reassembly) without corrupting the stream — and
-    // the transfer still completes exactly.
+TEST_F(TcpPair, LossyBulkTransferCompletesThroughReassembly) {
+    // With loss in play every repair mechanism runs (dup ACKs, rewinds,
+    // reassembly) without corrupting the stream, and the transfer still
+    // completes exactly.
     link::LinkParams params = link::presets::ethernet_hop();
     params.drop_probability = 0.05;
     wire(params);
@@ -1034,8 +1033,6 @@ TEST(TcpAllocation, EstablishedBulkTransferOverFourHopsIsAllocationFree) {
     EXPECT_GT(received, received_before + std::size_t{100} * 1024);
     EXPECT_EQ(g_heap_allocs - before, 0u)
         << "heap allocations on the steady-state TCP data path";
-    EXPECT_GT(client->stats().fast_path_acks, 0u);
-    EXPECT_GT(server->stats().fast_path_data, 0u);
 }
 
 TEST(TcpAllocation, ReorderingRecoveryReusesPooledBuffers) {

@@ -8,9 +8,9 @@
 // The scenarios walk the send loop's edges: a receive window smaller than
 // a flight, FIN and PSH on close, first-hop loss, bit errors (the link
 // must clear the checksum vouch it corrupts, or the receiver would skip
-// the verification that catches them), foreign datagrams interleaved with
-// the data, zero-window stalls carried by persist probes, and an exact
-// replay of the same seed.
+// the verification that catches them), segments reordered by jitter,
+// foreign datagrams interleaved with the data, zero-window stalls carried
+// by persist probes, and an exact replay of the same seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,6 +63,7 @@ struct Knobs {
     std::uint64_t goal = 256 * 1024;   ///< app bytes to transfer a -> b
     double drop = 0.0;                 ///< first-hop drop probability
     double ber = 0.0;                  ///< first-hop bit error rate
+    sim::Time jitter;                  ///< first-hop extra delay, up to this
     std::size_t recv_buffer = 64 * 1024;
     bool close_after = false;          ///< sender closes once goal is queued
     bool interleave_foreign = false;   ///< lace datagrams into the data
@@ -82,6 +83,8 @@ struct Observation {
     std::vector<std::uint64_t> wire_at_b;  ///< digest stream into b (data dir)
     std::vector<std::uint64_t> wire_at_a;  ///< digest stream into a (ACK dir)
     std::vector<std::uint64_t> socket_stats;
+    std::uint64_t counted_at_b = 0;       ///< b's socket's bytes_received
+    std::uint64_t out_of_order_at_b = 0;  ///< segments b held for reassembly
 
     bool operator==(const Observation&) const = default;
 };
@@ -90,8 +93,7 @@ void append_socket(std::vector<std::uint64_t>& out, const tcp::TcpSocketStats& s
     out.insert(out.end(),
                {s.segments_sent, s.segments_received, s.bytes_sent, s.bytes_received,
                 s.retransmitted_segments, s.retransmitted_bytes, s.timeouts,
-                s.fast_retransmits, s.duplicate_acks_received, s.out_of_order_segments,
-                s.fast_path_acks, s.fast_path_data});
+                s.fast_retransmits, s.duplicate_acks_received, s.out_of_order_segments});
 }
 
 Observation run_stream(const Knobs& k) {
@@ -102,6 +104,7 @@ Observation run_stream(const Knobs& k) {
     link::LinkParams first = wan();
     first.drop_probability = k.drop;
     first.bit_error_rate = k.ber;
+    first.jitter = k.jitter;
     net.connect(a, gw, first);  // impairments confined to the first hop
     net.connect(gw, b, wan());
     net.use_static_routes();
@@ -200,13 +203,19 @@ Observation run_stream(const Knobs& k) {
     EXPECT_EQ(rec.total_overwritten(), 0u);
     obs.recorder = rec.merged();
     append_socket(obs.socket_stats, client->stats());
-    if (server != nullptr) append_socket(obs.socket_stats, server->stats());
+    if (server != nullptr) {
+        append_socket(obs.socket_stats, server->stats());
+        obs.counted_at_b = server->stats().bytes_received;
+        obs.out_of_order_at_b = server->stats().out_of_order_segments;
+    }
     return obs;
 }
 
-/// The receiver read the whole stream, and byte for byte what was sent.
+/// The receiver read the whole stream, and byte for byte what was sent,
+/// and its socket counted exactly those bytes.
 void expect_stream_intact(const Observation& obs, const Knobs& k) {
     ASSERT_EQ(obs.received.size(), k.goal);
+    EXPECT_EQ(obs.counted_at_b, k.goal);
     const std::vector<std::uint8_t> pattern = make_pattern();
     for (std::size_t i = 0; i < obs.received.size(); ++i) {
         if (obs.received[i] != pattern[i % kPatternBytes]) {
@@ -219,8 +228,6 @@ TEST(TcpStream, BulkTransferDeliversTheSendersBytes) {
     const Knobs k;
     const Observation obs = run_stream(k);
     expect_stream_intact(obs, k);
-    EXPECT_GT(obs.counters.get(telemetry::Counter::TcpPredData), 0u)
-        << "steady bulk data should take the header-prediction path";
 }
 
 TEST(TcpStream, SameSeedReplaysExactly) {
@@ -280,6 +287,19 @@ TEST(TcpStream, BitErrorsInvalidateTheChecksumVouch) {
                   obs.counters.get(telemetry::Counter::IpDropChecksum),
               0u)
         << "the bit-error link never actually corrupted a segment";
+}
+
+TEST(TcpStream, ReorderedSegmentsAreReassembledExactly) {
+    // First-hop jitter of up to 1 ms, about eight times a full segment's
+    // 120 us serialization, lets later segments overtake earlier ones: the
+    // receiver holds each early arrival and delivers it once the gap
+    // before it fills.
+    Knobs k;
+    k.goal = 128 * 1024;
+    k.jitter = sim::milliseconds(1);
+    const Observation obs = run_stream(k);
+    expect_stream_intact(obs, k);
+    EXPECT_GT(obs.out_of_order_at_b, 0u) << "the jittery hop never reordered a segment";
 }
 
 TEST(TcpStream, ForeignDatagramsInterleaved) {

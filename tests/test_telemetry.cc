@@ -270,8 +270,6 @@ TEST(CounterExactness, LossyFourHopTransferMirrorsLegacyStats) {
     EXPECT_EQ(ta.get(Counter::TcpRtos), ss.timeouts);
     EXPECT_EQ(ta.get(Counter::TcpDupAcks), ss.duplicate_acks_received);
     EXPECT_EQ(ta.get(Counter::TcpFastRetransmits), ss.fast_retransmits);
-    EXPECT_EQ(ta.get(Counter::TcpPredAcks), ss.fast_path_acks);
-    EXPECT_EQ(ta.get(Counter::TcpPredData), ss.fast_path_data);
     EXPECT_EQ(ta.get(Counter::TcpSegsIn), a.tcp().stats().segments_received);
     EXPECT_EQ(ta.get(Counter::TcpConnsOpened), a.tcp().stats().connections_opened);
     EXPECT_EQ(ta.get(Counter::TcpConnsOpened), 1u);

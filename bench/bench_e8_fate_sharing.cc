@@ -85,9 +85,10 @@ FateResult run_vc(int connections, double down_seconds) {
     net.connect_host(h2, s, link::presets::ethernet_hop());
     net.compute_routes();
 
+    // The host keeps each call until it is cleared; a callback that held
+    // its own call would keep it, and itself, alive for good.
     net.host_at(h2).set_incoming_handler([](std::shared_ptr<vc::VcCall> call) {
-        auto held = call;
-        call->on_data = [held](std::span<const std::uint8_t>) {};
+        call->on_data = [](std::span<const std::uint8_t>) {};
     });
     std::vector<std::shared_ptr<vc::VcCall>> calls;
     std::vector<bool> cleared(static_cast<std::size_t>(connections), false);

@@ -46,11 +46,10 @@ SeqResult run_tcp(double loss, std::uint64_t seed) {
     net.use_static_routes();
 
     std::uint64_t delivered = 0;
+    // The stack keeps the accepted socket; a callback that held it would
+    // keep it, and itself, alive for good.
     b.tcp().listen(9, [&](std::shared_ptr<tcp::TcpSocket> s) {
-        auto held = s;
-        s->on_data = [&delivered, held](std::span<const std::uint8_t> d) {
-            delivered += d.size();
-        };
+        s->on_data = [&delivered](std::span<const std::uint8_t> d) { delivered += d.size(); };
     });
     tcp::TcpConfig cfg;
     cfg.nagle = false;  // level field: first transmission is tinygrams too

@@ -9,6 +9,16 @@ namespace catenet::ip {
 
 namespace {
 const util::Logger kLog("ip");
+
+// A pooled copy of `payload` behind kIpv4HeaderSize bytes of headroom, the
+// layout egress() writes its header into.
+util::ByteBuffer behind_headroom(util::BufferPool& pool,
+                                 std::span<const std::uint8_t> payload) {
+    util::ByteBuffer wire = pool.acquire(kIpv4HeaderSize + payload.size());
+    wire.resize(kIpv4HeaderSize);
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    return wire;
+}
 }  // namespace
 
 IpStack::IpStack(sim::Simulator& sim, std::string name)
@@ -105,61 +115,23 @@ const Route* IpStack::lookup_route(util::Ipv4Address dst) {
 
 bool IpStack::send(std::uint8_t protocol, util::Ipv4Address dst,
                    std::span<const std::uint8_t> payload, const SendOptions& options) {
-    if (down_) return false;
-
-    // Local loopback: deliver without touching any interface.
-    if (is_local_address(dst)) {
-        Ipv4Header h;
-        h.protocol = protocol;
-        h.tos = options.tos;
-        h.ttl = options.ttl;
-        h.src = options.source.is_unspecified() ? dst : options.source;
-        h.dst = dst;
-        counters_.inc(telemetry::Counter::IpTx);
-        note(telemetry::PacketEvent::Tx, h, kIpv4HeaderSize + payload.size());
-        auto data = util::to_buffer(payload);
-        sim_.schedule_after(sim::Time(0), [this, h, data = std::move(data)] {
-            deliver_local(h, data, 0);
-        });
-        return true;
-    }
-
-    Ipv4Header header;
-    header.protocol = protocol;
-    header.tos = options.tos;
-    header.ttl = options.ttl;
-    header.dont_fragment = options.dont_fragment;
-    header.src = options.source;
-    header.dst = dst;
-    const Route* route = lookup_route(dst);
-    if (route == nullptr) {
-        counters_.inc(telemetry::Counter::IpDropNoRoute);
-        note(telemetry::PacketEvent::Drop, header, kIpv4HeaderSize + payload.size(),
-             telemetry::DropReason::NoRoute);
-        return false;
-    }
-    header.identification = next_identification_++;
-    if (header.src.is_unspecified()) header.src = interfaces_.at(route->ifindex).address;
-    counters_.inc(telemetry::Counter::IpTx);
-    note(telemetry::PacketEvent::Tx, header, kIpv4HeaderSize + payload.size());
-    return transmit(header, payload, *route);
+    return output(protocol, dst, behind_headroom(sim_.buffer_pool(), payload), options,
+                  /*vouched=*/false);
 }
 
 bool IpStack::send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
                                  util::ByteBuffer&& wire, const SendOptions& options) {
-    const std::span<const std::uint8_t> payload =
-        std::span<const std::uint8_t>(wire).subspan(
-            std::min(wire.size(), kIpv4HeaderSize));
+    // The caller computed the transport checksum, and egress() computes the
+    // header's: a datagram that leaves whole may carry the vouch.
+    return output(protocol, dst, std::move(wire), options, /*vouched=*/true);
+}
 
-    // Loopback and fragmentation both need the payload as a plain span, so
-    // they reuse the copying machinery; only the fits-the-MTU unicast case
-    // below earns the in-place rewrite, and that is the entire hot path.
-    if (down_ || is_local_address(dst)) {
-        const bool ok = send(protocol, dst, payload, options);
+bool IpStack::output(std::uint8_t protocol, util::Ipv4Address dst, util::ByteBuffer&& wire,
+                     const SendOptions& options, bool vouched) {
+    if (down_) {
         sim_.buffer_pool().recycle(std::move(wire));
-        return ok;
+        return false;
     }
-
     Ipv4Header header;
     header.protocol = protocol;
     header.tos = options.tos;
@@ -167,40 +139,70 @@ bool IpStack::send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
     header.dont_fragment = options.dont_fragment;
     header.src = options.source;
     header.dst = dst;
+    if (is_local_address(dst)) {
+        loopback(header, std::move(wire));
+        return true;
+    }
     const Route* route = lookup_route(dst);
     if (route == nullptr) {
-        counters_.inc(telemetry::Counter::IpDropNoRoute);
-        note(telemetry::PacketEvent::Drop, header, wire.size(),
-             telemetry::DropReason::NoRoute);
+        drop(telemetry::DropReason::NoRoute, header, wire.size());
         sim_.buffer_pool().recycle(std::move(wire));
         return false;
     }
-    auto& iface = interfaces_.at(route->ifindex);
+    const Interface& iface = interfaces_.at(route->ifindex);
     header.identification = next_identification_++;
     if (header.src.is_unspecified()) header.src = iface.address;
-
     counters_.inc(telemetry::Counter::IpTx);
     note(telemetry::PacketEvent::Tx, header, wire.size());
+    const util::Ipv4Address next_hop = route->next_hop.is_unspecified() ? dst : route->next_hop;
+    return egress(header, std::move(wire), iface, next_hop, vouched);
+}
+
+// Delivery without touching any interface, one event later. No
+// identification is taken: the datagram never meets a network.
+void IpStack::loopback(Ipv4Header header, util::ByteBuffer&& wire) {
+    if (header.src.is_unspecified()) header.src = header.dst;
+    counters_.inc(telemetry::Counter::IpTx);
+    note(telemetry::PacketEvent::Tx, header, wire.size());
+    sim_.schedule_after(sim::Time(0), [this, header, wire = std::move(wire)]() mutable {
+        deliver_local(header, std::span<const std::uint8_t>(wire).subspan(kIpv4HeaderSize), 0);
+        sim_.buffer_pool().recycle(std::move(wire));
+    });
+}
+
+bool IpStack::egress(const Ipv4Header& header, util::ByteBuffer&& wire, const Interface& iface,
+                     util::Ipv4Address next_hop, bool vouched) {
     if (!iface.netif->is_up()) {
-        counters_.inc(telemetry::Counter::IpDropIfaceDown);
-        note(telemetry::PacketEvent::Drop, header, wire.size(),
-             telemetry::DropReason::IfaceDown);
+        drop(telemetry::DropReason::IfaceDown, header, wire.size());
         sim_.buffer_pool().recycle(std::move(wire));
         return false;
     }
-    if (wire.size() > iface.netif->mtu()) {
-        // Must fragment: per-fragment encodes, then retire the big buffer.
-        const bool ok = header.dont_fragment ? false : transmit(header, payload, *route);
-        sim_.buffer_pool().recycle(std::move(wire));
-        return ok;
+    if (wire.size() <= iface.mtu) {
+        write_ipv4_header(wire, header, wire.size());
+        iface.netif->send(link::Packet{std::move(wire), vouched}, next_hop);
+        return true;
     }
-
-    write_ipv4_header(wire, header, wire.size());
-    const util::Ipv4Address next_hop =
-        route->next_hop.is_unspecified() ? dst : route->next_hop;
-    // Both checksums are known good here: the caller computed the transport
-    // fold and write_ipv4_header just computed the header's.
-    iface.netif->send(link::Packet{std::move(wire), /*csum_ok=*/true}, next_hop);
+    if (header.dont_fragment) {
+        drop(telemetry::DropReason::FragNeeded, header, wire.size());
+        sim_.buffer_pool().recycle(std::move(wire));
+        return false;
+    }
+    // Fragments carry the largest multiple of 8 payload bytes that fits
+    // (the MTU is at least 68, so that is at least 48). Each is encoded
+    // afresh; none carries the vouch.
+    const auto payload = std::span<const std::uint8_t>(wire).subspan(kIpv4HeaderSize);
+    const std::size_t chunk = ((iface.mtu - kIpv4HeaderSize) / 8) * 8;
+    const std::size_t base_offset = header.payload_offset_bytes();
+    for (std::size_t pos = 0; pos < payload.size(); pos += chunk) {
+        const std::size_t len = std::min(chunk, payload.size() - pos);
+        Ipv4Header frag = header;
+        frag.fragment_offset = static_cast<std::uint16_t>((base_offset + pos) / 8);
+        frag.more_fragments = header.more_fragments || (pos + len < payload.size());
+        auto out = encode_datagram(frag, payload.subspan(pos, len), sim_.buffer_pool());
+        counters_.inc(telemetry::Counter::IpFragsCreated);
+        iface.netif->send(link::Packet{std::move(out)}, next_hop);
+    }
+    sim_.buffer_pool().recycle(std::move(wire));
     return true;
 }
 
@@ -229,25 +231,18 @@ bool IpStack::send_broadcast(std::uint8_t protocol, std::size_t ifindex,
                              std::span<const std::uint8_t> payload,
                              const SendOptions& options) {
     if (down_ || ifindex >= interfaces_.size()) return false;
-    auto& iface = interfaces_[ifindex];
+    const Interface& iface = interfaces_[ifindex];
     Ipv4Header header;
     header.protocol = protocol;
     header.tos = options.tos;
     header.ttl = 1;
+    header.identification = next_identification_++;
     header.src = iface.address;
     header.dst = kBroadcastAddress;
-    if (!iface.netif->is_up()) {
-        counters_.inc(telemetry::Counter::IpDropIfaceDown);
-        note(telemetry::PacketEvent::Drop, header, kIpv4HeaderSize + payload.size(),
-             telemetry::DropReason::IfaceDown);
-        return false;
-    }
-    header.identification = next_identification_++;
+    util::ByteBuffer wire = behind_headroom(sim_.buffer_pool(), payload);
     counters_.inc(telemetry::Counter::IpTx);
-    note(telemetry::PacketEvent::Tx, header, kIpv4HeaderSize + payload.size());
-    auto wire = encode_datagram(header, payload, sim_.buffer_pool());
-    iface.netif->send(link::Packet{std::move(wire)}, util::Ipv4Address{});
-    return true;
+    note(telemetry::PacketEvent::Tx, header, wire.size());
+    return egress(header, std::move(wire), iface, util::Ipv4Address{}, /*vouched=*/false);
 }
 
 bool IpStack::ping(util::Ipv4Address dst, std::uint16_t id, std::uint16_t seq,
@@ -259,50 +254,6 @@ bool IpStack::ping(util::Ipv4Address dst, std::uint16_t id, std::uint16_t seq,
     const bool ok = send(kProtoIcmp, dst, wire, opts);
     sim_.buffer_pool().recycle(std::move(wire));
     return ok;
-}
-
-// Fragments (if permitted and necessary) and hands wire datagrams to the
-// egress interface. Host-side only in steady state: forwarded datagrams
-// that fit the egress MTU bypass this entirely (see forward()'s fast path).
-bool IpStack::transmit(const Ipv4Header& header, std::span<const std::uint8_t> payload,
-                       const Route& route) {
-    auto& iface = interfaces_.at(route.ifindex);
-    if (!iface.netif->is_up()) {
-        counters_.inc(telemetry::Counter::IpDropIfaceDown);
-        note(telemetry::PacketEvent::Drop, header, kIpv4HeaderSize + payload.size(),
-             telemetry::DropReason::IfaceDown);
-        return false;
-    }
-    const util::Ipv4Address next_hop =
-        route.next_hop.is_unspecified() ? header.dst : route.next_hop;
-    const std::size_t mtu = iface.netif->mtu();
-
-    if (kIpv4HeaderSize + payload.size() <= mtu) {
-        auto wire = encode_datagram(header, payload, sim_.buffer_pool());
-        iface.netif->send(link::Packet{std::move(wire)}, next_hop);
-        return true;
-    }
-
-    if (header.dont_fragment) {
-        // Cannot fragment: report back (only meaningful when forwarding;
-        // locally we just fail the send).
-        return false;
-    }
-
-    // Fragment: payload chunks of the largest multiple of 8 that fits.
-    const std::size_t chunk = ((mtu - kIpv4HeaderSize) / 8) * 8;
-    if (chunk == 0) return false;
-    const std::size_t base_offset = header.payload_offset_bytes();
-    for (std::size_t pos = 0; pos < payload.size(); pos += chunk) {
-        const std::size_t len = std::min(chunk, payload.size() - pos);
-        Ipv4Header frag = header;
-        frag.fragment_offset = static_cast<std::uint16_t>((base_offset + pos) / 8);
-        frag.more_fragments = header.more_fragments || (pos + len < payload.size());
-        auto wire = encode_datagram(frag, payload.subspan(pos, len), sim_.buffer_pool());
-        counters_.inc(telemetry::Counter::IpFragsCreated);
-        iface.netif->send(link::Packet{std::move(wire)}, next_hop);
-    }
-    return true;
 }
 
 void IpStack::receive(std::size_t ifindex, link::Packet packet) {
@@ -322,16 +273,12 @@ void IpStack::receive(std::size_t ifindex, link::Packet packet) {
         // Same drop event as every other discard; the header carries
         // whatever fields decoded before the failure (best effort, exactly
         // what a wire sniffer would report for a mangled datagram).
-        counters_.inc(telemetry::Counter::IpDropMalformed);
-        note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-             telemetry::DropReason::Malformed);
+        drop(telemetry::DropReason::Malformed, d.header, packet.size());
         recycle_wire(packet);
         return;
     }
     if (!checksum_ok) {
-        counters_.inc(telemetry::Counter::IpDropChecksum);
-        note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-             telemetry::DropReason::Checksum);
+        drop(telemetry::DropReason::Checksum, d.header, packet.size());
         recycle_wire(packet);
         return;
     }
@@ -351,9 +298,7 @@ void IpStack::receive(std::size_t ifindex, link::Packet packet) {
             rx_csum_ok_ = false;
         }
     } else if (!forwarding_) {
-        counters_.inc(telemetry::Counter::IpDropNotForUs);
-        note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-             telemetry::DropReason::NotForUs);
+        drop(telemetry::DropReason::NotForUs, d.header, packet.size());
     } else {
         forward(d, packet);
     }
@@ -387,17 +332,13 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
     const Ipv4Header& header = d.header;
     const std::span<const std::uint8_t> wire = packet.bytes;
     if (header.ttl <= 1) {
-        counters_.inc(telemetry::Counter::IpDropTtlExpired);
-        note(telemetry::PacketEvent::Drop, header, wire.size(),
-             telemetry::DropReason::TtlExpired);
+        drop(telemetry::DropReason::TtlExpired, header, wire.size());
         send_icmp_error(IcmpType::TimeExceeded, 0, wire);
         return;
     }
     const Route* route = lookup_route(header.dst);
     if (route == nullptr) {
-        counters_.inc(telemetry::Counter::IpDropNoRoute);
-        note(telemetry::PacketEvent::Drop, header, wire.size(),
-             telemetry::DropReason::NoRoute);
+        drop(telemetry::DropReason::NoRoute, header, wire.size());
         send_icmp_error(IcmpType::DestinationUnreachable, kUnreachNet, wire);
         return;
     }
@@ -405,6 +346,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
     const Interface& iface = interfaces_[route->ifindex];
     const std::size_t mtu = iface.mtu;
     if (header.dont_fragment && std::size_t{header.total_length} > mtu) {
+        drop(telemetry::DropReason::FragNeeded, header, wire.size());
         send_icmp_error(IcmpType::DestinationUnreachable, kUnreachFragNeeded, wire);
         return;
     }
@@ -417,9 +359,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
     if (d.header_length == kIpv4HeaderSize && wire.size() == header.total_length &&
         wire.size() <= mtu) {
         if (!iface.netif->is_up()) {
-            counters_.inc(telemetry::Counter::IpDropIfaceDown);
-            note(telemetry::PacketEvent::Drop, header, wire.size(),
-                 telemetry::DropReason::IfaceDown);
+            drop(telemetry::DropReason::IfaceDown, header, wire.size());
             return;
         }
         const std::size_t wire_bytes = wire.size();
@@ -439,16 +379,23 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
         return;
     }
 
+    // Every other shape (IP options, link padding, fragmentation ahead):
+    // the received buffer is trimmed to a 20-byte header slot and the
+    // payload, and leaves through egress() as a datagram this node sends
+    // does. Observers still see the size that arrived.
     Ipv4Header out = header;
     out.ttl = static_cast<std::uint8_t>(header.ttl - 1);
-
-    // Slow path (IP options, link padding, or fragmentation ahead): decode
-    // and re-serialize exactly as the seed did.
-    const auto payload = payload_of(wire, d);
-    if (transmit(out, payload, *route)) {
+    const std::size_t wire_bytes = wire.size();
+    util::ByteBuffer& bytes = packet.bytes;
+    bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(kIpv4HeaderSize),
+                bytes.begin() + static_cast<std::ptrdiff_t>(d.payload_offset));
+    bytes.resize(kIpv4HeaderSize + d.payload_length);
+    const util::Ipv4Address next_hop =
+        route->next_hop.is_unspecified() ? header.dst : route->next_hop;
+    if (egress(out, std::move(bytes), iface, next_hop, /*vouched=*/false)) {
         counters_.inc(telemetry::Counter::IpFwd);
-        note(telemetry::PacketEvent::Fwd, out, wire.size());
-        if (forward_tap_) forward_tap_(out, wire.size());
+        note(telemetry::PacketEvent::Fwd, out, wire_bytes);
+        if (forward_tap_) forward_tap_(out, wire_bytes);
     }
 }
 

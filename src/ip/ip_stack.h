@@ -133,30 +133,34 @@ public:
     void set_source_quench(bool on, sim::Time min_interval = sim::milliseconds(50));
 
     /// Sends a payload as one datagram (fragmenting as needed for the
-    /// egress MTU). Returns false when there is no route or the stack or
-    /// egress interface is down — exactly the cases where a real stack
+    /// egress MTU). Returns false when there is no route, the stack or
+    /// egress interface is down, or the datagram is too big for the egress
+    /// MTU and may not be fragmented — exactly the cases where a real stack
     /// fails synchronously; all other losses are silent, downstream, and
-    /// the sender's problem to recover from (end-to-end argument).
+    /// the sender's problem to recover from (end-to-end argument). Copies
+    /// the payload into a pooled buffer behind header headroom.
     bool send(std::uint8_t protocol, util::Ipv4Address dst,
               std::span<const std::uint8_t> payload, const SendOptions& options = {});
 
     /// Zero-copy transport hand-off: `wire` already holds kIpv4HeaderSize
-    /// bytes of headroom followed by the complete transport segment. The
-    /// IPv4 header is written in place over the headroom and the buffer
-    /// moves straight to the egress link — no re-serialization, no copy.
-    /// Falls back to the copying path when the datagram must fragment;
-    /// recycles the buffer to the simulator pool on every failure return,
-    /// so the caller never owns it afterwards. Failure conditions match
-    /// send(). The segment's transport checksum must already be computed:
-    /// the in-place path stamps link::Packet::csum_ok (DESIGN.md §12), so
-    /// receivers skip re-verifying both checksums.
+    /// bytes of headroom followed by the complete transport segment. It
+    /// takes send()'s path without the copy: the IPv4 header is written in
+    /// place over the headroom and the buffer moves straight to the egress
+    /// link. The buffer goes back to the simulator pool on every failure
+    /// return and after fragmenting, so the caller never owns it afterwards.
+    /// Failure conditions match send(). The segment's transport checksum
+    /// must already be computed: a datagram that leaves whole carries
+    /// link::Packet::csum_ok (DESIGN.md §12), so receivers skip
+    /// re-verifying both checksums.
     bool send_with_headroom(std::uint8_t protocol, util::Ipv4Address dst,
                             util::ByteBuffer&& wire, const SendOptions& options = {});
 
     /// Sends a payload as a link-local broadcast (dst 255.255.255.255)
     /// directly out one interface. Broadcasts are delivered to every node
     /// on that network and never forwarded — the routing protocols use
-    /// this to reach their neighbors.
+    /// this to reach their neighbors. Like a unicast send it counts in
+    /// ip.tx and takes an identification before it meets the interface,
+    /// so a broadcast on a dead interface is an ip.drop.iface_down.
     bool send_broadcast(std::uint8_t protocol, std::size_t ifindex,
                         std::span<const std::uint8_t> payload, const SendOptions& options = {});
 
@@ -260,27 +264,49 @@ private:
     void receive(std::size_t ifindex, link::Packet packet);
     void deliver_local(const Ipv4Header& header, std::span<const std::uint8_t> payload,
                        std::size_t ifindex);
-    /// Forwarding takes the owned packet: the non-fragmenting fast path
-    /// rewrites TTL/checksum in place and moves the buffer straight to the
-    /// egress interface. On every other path the packet is left with the
-    /// caller, which recycles it.
+    /// Forwarding takes the owned packet: the fast path (no options, no
+    /// link padding, fits the egress MTU) rewrites TTL/checksum in place
+    /// and moves the buffer straight to the egress interface; every other
+    /// shape that is not dropped trims the buffer and moves it into
+    /// egress(). A dropped packet is left with the caller, which recycles it.
     void forward(const DecodedDatagram& d, link::Packet& packet);
-    bool transmit(const Ipv4Header& header, std::span<const std::uint8_t> payload,
-                  const Route& route);
+
+    /// Every datagram this node originates to a unicast address: loopback,
+    /// route, identification, source address and ip.tx, then egress().
+    /// `wire` is kIpv4HeaderSize bytes of headroom and the payload.
+    bool output(std::uint8_t protocol, util::Ipv4Address dst, util::ByteBuffer&& wire,
+                const SendOptions& options, bool vouched);
+    void loopback(Ipv4Header header, util::ByteBuffer&& wire);
+
+    /// The one exit to a network for what this node sends, and for what it
+    /// forwards off the fast path. Checks the carrier; then a datagram that
+    /// fits the MTU gets its header written in place over the headroom and
+    /// carries the checksum vouch iff `vouched`, and one that does not is
+    /// fragmented, or dropped as frag_needed when DF forbids it. Consumes
+    /// `wire` either way; false iff the datagram was dropped.
+    bool egress(const Ipv4Header& header, util::ByteBuffer&& wire, const Interface& iface,
+                util::Ipv4Address next_hop, bool vouched);
     void handle_icmp(const Ipv4Header& header, std::span<const std::uint8_t> payload);
     void send_icmp_error(IcmpType type, std::uint8_t code,
                          std::span<const std::uint8_t> offending_wire);
 
     /// Cached longest-prefix match (nullptr = no route), counting the
-    /// cache hit or miss. Serves the lookups in send() and forward().
+    /// cache hit or miss. Serves the lookups in output() and forward().
     const Route* lookup_route(util::Ipv4Address dst);
+
+    /// Every IP discard: bumps the reason's ip.drop.* slot and writes the
+    /// drop record, so the recorder and the counters agree by construction.
+    void drop(telemetry::DropReason reason, const Ipv4Header& h, std::size_t wire_bytes) {
+        counters_.inc(telemetry::drop_counter(reason));
+        note(telemetry::PacketEvent::Drop, h, wire_bytes, reason);
+    }
 
     /// The flight recorder's one observation point. Every datagram event an
     /// ip.* counter counts is noted beside its increment: ip.tx, ip.rx
     /// (as an rx record, or a checksum or malformed drop), ip.fwd,
-    /// ip.deliver and each ip.drop.* reason but one. Reassembly timeouts
-    /// stay counted only: the Reassembler counts them lazily, with no
-    /// header at hand.
+    /// ip.deliver and, through drop(), each ip.drop.* reason but one.
+    /// Reassembly timeouts stay counted only: the Reassembler counts them
+    /// lazily, with no header at hand.
     void note(telemetry::PacketEvent event, const Ipv4Header& h, std::size_t wire_bytes,
               telemetry::DropReason reason = telemetry::DropReason::None) {
 #ifndef CATENET_NO_TELEMETRY

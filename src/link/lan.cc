@@ -144,9 +144,7 @@ void Lan::medium_idle() {
             continue;
         }
         medium_busy_ = true;
-        const sim::Time tx = sim::Time(static_cast<std::int64_t>(
-            static_cast<double>(frame->size()) * 8.0 /
-            static_cast<double>(params_.bits_per_second) * 1e9));
+        const sim::Time tx = serialization_time(frame->size(), params_.bits_per_second);
         // The frame rides inside the event slot itself: this + src + a
         // 32-byte Packet is a 48-byte capture, inside InlineCallback's
         // 64-byte budget. A forwarding station can re-enter medium_idle()

@@ -12,9 +12,21 @@
 #include <vector>
 
 #include "link/packet.h"
+#include "sim/time.h"
 #include "util/ip_address.h"
 
 namespace catenet::link {
+
+/// Time to clock `bytes` onto a wire running at `bits_per_second`: the one
+/// serialization rule of every point-to-point link and LAN. Exact 64-bit
+/// integer ceiling — a partial nanosecond still occupies the wire — so the
+/// delay is deterministic and precise at any rate. No overflow:
+/// bytes*8e9 <= 65537*8e9 < 2^63 for any IP datagram or LAN frame.
+inline sim::Time serialization_time(std::size_t bytes, std::uint64_t bits_per_second) {
+    const auto bits = static_cast<std::uint64_t>(bytes) * 8u;
+    const auto ns = (bits * 1'000'000'000ull + bits_per_second - 1) / bits_per_second;
+    return sim::Time(static_cast<std::int64_t>(ns));
+}
 
 /// Channel-model outcomes (loss, corruption) on a link or LAN segment.
 struct ChannelStats {

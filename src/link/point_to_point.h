@@ -51,16 +51,10 @@ struct LinkParams {
     /// or a transfer that silently never completes.
     void validate() const;
 
-    /// Time to clock `bytes` onto the wire at this rate. Exact 64-bit
-    /// integer ceiling — a partial nanosecond still occupies the wire — so
-    /// serialization delay is deterministic and precise at any rate (the
-    /// old double round-trip truncated and lost low bits above ~4 Gb/s).
-    /// No overflow: bytes*8e9 <= 65537*8e9 < 2^63 for any IP datagram.
+    /// Time to clock `bytes` onto the wire at this rate: the exact integer
+    /// ceiling of serialization_time (netif.h), which LANs share.
     sim::Time transmission_time(std::size_t bytes) const {
-        const auto bits = static_cast<std::uint64_t>(bytes) * 8u;
-        const auto ns =
-            (bits * 1'000'000'000ull + bits_per_second - 1) / bits_per_second;
-        return sim::Time(static_cast<std::int64_t>(ns));
+        return serialization_time(bytes, bits_per_second);
     }
 
     /// The least time between a send and its delivery: propagation plus

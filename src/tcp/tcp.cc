@@ -717,7 +717,6 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
             backoff_ = 0;
             rto_timer_.cancel();
             stack_.counters_.inc(telemetry::Counter::TcpConnsAccepted);
-            if (on_connected) on_connected();
         } else {
             TcpFlags rst;
             rst.rst = true;
@@ -728,9 +727,15 @@ void TcpSocket::on_segment(const TcpHeader& h, std::span<const std::uint8_t> pay
 
     handle_ack(h, !payload.empty());
     if (state_ == TcpState::Closed) return;
-    // Bytes queued before the handshake completed: handle_ack sends only
-    // what a moved ack or window releases.
-    if (opening) try_send();
+    if (opening) {
+        // After handle_ack: bytes the callback sends would otherwise be in
+        // flight when this ACK is judged, and count it as a duplicate.
+        if (on_connected) on_connected();
+        if (state_ == TcpState::Closed) return;  // the callback aborted
+        // Bytes queued before the handshake completed: handle_ack sends
+        // only what a moved ack or window releases.
+        try_send();
+    }
 
     if (!payload.empty()) {
         process_payload(h, payload);

@@ -78,6 +78,8 @@ enum class Counter : std::uint16_t {
     TcpGsoBuilds,
     TcpGsoSegs,
     TcpGroSegs,
+    // --- internet layer, appended -----------------------------------------
+    IpDropFragNeeded,  ///< DF datagram too big for the egress MTU
     kCount,
 };
 
@@ -132,6 +134,7 @@ constexpr const char* counter_name(Counter c) noexcept {
         case Counter::TcpGsoBuilds: return "tcp.gso_builds";
         case Counter::TcpGsoSegs: return "tcp.gso_segs";
         case Counter::TcpGroSegs: return "tcp.gro_segs";
+        case Counter::IpDropFragNeeded: return "ip.drop.frag_needed";
         case Counter::kCount: break;
     }
     return "?";
@@ -148,6 +151,7 @@ constexpr Counter drop_counter(DropReason r) noexcept {
         case DropReason::IfaceDown: return Counter::IpDropIfaceDown;
         case DropReason::NotForUs: return Counter::IpDropNotForUs;
         case DropReason::ReassemblyTimeout: return Counter::IpDropReassemblyTimeout;
+        case DropReason::FragNeeded: return Counter::IpDropFragNeeded;
         case DropReason::None:
         case DropReason::kCount: break;
     }

@@ -21,6 +21,7 @@ enum class DropReason : std::uint8_t {
     IfaceDown,
     NotForUs,
     ReassemblyTimeout,
+    FragNeeded,  ///< too big for the egress MTU, and DF forbids fragmenting
     kCount,
 };
 
@@ -38,6 +39,7 @@ constexpr const char* to_string(DropReason r) noexcept {
         case DropReason::IfaceDown: return "iface_down";
         case DropReason::NotForUs: return "not_for_us";
         case DropReason::ReassemblyTimeout: return "reassembly_timeout";
+        case DropReason::FragNeeded: return "frag_needed";
         case DropReason::kCount: break;
     }
     return "?";

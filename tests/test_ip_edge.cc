@@ -3,6 +3,9 @@
 // generation restraint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/internetwork.h"
 #include "ip/ip_stack.h"
 #include "ip/protocols.h"
@@ -114,6 +117,91 @@ TEST(IpOptions, HeaderWithOptionsIsDecoded) {
     EXPECT_EQ(d.header_length, 24u);
     EXPECT_EQ(d.payload_length, 4u);
     EXPECT_EQ(payload_of(w.data(), d)[0], 9);
+}
+
+// Forwarding's shapes off the in-place fast path: a datagram that carries
+// IP options, or link padding behind total_length, leaves the gateway as a
+// plain datagram (20-byte header, TTL - 1, exactly its payload); one with
+// options headed onto a narrower link is fragmented there and reassembles
+// intact.
+TEST(IpOptions, GatewayForwardsOptionsAndPaddingAsPlainDatagrams) {
+    constexpr std::uint8_t kProto = 253;  // RFC 3692 experimental
+    core::Internetwork net(134);
+    core::Host& a = net.add_host("a");
+    core::Gateway& g = net.add_gateway("g");
+    core::Host& b = net.add_host("b");
+    core::Host& c = net.add_host("c");
+    link::LinkParams narrow = link::presets::ethernet_hop();
+    narrow.mtu = 576;
+    net.connect(a, g, link::presets::ethernet_hop());  // a:0  g:0
+    net.connect(g, b, link::presets::ethernet_hop());  // g:1  b:0
+    net.connect(g, c, narrow);                         // g:2  c:0
+    net.use_static_routes();
+
+    std::vector<util::ByteBuffer> at_b;  // frames as they reach b
+    b.ip().interface(0).set_receiver(
+        [&at_b](link::Packet p) { at_b.push_back(std::move(p.bytes)); });
+    std::vector<util::ByteBuffer> at_c;  // payloads c reassembled
+    c.ip().register_protocol(kProto, [&at_c](const Ipv4Header&,
+                                             std::span<const std::uint8_t> payload,
+                                             std::size_t) {
+        at_c.emplace_back(payload.begin(), payload.end());
+    });
+
+    // A wire image with `options` bytes of NOP options after the fixed
+    // header and `padding` bytes after the payload that total_length leaves
+    // out, injected on a's link so that g is the first stack to see it.
+    auto inject = [&](Ipv4Address dst, std::size_t options, std::size_t padding,
+                      const util::ByteBuffer& payload) {
+        const std::size_t hlen = kIpv4HeaderSize + options;
+        util::ByteBuffer w(hlen + payload.size() + padding, 0xee);
+        w[0] = static_cast<std::uint8_t>(0x40 | (hlen / 4));
+        w[1] = 0;
+        util::store_be16(&w[2], static_cast<std::uint16_t>(hlen + payload.size()));
+        util::store_be16(&w[4], 0x1234);
+        util::store_be16(&w[6], 0);
+        w[8] = 9;  // ttl
+        w[9] = kProto;
+        util::store_be16(&w[10], 0);
+        util::store_be32(&w[12], a.address().value());
+        util::store_be32(&w[16], dst.value());
+        std::fill_n(w.begin() + kIpv4HeaderSize, options, 0x01);
+        util::store_be16(&w[10], util::internet_checksum({w.data(), hlen}));
+        std::copy(payload.begin(), payload.end(), w.begin() + static_cast<long>(hlen));
+        a.ip().interface(0).send(link::Packet{std::move(w)}, Ipv4Address{});
+    };
+    auto pattern = [](std::size_t n) {
+        util::ByteBuffer p(n);
+        for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(i * 7 + 3);
+        return p;
+    };
+
+    const util::ByteBuffer small = pattern(100);
+    inject(b.address(), /*options=*/4, /*padding=*/0, small);
+    inject(b.address(), /*options=*/0, /*padding=*/6, small);
+    net.run_for(sim::milliseconds(20));
+    ASSERT_EQ(at_b.size(), 2u);
+    for (const util::ByteBuffer& wire : at_b) {
+        DecodedDatagram d;
+        ASSERT_TRUE(decode_datagram(wire, d));
+        EXPECT_EQ(d.header_length, kIpv4HeaderSize);
+        EXPECT_EQ(wire.size(), kIpv4HeaderSize + small.size());
+        EXPECT_EQ(d.header.ttl, 8);
+        EXPECT_EQ(d.header.identification, 0x1234);
+        const auto payload = payload_of(wire, d);
+        EXPECT_EQ(util::ByteBuffer(payload.begin(), payload.end()), small);
+    }
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFwd), 2u);
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFragsCreated), 0u);
+
+    // 1000 bytes onto a 576-byte link: 552 + 448 bytes of payload.
+    const util::ByteBuffer big = pattern(1000);
+    inject(c.address(), /*options=*/4, /*padding=*/0, big);
+    net.run_for(sim::milliseconds(20));
+    ASSERT_EQ(at_c.size(), 1u);
+    EXPECT_EQ(at_c.front(), big);
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFragsCreated), 2u);
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFwd), 3u);
 }
 
 TEST(IcmpRestraint, NoErrorAboutAnError) {

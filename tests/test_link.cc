@@ -323,6 +323,22 @@ TEST_F(LanFixture, SharedMediumSerializesStations) {
               sim::microseconds(990).nanos());
 }
 
+TEST_F(LanFixture, FrameTakesTheLinksWholeNanosecondSerializationTime) {
+    // 155 bytes plus the 2-byte frame header are 1,256 bits: 125,600 ns at
+    // 10 Mb/s, then 5 us of propagation. A LAN clocks frames out with the
+    // same integer ceiling as LinkParams::transmission_time (a quotient in
+    // double, truncated, read 125,599 ns).
+    Lan lan(sim, rng, params);
+    auto& p0 = lan.add_port();
+    auto& p1 = lan.add_port();
+    lan.register_address(util::Ipv4Address(10, 0, 0, 2), 1);
+    sim::Time arrival;
+    p1.set_receiver([&](Packet) { arrival = sim.now(); });
+    p0.send(make_test_packet(155), util::Ipv4Address(10, 0, 0, 2));
+    sim.run();
+    EXPECT_EQ(arrival.nanos(), 130'600);
+}
+
 TEST_F(LanFixture, FrameReachingADownPortOrDeadMediumIsLostAndRecycled) {
     Lan lan(sim, rng, params);
     auto& p0 = lan.add_port();

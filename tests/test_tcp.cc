@@ -513,6 +513,30 @@ TEST_F(TcpPair, DataQueuedInSynReceivedIsSentOnceEstablished) {
     EXPECT_EQ(util::string_from_buffer(client_received), "greeting");
 }
 
+TEST_F(TcpPair, HandshakeAckIsNotADuplicateWhenTheServerWritesOnConnect) {
+    // A server that writes from on_connected puts bytes in flight. The ACK
+    // that completed the handshake (equal ack, same window, no payload) is
+    // judged before the callback runs, so it does not count as a duplicate,
+    // one step toward a spurious fast retransmit.
+    wire();
+    std::shared_ptr<TcpSocket> server;
+    b.tcp().listen(80, [&server](std::shared_ptr<TcpSocket> s) {
+        server = s;
+        TcpSocket* raw = s.get();  // a strong capture would cycle
+        s->on_connected = [raw] { raw->send(util::buffer_from_string("hello")); };
+    });
+    auto client = a.tcp().connect(b.address(), 80);
+    util::ByteBuffer client_received;
+    client->on_data = [&](std::span<const std::uint8_t> d) {
+        client_received.insert(client_received.end(), d.begin(), d.end());
+    };
+    net.run_for(sim::seconds(1));
+    EXPECT_EQ(util::string_from_buffer(client_received), "hello");
+    ASSERT_TRUE(server);
+    EXPECT_EQ(server->stats().duplicate_acks_received, 0u);
+    EXPECT_EQ(b.tcp().counters().get(telemetry::Counter::TcpDupAcks), 0u);
+}
+
 TEST_F(TcpPair, GracefulCloseRunsFullSequence) {
     wire();
     serve(80);

@@ -220,7 +220,8 @@ TEST(CounterExactness, LossyFourHopTransferMirrorsLegacyStats) {
                   c.get(Counter::IpFwd) + c.get(Counter::IpDeliver) +
                       c.get(Counter::IpDropChecksum) + c.get(Counter::IpDropMalformed) +
                       c.get(Counter::IpDropNotForUs) + c.get(Counter::IpDropTtlExpired) +
-                      c.get(Counter::IpDropNoRoute) + c.get(Counter::IpDropIfaceDown))
+                      c.get(Counter::IpDropNoRoute) + c.get(Counter::IpDropIfaceDown) +
+                      c.get(Counter::IpDropFragNeeded))
             << g->name();
     }
     // Cross-layer double entry at the hosts: the internet layer's tx count
@@ -334,7 +335,8 @@ LaneTally tally(const telemetry::RecorderLane& lane) {
 // that counts one: loopback, broadcasts, both send paths, forwarding
 // (fast and fragmenting), reassembly, and each drop reason but the
 // reassembly timeout (counted lazily, with no header at hand, so it has
-// no record) — across a lossy, bit-erroring hop.
+// no record), DF discards at a source and at a gateway among them —
+// across a lossy, bit-erroring hop.
 TEST(FlightRecorder, RecordsEveryDatagramEventTheIpCountersCount) {
     using telemetry::Counter;
     using telemetry::DropReason;
@@ -374,6 +376,7 @@ TEST(FlightRecorder, RecordsEveryDatagramEventTheIpCountersCount) {
 
     const std::vector<std::uint8_t> small(8, 0x5a);
     const std::vector<std::uint8_t> big(1000, 0xa5);  // fragments toward c
+    const std::vector<std::uint8_t> huge(1600, 0xc3);  // too big for a's link
     auto headroom = [&](util::Ipv4Address dst) {
         util::ByteBuffer wire(ip::kIpv4HeaderSize, 0);
         wire.insert(wire.end(), small.begin(), small.end());
@@ -403,6 +406,10 @@ TEST(FlightRecorder, RecordsEveryDatagramEventTheIpCountersCount) {
         g.ip().send(kProto, util::Ipv4Address(10, 99, 0, 1), small);  // not for b
         a.ip().interface(0).send(link::Packet{util::ByteBuffer(40, 0xff)},
                                  util::Ipv4Address{});           // malformed at g
+        ip::SendOptions df;
+        df.dont_fragment = true;
+        EXPECT_FALSE(a.ip().send(kProto, b.address(), huge, df));  // frag_needed at a
+        a.ip().send(kProto, c.address(), big, df);                 // frag_needed at g
         settle();
     }
     // Interfaces down: at the source (both send paths and a broadcast) and
@@ -439,11 +446,13 @@ TEST(FlightRecorder, RecordsEveryDatagramEventTheIpCountersCount) {
                                                t.of(DropReason::NoRoute) +
                                                t.of(DropReason::TtlExpired) +
                                                t.of(DropReason::IfaceDown) +
-                                               t.of(DropReason::NotForUs))
+                                               t.of(DropReason::NotForUs) +
+                                               t.of(DropReason::FragNeeded))
             << n.name();
         for (const DropReason r : {DropReason::Checksum, DropReason::Malformed,
                                    DropReason::NoRoute, DropReason::TtlExpired,
-                                   DropReason::IfaceDown, DropReason::NotForUs}) {
+                                   DropReason::IfaceDown, DropReason::NotForUs,
+                                   DropReason::FragNeeded}) {
             EXPECT_EQ(t.of(r), k.get(telemetry::drop_counter(r)))
                 << n.name() << " " << telemetry::to_string(r);
         }
@@ -459,6 +468,9 @@ TEST(FlightRecorder, RecordsEveryDatagramEventTheIpCountersCount) {
           Counter::IpFragsCreated, Counter::IpFwd, Counter::IpDeliver}) {
         EXPECT_GT(all.get(slot), 0u) << telemetry::counter_name(slot);
     }
+    // DF discards at the source and at the gateway.
+    EXPECT_GT(a.ip().counters().get(Counter::IpDropFragNeeded), 0u);
+    EXPECT_GT(g.ip().counters().get(Counter::IpDropFragNeeded), 0u);
     EXPECT_EQ(all.get(Counter::IpDropReassemblyTimeout), 0u);
 }
 

@@ -345,7 +345,9 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
 
     const Interface& iface = interfaces_[route->ifindex];
     const std::size_t mtu = iface.mtu;
-    if (header.dont_fragment && std::size_t{header.total_length} > mtu) {
+    // DF is tested against the size that leaves: a forwarded datagram
+    // carries a 20-byte header, its options stripped (below).
+    if (header.dont_fragment && kIpv4HeaderSize + d.payload_length > mtu) {
         drop(telemetry::DropReason::FragNeeded, header, wire.size());
         send_icmp_error(IcmpType::DestinationUnreachable, kUnreachFragNeeded, wire);
         return;

@@ -2,14 +2,15 @@
 // connected route plus a default) and gateways (populated statically or by
 // the routing protocols in src/routing/).
 //
-// Built for the forwarding hot path: routes are interned in a stable arena
-// so lookup() hands out a pointer (no Route copy, no string copy per
-// packet), and a generation counter — bumped on every mutation — lets
-// callers layer soft-state caches on top that can never serve a stale
-// route (see IpStack's destination cache, which absorbs nearly every
-// lookup a busy gateway makes; DESIGN.md §13).
+// Built for the forwarding hot path: lookup() hands out a pointer into the
+// table (no Route copy, no string copy per packet), and a generation
+// counter — bumped on every mutation that changes the table — lets callers
+// layer soft-state caches on top that can never serve a stale route (see
+// IpStack's destination cache, which absorbs nearly every lookup a busy
+// gateway makes; DESIGN.md §13). The pointer is good until the table's
+// next mutation, which is exactly as long as such a cache serves it.
 //
-// Storage is one flat pointer array kept sorted by (descending prefix
+// Storage is one flat array of routes kept sorted by (descending prefix
 // length, ascending prefix address): every operation — exact find,
 // install, remove, and each per-length probe of the longest-prefix match —
 // is a binary search, and a 33-bit occupancy mask skips empty lengths, so
@@ -20,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <span>
 #include <string_view>
@@ -88,13 +88,15 @@ struct Route {
     /// Routing-protocol metric (hop count for DV); 0 for connected/static.
     std::uint32_t metric = 0;
     RouteOrigin origin;
+
+    bool operator==(const Route&) const = default;
 };
 
-/// What lookup()/find() return: a nullable reference to an interned Route.
-/// Pointer-shaped (one word, no copy) but optional-flavored so call sites
-/// written against the seed's std::optional<Route> keep reading naturally.
-/// The pointee lives as long as the table and is updated in place when the
-/// same prefix is re-installed.
+/// What lookup()/find() return: a nullable reference to a Route in the
+/// table. Pointer-shaped (one word, no copy) but optional-flavored so call
+/// sites written against the seed's std::optional<Route> keep reading
+/// naturally. Valid until the table's next mutation (the next generation()
+/// bump): any install, remove or batch may move the array it points into.
 class RouteRef {
 public:
     constexpr RouteRef() noexcept = default;
@@ -112,18 +114,19 @@ private:
 
 class RoutingTable {
 public:
-    /// Installs or replaces the route for exactly this prefix. A replaced
-    /// route is updated in place: pointers previously returned for the
-    /// prefix stay valid and observe the new contents. Incremental: one
-    /// binary search plus one ordered insertion, never a re-sort.
+    /// Installs or replaces the route for exactly this prefix. Incremental:
+    /// one binary search plus one ordered insertion, never a re-sort.
+    /// Re-installing a route exactly as it stands changes nothing, so the
+    /// generation stays: a routing protocol repeating what it already
+    /// heard leaves every cache line over the table live.
     void install(const Route& route);
 
     /// Batch install: same replace-or-insert semantics as install() per
     /// entry (later duplicates in the batch win, matching sequential
-    /// installs), but new routes are appended and merged with ONE sort
-    /// pass. The topology generator's route-computation path — a hundred
-    /// thousand installs arrive as one batch per node. Bumps the
-    /// generation once for a non-empty batch.
+    /// installs), but new routes are appended, growing the array once, and
+    /// merged with ONE pass. The topology generator's route-computation
+    /// path — a hundred thousand installs arrive as one batch per node.
+    /// Bumps the generation once for a non-empty batch.
     void bulk_load(std::span<const Route> routes);
 
     /// Removes the route for exactly this prefix; returns whether found.
@@ -134,7 +137,7 @@ public:
 
     /// Longest-prefix match: probes each populated prefix length, longest
     /// first, with one binary search per length. The referenced Route is
-    /// interned: valid for the table's lifetime, never copied per lookup.
+    /// the table's own, never copied per lookup.
     RouteRef lookup(util::Ipv4Address dst) const;
 
     /// Exact-prefix fetch (for routing protocols comparing metrics).
@@ -152,24 +155,13 @@ public:
     std::uint64_t generation() const noexcept { return generation_; }
 
 private:
-    Route* acquire_node(const Route& route);
-    /// Iterator to the route with exactly this (length, address) key, or
-    /// ordered_.end() — one binary search.
-    std::vector<Route*>::iterator find_slot(const util::Ipv4Prefix& prefix);
-    std::vector<Route*>::const_iterator find_slot(const util::Ipv4Prefix& prefix) const;
     void note_added(int length) noexcept;
     void note_removed(int length) noexcept;
 
-    /// Interned storage: a deque never moves elements, and removed nodes
-    /// go to a free list rather than back to the allocator, so a Route*
-    /// stays dereferenceable for the table's lifetime no matter what is
-    /// installed or removed after it.
-    std::deque<Route> arena_;
-    std::vector<Route*> free_nodes_;
     /// Sorted by (descending prefix length, ascending prefix address):
     /// binary-searchable, and still longest-prefix-first for first-match
     /// iteration and the routes() snapshot.
-    std::vector<Route*> ordered_;
+    std::vector<Route> ordered_;
     /// Routes per prefix length, plus a 33-bit occupancy mask (bit = a
     /// length with at least one route) so lookup() probes only lengths
     /// that exist — typically 2–3 even in a population-scale FIB.

@@ -7,20 +7,37 @@
 
 namespace catenet::udp {
 
-util::ByteBuffer encode_udp(const UdpHeader& header, util::Ipv4Address src,
-                            util::Ipv4Address dst, std::span<const std::uint8_t> payload) {
+namespace {
+
+// Appends the segment [header | payload] to `out`, behind whatever `out`
+// already holds, and patches in the RFC 768 pseudo-header checksum. The
+// one encoder body: encode_udp starts from an empty buffer, send_to from
+// IP headroom.
+void append_udp(util::ByteBuffer& out, const UdpHeader& header, util::Ipv4Address src,
+                util::Ipv4Address dst, std::span<const std::uint8_t> payload) {
     const std::size_t total = kUdpHeaderSize + payload.size();
     if (total > 0xffff) throw std::length_error("UDP datagram too large");
-    util::BufferWriter w(total);
-    w.put_u16(header.src_port);
-    w.put_u16(header.dst_port);
-    w.put_u16(static_cast<std::uint16_t>(total));
-    w.put_u16(0);  // checksum placeholder
-    w.put_bytes(payload);
-    std::uint16_t checksum = util::transport_checksum(src, dst, ip::kProtoUdp, w.data());
+    const std::size_t at = out.size();
+    out.resize(at + kUdpHeaderSize);
+    out.insert(out.end(), payload.begin(), payload.end());
+    std::uint8_t* p = out.data() + at;
+    util::store_be16(p, header.src_port);
+    util::store_be16(p + 2, header.dst_port);
+    util::store_be16(p + 4, static_cast<std::uint16_t>(total));
+    util::store_be16(p + 6, 0);  // checksum placeholder
+    std::uint16_t checksum = util::transport_checksum(src, dst, ip::kProtoUdp, {p, total});
     if (checksum == 0) checksum = 0xffff;  // RFC 768: 0 means "no checksum"
-    w.patch_u16(6, checksum);
-    return w.take();
+    util::store_be16(p + 6, checksum);
+}
+
+}  // namespace
+
+util::ByteBuffer encode_udp(const UdpHeader& header, util::Ipv4Address src,
+                            util::Ipv4Address dst, std::span<const std::uint8_t> payload) {
+    util::ByteBuffer out;
+    out.reserve(kUdpHeaderSize + payload.size());
+    append_udp(out, header, src, dst, payload);
+    return out;
 }
 
 std::optional<UdpHeader> decode_udp(util::Ipv4Address src, util::Ipv4Address dst,
@@ -57,11 +74,19 @@ bool UdpSocket::send_to(util::Ipv4Address dst, std::uint16_t dst_port,
     UdpHeader h;
     h.src_port = port_;
     h.dst_port = dst_port;
-    const auto segment = encode_udp(h, src, dst, payload);
+    // One pooled buffer start to finish, as for a TCP segment: the segment
+    // is laid out behind kIpv4HeaderSize bytes of headroom, IP writes its
+    // header over them, and the link takes the buffer. The checksum just
+    // computed is what send_with_headroom's checksum vouch requires.
+    util::ByteBuffer wire = stack_->ip().simulator().buffer_pool().acquire(
+        ip::kIpv4HeaderSize + kUdpHeaderSize + payload.size());
+    wire.resize(ip::kIpv4HeaderSize);
+    append_udp(wire, h, src, dst, payload);
     ip::SendOptions opts;
     opts.tos = tos_;
     opts.source = src;
-    const bool ok = stack_->ip().send(ip::kProtoUdp, dst, segment, opts);
+    const bool ok =
+        stack_->ip().send_with_headroom(ip::kProtoUdp, dst, std::move(wire), opts);
     if (ok) {
         stack_->counters_.inc(telemetry::Counter::UdpTx);
     }

@@ -1,11 +1,12 @@
 // The zero-copy forwarding fast path: RFC 1624 incremental checksum
 // equivalence, byte-identity of the in-place TTL rewrite against full
 // re-serialization, allocation-freedom of the N-hop forward loop over
-// point-to-point links and across Ethernet LANs (broadcast included),
-// trains of back-to-back datagrams through one gateway (TTL expiry, malformed
-// frames and route changes inside a train, a carrier cut with packets in
-// flight), the soft-state destination cache's invalidation-by-generation
-// discipline, and LinkParams' serialization math and input validation.
+// point-to-point links and across Ethernet LANs (broadcast included) and of
+// a UDP send, trains of back-to-back datagrams through one gateway (TTL
+// expiry, malformed frames and route changes inside a train, a carrier cut
+// with packets in flight), the soft-state destination cache's
+// invalidation-by-generation discipline (a table reallocation included),
+// and LinkParams' serialization math and input validation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include "link/lan.h"
 #include "link/point_to_point.h"
 #include "link/presets.h"
+#include "udp/udp.h"
 #include "util/buffer_pool.h"
 #include "util/checksum.h"
 
@@ -364,6 +366,48 @@ TEST(FastPath, LanBroadcastIsAllocationFreeInSteadyState) {
     EXPECT_EQ(delta, 0u) << "heap allocations on the steady-state LAN broadcast path";
 }
 
+TEST(FastPath, UdpSendIsAllocationFreeInSteadyState) {
+    // a -- g -- b: a UDP datagram is laid out behind IP headroom in a buffer
+    // from the simulator's pool and handed to IP whole, so, once warm, a
+    // UDP send allocates no more than a forwarded datagram does.
+    core::Internetwork net(42);
+    core::Host& a = net.add_host("a");
+    core::Gateway& g = net.add_gateway("g");
+    core::Host& b = net.add_host("b");
+    net.connect(a, g, link::presets::ethernet_hop());
+    net.connect(g, b, link::presets::ethernet_hop());
+    net.use_static_routes();
+
+    constexpr std::uint16_t kPort = 5004;
+    const auto tx = a.udp().bind(kPort);
+    const auto rx = b.udp().bind(kPort);
+    std::uint64_t delivered = 0;
+    rx->set_handler([&delivered](util::Ipv4Address, std::uint16_t,
+                                 std::span<const std::uint8_t> data) {
+        if (data.size() == 160) ++delivered;
+    });
+    const std::vector<std::uint8_t> payload(160, 0x5a);
+    const auto dst = b.address();
+
+    constexpr std::uint64_t kWarmRounds = 200;
+    for (std::uint64_t i = 0; i < kWarmRounds; ++i) {
+        ASSERT_TRUE(tx->send_to(dst, kPort, payload));
+        net.sim().run();
+    }
+    ASSERT_EQ(delivered, kWarmRounds);
+
+    const std::uint64_t before = g_heap_allocs;
+    constexpr std::uint64_t kRounds = 1000;
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+        tx->send_to(dst, kPort, payload);
+        net.sim().run();
+    }
+    const std::uint64_t delta = g_heap_allocs - before;
+    EXPECT_EQ(delivered, kWarmRounds + kRounds);
+    EXPECT_EQ(delta, 0u) << "heap allocations on the steady-state UDP send path";
+    EXPECT_EQ(g.ip().stats().forwarded, kWarmRounds + kRounds);
+}
+
 // --- trains through one gateway -----------------------------------------
 
 constexpr std::uint8_t kTrainProto = 253;  // RFC 3692 experimental
@@ -521,15 +565,15 @@ TEST(BufferPool, RecyclesCapacityAndIgnoresMovedFromBuffers) {
     EXPECT_EQ(pool.pooled(), 4u);
 }
 
-// --- routing table interning & generations ------------------------------
+// --- routing table replacement & generations ---------------------------
 
-TEST(RoutingTable, LookupPointersAreStableAcrossMutation) {
+TEST(RoutingTable, ReinstallAfterChurnReplacesTheRoute) {
     ip::RoutingTable table;
     const auto p24 = util::Ipv4Prefix::parse("10.1.0.0/24");
+    const auto dst = util::Ipv4Address::parse("10.1.0.7");
     table.install({p24, util::Ipv4Address::parse("10.9.9.1"), 3, 5, "dv"});
-    const ip::Route* route = table.lookup(util::Ipv4Address::parse("10.1.0.7")).get();
-    ASSERT_NE(route, nullptr);
-    EXPECT_EQ(route->ifindex, 3u);
+    ASSERT_TRUE(table.lookup(dst).has_value());
+    EXPECT_EQ(table.lookup(dst)->ifindex, 3u);
 
     // Churn the table around it.
     for (int i = 0; i < 64; ++i) {
@@ -537,13 +581,18 @@ TEST(RoutingTable, LookupPointersAreStableAcrossMutation) {
                        util::Ipv4Address::parse("10.9.9.2"), 1, 1, "static"});
     }
     table.remove(util::Ipv4Prefix::parse("192.168.5.0/24"));
+    ASSERT_EQ(table.size(), 64u);
 
-    // Re-installing the same prefix updates the interned node in place:
-    // the old pointer observes the new contents.
-    table.install({p24, util::Ipv4Address::parse("10.9.9.3"), 7, 2, "dv"});
-    EXPECT_EQ(route, table.lookup(util::Ipv4Address::parse("10.1.0.7")).get());
-    EXPECT_EQ(route->ifindex, 7u);
-    EXPECT_EQ(route->next_hop, util::Ipv4Address::parse("10.9.9.3"));
+    // Re-installing the same prefix replaces its route: lookup and find
+    // return the new contents, the size holds, and the generation moves.
+    const auto generation = table.generation();
+    const ip::Route replacement{p24, util::Ipv4Address::parse("10.9.9.3"), 7, 2, "dv"};
+    table.install(replacement);
+    ASSERT_TRUE(table.lookup(dst).has_value());
+    EXPECT_EQ(*table.lookup(dst), replacement);
+    EXPECT_EQ(*table.find(p24), replacement);
+    EXPECT_EQ(table.size(), 64u);
+    EXPECT_GT(table.generation(), generation);
 }
 
 TEST(RoutingTable, GenerationBumpsOnEveryEffectiveMutation) {
@@ -558,6 +607,12 @@ TEST(RoutingTable, GenerationBumpsOnEveryEffectiveMutation) {
                    util::Ipv4Address::parse("10.0.0.2"), 0, 0, "static"});
     const auto g2 = table.generation();
     EXPECT_GT(g2, g1);  // replacement changes routing: must invalidate
+
+    // Re-installing the route exactly as it stands changes nothing, so
+    // every cache line over the table stays live.
+    table.install({util::Ipv4Prefix::parse("10.0.0.0/8"),
+                   util::Ipv4Address::parse("10.0.0.2"), 0, 0, "static"});
+    EXPECT_EQ(table.generation(), g2);
 
     table.remove_by_origin("dv");  // nothing matches: harmless no-op
     EXPECT_EQ(table.generation(), g2);
@@ -671,6 +726,35 @@ TEST_F(RouteCacheTopology, FlushRoutesLeavesNoCachedPath) {
     // a synchronous no-route failure.
     EXPECT_FALSE(a.ip().send(253, b.address(), payload));
     EXPECT_EQ(a.ip().stats().dropped_no_route, 1u);
+}
+
+// A cache line points into the table's route array, which an install may
+// move. The line is served only under the generation it was filled under,
+// so it is never read after the array moved. Were that guard broken, the
+// steered traffic below would keep to the old path, and ASan would report
+// a read of the freed array.
+class RouteCache : public RouteCacheTopology {};
+
+TEST_F(RouteCache, LineFilledBeforeATableReallocationIsNeverServed) {
+    send_n(3);  // fills a's cache line toward b
+    const bool warm_via_g1 = via_g1() == 3;
+    ASSERT_TRUE(warm_via_g1 || via_g2() == 3);
+
+    // 1,000 /24s under 172.16/12, none of them near a's or b's subnets:
+    // a table of a few routes reallocates its array to take them.
+    ip::RoutingTable& table = a.ip().routing_table();
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+        table.install({util::Ipv4Prefix(util::Ipv4Address(0xac100000u + (i << 8)), 24),
+                       next_hop_via(0), 0, 1, "static"});
+    }
+
+    const std::size_t other_if = warm_via_g1 ? 1u : 0u;
+    table.install({util::Ipv4Prefix(b.address(), 32), next_hop_via(other_if), other_if, 0,
+                   "dv"});
+    send_n(3);
+    EXPECT_EQ(warm_via_g1 ? via_g2() : via_g1(), 3u)
+        << "packets followed a line filled before the array moved";
+    EXPECT_EQ(delivered, 6u);
 }
 
 // --- exact serialization delay ------------------------------------------

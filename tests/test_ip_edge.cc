@@ -123,7 +123,8 @@ TEST(IpOptions, HeaderWithOptionsIsDecoded) {
 // IP options, or link padding behind total_length, leaves the gateway as a
 // plain datagram (20-byte header, TTL - 1, exactly its payload); one with
 // options headed onto a narrower link is fragmented there and reassembles
-// intact.
+// intact, unless it leaves small enough to fit, which is what DF is tested
+// against.
 TEST(IpOptions, GatewayForwardsOptionsAndPaddingAsPlainDatagrams) {
     constexpr std::uint8_t kProto = 253;  // RFC 3692 experimental
     core::Internetwork net(134);
@@ -150,16 +151,17 @@ TEST(IpOptions, GatewayForwardsOptionsAndPaddingAsPlainDatagrams) {
 
     // A wire image with `options` bytes of NOP options after the fixed
     // header and `padding` bytes after the payload that total_length leaves
-    // out, injected on a's link so that g is the first stack to see it.
+    // out, DF set if `df`, injected on a's link so that g is the first stack
+    // to see it.
     auto inject = [&](Ipv4Address dst, std::size_t options, std::size_t padding,
-                      const util::ByteBuffer& payload) {
+                      const util::ByteBuffer& payload, bool df = false) {
         const std::size_t hlen = kIpv4HeaderSize + options;
         util::ByteBuffer w(hlen + payload.size() + padding, 0xee);
         w[0] = static_cast<std::uint8_t>(0x40 | (hlen / 4));
         w[1] = 0;
         util::store_be16(&w[2], static_cast<std::uint16_t>(hlen + payload.size()));
         util::store_be16(&w[4], 0x1234);
-        util::store_be16(&w[6], 0);
+        util::store_be16(&w[6], df ? 0x4000 : 0);
         w[8] = 9;  // ttl
         w[9] = kProto;
         util::store_be16(&w[10], 0);
@@ -202,6 +204,17 @@ TEST(IpOptions, GatewayForwardsOptionsAndPaddingAsPlainDatagrams) {
     EXPECT_EQ(at_c.front(), big);
     EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFragsCreated), 2u);
     EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFwd), 3u);
+
+    // DF with 4 bytes of options and 556 of payload: 580 bytes arrive, but
+    // the 576 that leave fit the 576-byte link, so g forwards it whole.
+    const util::ByteBuffer fits = pattern(556);
+    inject(c.address(), /*options=*/4, /*padding=*/0, fits, /*df=*/true);
+    net.run_for(sim::milliseconds(20));
+    ASSERT_EQ(at_c.size(), 2u);
+    EXPECT_EQ(at_c.back(), fits);
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFwd), 4u);
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpDropFragNeeded), 0u);
+    EXPECT_EQ(g.ip().counters().get(telemetry::Counter::IpFragsCreated), 2u);
 }
 
 TEST(IcmpRestraint, NoErrorAboutAnError) {

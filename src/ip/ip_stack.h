@@ -226,17 +226,18 @@ public:
     /// accounting; stats() is a view over these slots.
     const telemetry::CounterBlock& counters() const noexcept { return counters_; }
 
-    /// Destination→route cache geometry (DESIGN.md §13): set-associative,
-    /// sized for a mesh-interior gateway carrying hundreds of concurrent
-    /// flows — the old 64-slot direct-mapped array thrashed under the
-    /// scale soak's 512 flows. Public so the eviction tests can construct
-    /// colliding destinations deterministically.
-    static constexpr std::size_t kRouteCacheSets = 128;
+    /// Route-cache geometry (DESIGN.md §13): set-associative, one line per
+    /// address block, so a gateway's working set is its active blocks, not
+    /// its active hosts; half as many sets still held every perfbench
+    /// workload's. Public so the eviction tests can construct colliding
+    /// blocks deterministically.
+    static constexpr std::size_t kRouteCacheSets = 32;
     static constexpr std::size_t kRouteCacheWays = 4;
-    /// The set a destination maps to: Fibonacci hash of the host-order
-    /// address, top bits, so dense address blocks (10.0.x.y) spread out.
-    static constexpr std::size_t route_cache_set(util::Ipv4Address dst) noexcept {
-        return (dst.value() * 2654435761u) >> 25;  // 32 - log2(128)
+    /// The set a block maps to: Fibonacci hash of its key (the destination
+    /// masked by RoutingTable::block_mask()), top bits, so dense address
+    /// blocks (10.0.x.0/24) spread out.
+    static constexpr std::size_t route_cache_set(util::Ipv4Address key) noexcept {
+        return (key.value() * 2654435761u) >> 27;  // 32 - log2(32)
     }
 
 private:
@@ -250,14 +251,33 @@ private:
         std::size_t mtu;
     };
 
-    // One line of the destination→route cache: pure soft state in the
-    // paper's sense. A line is live only while its generation matches the
-    // routing table's; any install/remove/flush bumps the table generation
-    // and thereby invalidates every line at once, so a stale route can
-    // never be served and wiping the cache is always behavior-free.
+    // A forwarding decision, copied out of the longest match when a cache
+    // line fills: the egress interface and the route's next hop. An
+    // unspecified next hop is a connected route's, so the datagram goes to
+    // its own destination (never to the line's block key). ifindex
+    // kNoRoute caches "no route".
+    static constexpr std::uint32_t kNoRoute = ~std::uint32_t{0};
+    struct RouteDecision {
+        std::uint32_t ifindex = kNoRoute;
+        util::Ipv4Address next_hop;
+
+        bool routed() const noexcept { return ifindex != kNoRoute; }
+        util::Ipv4Address next_hop_for(util::Ipv4Address dst) const noexcept {
+            return next_hop.is_unspecified() ? dst : next_hop;
+        }
+    };
+
+    // One line of the route cache: pure soft state in the paper's sense.
+    // It covers one block of destinations — those equal under the table's
+    // block_mask(), which share one longest match — and holds that match's
+    // decision by value, so a hit reads nothing of the table. A line is
+    // live only while its generation matches the routing table's; any
+    // install/remove/flush bumps the table generation and thereby
+    // invalidates every line at once, so a stale route can never be served
+    // and wiping the cache is always behavior-free.
     struct RouteCacheEntry {
-        util::Ipv4Address dst;
-        const Route* route = nullptr;
+        std::uint32_t key = 0;  ///< destination & block_mask() at the fill
+        RouteDecision decision;
         std::uint64_t generation = 0;  ///< table generations start at 1
     };
 
@@ -290,9 +310,9 @@ private:
     void send_icmp_error(IcmpType type, std::uint8_t code,
                          std::span<const std::uint8_t> offending_wire);
 
-    /// Cached longest-prefix match (nullptr = no route), counting the
-    /// cache hit or miss. Serves the lookups in output() and forward().
-    const Route* lookup_route(util::Ipv4Address dst);
+    /// Cached longest-prefix match, counting the cache hit or miss. Serves
+    /// the lookups in output() and forward().
+    RouteDecision lookup_route(util::Ipv4Address dst);
 
     /// Every IP discard: bumps the reason's ip.drop.* slot and writes the
     /// drop record, so the recorder and the counters agree by construction.
@@ -346,8 +366,8 @@ private:
     std::vector<std::uint32_t> local_addrs_;
     RoutingTable routes_;
     /// kRouteCacheSets × kRouteCacheWays, set-major: the set's ways are
-    /// contiguous (one or two cache lines), so a probe walks them without
-    /// a second index computation.
+    /// contiguous (96 bytes), so a probe walks them without a second index
+    /// computation.
     std::array<RouteCacheEntry, kRouteCacheSets * kRouteCacheWays> route_cache_{};
     /// Per-set round-robin victim cursor, used only when no way in the set
     /// is stale (a stale way — generation mismatch — is always the victim

@@ -3,12 +3,13 @@
 // the routing protocols in src/routing/).
 //
 // Built for the forwarding hot path: lookup() hands out a pointer into the
-// table (no Route copy, no string copy per packet), and a generation
-// counter — bumped on every mutation that changes the table — lets callers
-// layer soft-state caches on top that can never serve a stale route (see
-// IpStack's destination cache, which absorbs nearly every lookup a busy
-// gateway makes; DESIGN.md §13). The pointer is good until the table's
-// next mutation, which is exactly as long as such a cache serves it.
+// table (no Route copy, no string copy per packet), good until the table's
+// next mutation. A generation counter — bumped on every mutation that
+// changes the table — and block_mask() let callers layer soft-state caches
+// on top that can never serve a stale route: IpStack's route cache copies
+// each longest match's egress interface and next hop into a line keyed by
+// address block, and serves the line only under the generation it was
+// filled under, so it holds no pointer into the table (DESIGN.md §13).
 //
 // Storage is one flat array of routes kept sorted by (descending prefix
 // length, ascending prefix address): every operation — exact find,
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -153,6 +155,19 @@ public:
     /// registering invalidation hooks: a stale cache line is simply one
     /// whose generation no longer matches, and dropping it costs one LPM.
     std::uint64_t generation() const noexcept { return generation_; }
+
+    /// The netmask of the longest prefix length the table holds (0 for an
+    /// empty table or one holding only /0). No route is longer, so every
+    /// address in one block under this mask has the same longest match: a
+    /// cache keyed by `dst & block_mask()` is exact. It changes only with
+    /// generation().
+    std::uint32_t block_mask() const noexcept {
+        // bit_width(len_mask_) is the longest length + 1 (0 when empty):
+        // shifting a 64-bit all-ones left by 33 minus it leaves exactly
+        // that many low-32 bits set at the top, and none for /0 or empty.
+        return static_cast<std::uint32_t>(~std::uint64_t{0}
+                                          << (33 - std::bit_width(len_mask_)));
+    }
 
 private:
     void note_added(int length) noexcept;

@@ -27,10 +27,13 @@ util::ByteBuffer encode_udp(const UdpHeader& header, util::Ipv4Address src,
                             util::Ipv4Address dst, std::span<const std::uint8_t> payload);
 
 /// Decodes and checksum-verifies. Returns nullopt on bad checksum or
-/// malformed length.
+/// malformed length. `verify_checksum = false` skips the RFC 1071 pass, as
+/// for decode_tcp: for datagrams whose link::Packet::csum_ok flag vouches
+/// that the encoder-computed checksum is untouched.
 std::optional<UdpHeader> decode_udp(util::Ipv4Address src, util::Ipv4Address dst,
                                     std::span<const std::uint8_t> segment,
-                                    std::span<const std::uint8_t>& payload_out);
+                                    std::span<const std::uint8_t>& payload_out,
+                                    bool verify_checksum = true);
 
 struct UdpStats {
     std::uint64_t datagrams_sent = 0;

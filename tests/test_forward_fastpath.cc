@@ -728,11 +728,13 @@ TEST_F(RouteCacheTopology, FlushRoutesLeavesNoCachedPath) {
     EXPECT_EQ(a.ip().stats().dropped_no_route, 1u);
 }
 
-// A cache line points into the table's route array, which an install may
-// move. The line is served only under the generation it was filled under,
-// so it is never read after the array moved. Were that guard broken, the
-// steered traffic below would keep to the old path, and ASan would report
-// a read of the freed array.
+// A line filled before the table changes is never served after. Here a's
+// line toward b is filled, 1,000 unrelated /24s then reallocate the
+// table's route array, and a /32 steers b's traffic through the other
+// gateway. A line holds its forwarding decision by value, so the
+// reallocation leaves nothing dangling; what the test checks is that the
+// steered traffic follows the /32, not the decision the line copied under
+// the old generation.
 class RouteCache : public RouteCacheTopology {};
 
 TEST_F(RouteCache, LineFilledBeforeATableReallocationIsNeverServed) {

@@ -3,19 +3,26 @@
 // force longest-prefix match over routes() (install/remove/bulk_load/
 // remove_by_origin interleavings × random and boundary addresses), nested
 // prefixes and generation-bump visibility, set-associative route cache
-// eviction on the IpStack, StubLan injection with the gateway interface
-// down, and train-vs-single leaf injection parity.
+// eviction on the IpStack, the block-keyed route cache against lookup()
+// (a differential over sent and forwarded datagrams, and block-mates of
+// one stub LAN), StubLan injection with the gateway interface down, and
+// train-vs-single leaf injection parity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/internetwork.h"
 #include "core/topology_gen.h"
 #include "ip/ip_stack.h"
+#include "ip/ipv4_header.h"
 #include "ip/routing_table.h"
+#include "link/netif.h"
 #include "link/presets.h"
+#include "sim/simulator.h"
 #include "util/random.h"
 
 namespace catenet::ip {
@@ -186,12 +193,19 @@ TEST(RouteCache, SetAssociativeHoldsWaysAndEvictsRoundRobin) {
     IpStack& stack = h.ip();
 
     // Destinations that all land in one cache set (and would have fought
-    // over ONE slot in the old direct-mapped design).
+    // over ONE slot in the old direct-mapped design). Each comes from its
+    // own /24: a line covers a whole block under the table's longest
+    // prefix, so two hosts of one /24 would share a line, not collide.
     constexpr std::size_t kWays = IpStack::kRouteCacheWays;
+    const std::uint32_t block_mask = stack.routing_table().block_mask();
+    ASSERT_GE(block_mask, 0xffffff00u) << "the table's longest prefix is shorter than /24";
+    const auto set_of = [&](std::uint32_t a) {
+        return IpStack::route_cache_set(Ipv4Address(a & block_mask));
+    };
     std::vector<Ipv4Address> dsts;
-    const std::size_t set = IpStack::route_cache_set(Ipv4Address(0x14000001u));
-    for (std::uint32_t a = 0x14000001u; dsts.size() < kWays + 1; ++a) {
-        if (IpStack::route_cache_set(Ipv4Address(a)) == set) {
+    const std::size_t set = set_of(0x14000001u);
+    for (std::uint32_t a = 0x14000001u; dsts.size() < kWays + 1; a += 0x100u) {
+        if (set_of(a) == set) {
             dsts.emplace_back(a);
         }
     }
@@ -250,6 +264,149 @@ TEST(RouteCache, GenerationBumpInvalidatesEveryWay) {
     EXPECT_EQ(stack.counters().get(telemetry::Counter::IpRouteCacheMiss),
               m_before + 1);
 }
+
+// --- route cache by address block: every datagram leaves where lookup() says
+
+/// A point-to-point interface that records where each datagram leaves (the
+/// next hop the stack named) and can play a datagram into its stack's
+/// receive path, as an arriving link would.
+class RecordingNetIf : public link::NetIf {
+public:
+    explicit RecordingNetIf(std::string name) : name_(std::move(name)) {}
+    std::size_t mtu() const noexcept override { return 1500; }
+    const std::string& name() const noexcept override { return name_; }
+    void send(link::Packet, Ipv4Address next_hop) override {
+        ++sent;
+        last_next_hop = next_hop;
+    }
+    void arrive(link::Packet packet) { ASSERT_TRUE(deliver(std::move(packet))); }
+
+    std::uint64_t sent = 0;
+    Ipv4Address last_next_hop;
+
+private:
+    std::string name_;
+};
+
+class RouteCacheDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RouteCacheDifferential, EveryDatagramLeavesWhereLookupSays) {
+    util::Rng rng(GetParam());
+    sim::Simulator sim;
+    IpStack stack(sim, "s");
+    stack.set_forwarding(true);
+    constexpr std::size_t kIfaces = 4;
+    std::vector<std::unique_ptr<RecordingNetIf>> ifaces;
+    for (std::size_t i = 0; i < kIfaces; ++i) {
+        ifaces.push_back(std::make_unique<RecordingNetIf>("if" + std::to_string(i)));
+        const Ipv4Prefix subnet(Ipv4Address(0xC6336400u + (std::uint32_t(i) << 2)), 30);
+        stack.add_interface(*ifaces.back(), Ipv4Address(subnet.address().value() + 1), subnet);
+    }
+    RoutingTable& table = stack.routing_table();
+
+    const int lengths[] = {0, 1, 7, 8, 9, 15, 16, 17, 22, 23, 24, 25, 26, 29, 30, 31, 32};
+    const std::uint32_t blocks[] = {0x0A000000u, 0x0A0B0000u, 0xC0A80000u, 0xC6336400u,
+                                    0x00000000u, 0xFFFFFF00u};
+    const RouteOrigin origins[] = {RouteOrigin::Tag::Static, RouteOrigin::Tag::Dv,
+                                   RouteOrigin::Tag::Egp};
+    const auto random_address = [&] {
+        return static_cast<std::uint32_t>(
+            rng.uniform(0, std::numeric_limits<std::uint32_t>::max()));
+    };
+    // Next hops are a neighbor's address or unspecified (a connected-style
+    // route: the datagram goes to its own destination).
+    const auto random_route = [&] {
+        const int len = lengths[rng.uniform(0, std::size(lengths) - 1)];
+        const std::uint32_t base = blocks[rng.uniform(0, std::size(blocks) - 1)];
+        Route r = make_route((base ^ (random_address() >> rng.uniform(0, 31))) & mask_of(len),
+                             len, rng.uniform(0, kIfaces - 1), origins[rng.uniform(0, 2)]);
+        r.next_hop = rng.chance(0.3) ? Ipv4Address() : Ipv4Address(random_address());
+        return r;
+    };
+
+    const std::uint8_t payload[12] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+    std::uint64_t lookups = 0;
+    // One datagram to `dst`, sent by this node or forwarded from another
+    // (arriving on if0 from a local source, so a no-route ICMP error loops
+    // back instead of leaving): it leaves on the interface and toward the
+    // next hop lookup() names, or is dropped as no-route when it names none.
+    const auto probe = [&](std::uint32_t addr, bool forwarded) {
+        const Ipv4Address dst(addr);
+        // A broadcast or local destination is delivered, never routed.
+        if (stack.is_local_address(dst) || dst == kBroadcastAddress) return;
+        const RouteRef want = table.lookup(dst);
+        std::vector<std::uint64_t> sent_before;
+        for (const auto& i : ifaces) sent_before.push_back(i->sent);
+        const std::uint64_t no_route = stack.stats().dropped_no_route;
+        ++lookups;
+        if (forwarded) {
+            Ipv4Header h;
+            h.protocol = 253;
+            h.src = stack.interface_address(0);
+            h.dst = dst;
+            ifaces[0]->arrive(link::Packet{encode_datagram(h, payload)});
+        } else {
+            EXPECT_EQ(stack.send(253, dst, payload), want.has_value()) << dst;
+        }
+        for (std::size_t i = 0; i < kIfaces; ++i) {
+            const bool leaves_here = want.has_value() && want->ifindex == i;
+            ASSERT_EQ(ifaces[i]->sent - sent_before[i], leaves_here ? 1u : 0u)
+                << dst << (forwarded ? " forwarded" : " sent") << " on if" << i;
+        }
+        if (want.has_value()) {
+            const Ipv4Address hop = want->next_hop.is_unspecified() ? dst : want->next_hop;
+            ASSERT_EQ(ifaces[want->ifindex]->last_next_hop, hop) << dst;
+        } else {
+            ASSERT_EQ(stack.stats().dropped_no_route, no_route + 1) << dst;
+        }
+    };
+
+    for (int step = 0; step < 150; ++step) {
+        const std::uint64_t op = rng.uniform(0, 9);
+        if (op < 5) {
+            table.install(random_route());
+        } else if (op < 7 && table.size() > 0) {
+            const auto snapshot = table.routes();
+            table.remove(snapshot[rng.uniform(0, snapshot.size() - 1)].prefix);
+        } else if (op < 9) {
+            std::vector<Route> batch;
+            const auto n = rng.uniform(1, 20);
+            for (std::uint64_t i = 0; i < n; ++i) batch.push_back(random_route());
+            table.bulk_load(batch);
+        } else {
+            table.remove_by_origin(origins[rng.uniform(0, 2)].view());
+        }
+        // Each route's edges and the addresses just outside them, random
+        // addresses, and for each random one a block-mate: an address
+        // equal to it under block_mask(), which the cache serves from the
+        // same line. Every probe runs twice, so the second meets a warm
+        // line.
+        std::vector<std::uint32_t> addrs;
+        for (const Route& r : table.routes()) {
+            const std::uint32_t base = r.prefix.address().value();
+            const std::uint32_t span = ~mask_of(r.prefix.length());
+            addrs.insert(addrs.end(), {base, base + span, base - 1, base + span + 1});
+        }
+        const std::uint32_t block = table.block_mask();
+        for (int i = 0; i < 16; ++i) {
+            const std::uint32_t a = random_address();
+            addrs.push_back(a);
+            addrs.push_back((a & block) | (random_address() & ~block));
+        }
+        for (const std::uint32_t a : addrs) {
+            const bool forwarded = rng.chance(0.5);
+            probe(a, forwarded);
+            probe(a, !forwarded);
+        }
+    }
+    const auto& c = stack.counters();
+    EXPECT_EQ(c.get(telemetry::Counter::IpRouteCacheHit) +
+                  c.get(telemetry::Counter::IpRouteCacheMiss),
+              lookups);
+    EXPECT_GE(c.get(telemetry::Counter::IpRouteCacheHit), lookups / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteCacheDifferential, ::testing::Values(1u, 2u, 3u, 17u, 99u));
 
 // --- StubLan edges and train parity -------------------------------------
 
@@ -327,6 +484,78 @@ TEST(StubLan, TrainInjectionMatchesSingleInjectionExactly) {
     EXPECT_EQ(single, train);
     EXPECT_EQ(std::get<0>(train), kCount);
     EXPECT_EQ(std::get<1>(train), kCount);
+}
+
+// Two leaf hosts of one stub LAN are block-mates at every gateway: all
+// routes are /24s, so the lines the first host's datagram fills serve the
+// second's. A /32 for the second host then splits the block: it takes the
+// /32, and its block-mate keeps the /24 path.
+TEST(RouteCache, BlockMatesShareALineUntilAHostRouteSplitsThem) {
+    core::Internetwork net(41);
+    const auto topo = core::generate_two_tier(net, tiny_params(41));
+    core::TopologyStore& store = net.topology();
+    const auto lans = store.leaf_lans();
+
+    // A destination LAN homed away from the source LAN's gateway g.
+    const std::uint32_t s = 0;
+    std::uint32_t d = 1;
+    while (d < lans.size() && lans[d].gateway == lans[s].gateway) ++d;
+    ASSERT_LT(d, lans.size());
+    const core::NodeId src = store.leaf_host(topo.leaf_lans[s], 0);
+    const core::NodeId d0 = store.leaf_host(topo.leaf_lans[d], 0);
+    const core::NodeId d1 = store.leaf_host(topo.leaf_lans[d], 1);
+    IpStack& g = store.object(lans[s].gateway)->ip();
+    ASSERT_EQ(g.routing_table().block_mask(), 0xffffff00u) << "every route is a /24";
+
+    const auto total = [&](telemetry::Counter c) {
+        std::uint64_t n = 0;
+        for (const core::Gateway* gw : topo.gateways) n += gw->ip().counters().get(c);
+        return n;
+    };
+    const std::uint8_t payload[8] = {8, 7, 6, 5, 4, 3, 2, 1};
+    const auto send_to = [&](core::NodeId dst) {
+        ASSERT_TRUE(store.leaf_inject(src, store.address(dst), 253, payload));
+        net.run_for(sim::seconds(1));
+    };
+
+    send_to(d0);  // cold: one miss at each gateway on the path
+    const std::uint64_t misses = total(telemetry::Counter::IpRouteCacheMiss);
+    const std::uint64_t hits = total(telemetry::Counter::IpRouteCacheHit);
+    send_to(d1);
+    EXPECT_EQ(total(telemetry::Counter::IpRouteCacheMiss), misses)
+        << "a block-mate of a cached destination missed";
+    EXPECT_EQ(total(telemetry::Counter::IpRouteCacheHit) - hits, misses)
+        << "d1's datagram crossed the gateways d0's did";
+    EXPECT_EQ(store.leaf_delivered(d0), 1u);
+    EXPECT_EQ(store.leaf_delivered(d1), 1u);
+
+    // Steer d1 out another of g's trunks, one whose far gateway routes d's
+    // LAN on without coming back through g. Trunk subnets hold .1 and .2.
+    const Ipv4Address d1_addr = store.address(d1);
+    const std::size_t via24 = g.routing_table().lookup(d1_addr)->ifindex;
+    std::size_t via32 = g.interface_count();
+    Ipv4Address peer;
+    for (std::size_t i = 0; i < g.interface_count() && via32 == g.interface_count(); ++i) {
+        const std::uint32_t own = g.interface_address(i).value();
+        peer = Ipv4Address((own & 0xffu) == 1 ? own + 1 : own - 1);
+        for (const core::Gateway* gw : topo.gateways) {
+            if (i == via24 || !gw->ip().is_local_address(peer)) continue;
+            const RouteRef onward = gw->ip().routing_table().lookup(d1_addr);
+            if (onward && !g.is_local_address(onward->next_hop)) via32 = i;
+        }
+    }
+    ASSERT_LT(via32, g.interface_count()) << "no second way out of g toward d";
+    g.routing_table().install({Ipv4Prefix(d1_addr, 32), peer, via32, 0, "static"});
+
+    const std::uint64_t out24 = g.interface(via24).stats().packets_sent;
+    const std::uint64_t out32 = g.interface(via32).stats().packets_sent;
+    send_to(d1);
+    EXPECT_EQ(g.interface(via32).stats().packets_sent, out32 + 1) << "d1 took its /32";
+    send_to(d0);
+    EXPECT_EQ(g.interface(via24).stats().packets_sent, out24 + 1) << "d0 kept the /24";
+    EXPECT_EQ(g.interface(via32).stats().packets_sent, out32 + 1);
+    EXPECT_EQ(store.leaf_delivered(d0), 2u);
+    EXPECT_EQ(store.leaf_delivered(d1), 2u);
 }
 
 }  // namespace

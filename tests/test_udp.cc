@@ -51,6 +51,21 @@ TEST(UdpCodec, TruncatedRejected) {
     EXPECT_FALSE(decode_udp(src, dst, tiny, out).has_value());
 }
 
+TEST(UdpCodec, VouchedDecodeSkipsTheChecksumFold) {
+    // What a receiver does for a datagram the link vouched for (csum_ok):
+    // no fold, so even a wrong checksum field decodes.
+    const Ipv4Address src(10, 0, 0, 1), dst(10, 0, 0, 2);
+    auto wire = encode_udp(UdpHeader{7, 9}, src, dst, util::ByteBuffer{1, 2, 3});
+    wire[7] ^= 0x01;  // the checksum field's low byte
+    std::span<const std::uint8_t> out;
+    EXPECT_FALSE(decode_udp(src, dst, wire, out).has_value());
+    const auto h = decode_udp(src, dst, wire, out, /*verify_checksum=*/false);
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->src_port, 7);
+    EXPECT_EQ(h->dst_port, 9);
+    EXPECT_EQ(util::to_buffer(out), (util::ByteBuffer{1, 2, 3}));
+}
+
 struct UdpPair : ::testing::Test {
     core::Internetwork net{31};
     core::Host& a = net.add_host("a");
@@ -155,6 +170,36 @@ TEST_F(UdpPair, LossIsSilent) {
     EXPECT_GT(got, kSent / 4);
     EXPECT_LT(got, 3 * kSent / 4);
     EXPECT_EQ(a.udp().stats().datagrams_sent, static_cast<std::uint64_t>(kSent));
+}
+
+TEST_F(UdpPair, BitErrorsNeverReachTheHandler) {
+    // Whole datagrams leave vouched, and a link that flips a bit drops the
+    // vouch: so UDP skips the checksum fold only where it would pass, and
+    // damaged datagrams still die at UDP's checksum (or IP's).
+    link::LinkParams noisy = link::presets::ethernet_hop();
+    noisy.bit_error_rate = 1e-4;  // about one 500-byte datagram in three hit
+    wire(noisy);
+    std::vector<util::ByteBuffer> sent;
+    int got = 0;
+    int damaged = 0;
+    auto rx = b.udp().bind(1000);
+    rx->set_handler([&](auto, auto, std::span<const std::uint8_t> data) {
+        ++got;
+        const std::size_t seq = data.size() < 2 ? sent.size() : util::load_be16(data.data());
+        if (seq >= sent.size() || util::to_buffer(data) != sent[seq]) ++damaged;
+    });
+    auto tx = a.udp().bind_ephemeral();
+    for (std::uint16_t i = 0; i < 200; ++i) {
+        util::ByteBuffer payload(500, static_cast<std::uint8_t>(i * 13));
+        util::store_be16(payload.data(), i);
+        sent.push_back(payload);
+        ASSERT_TRUE(tx->send_to(b.address(), 1000, payload));
+        net.run_for(sim::milliseconds(10));
+    }
+    net.run_for(sim::seconds(1));
+    EXPECT_GT(got, 100);
+    EXPECT_EQ(damaged, 0) << "a damaged datagram reached the handler";
+    EXPECT_GT(b.udp().stats().dropped_bad_checksum + b.ip().stats().dropped_bad_checksum, 0u);
 }
 
 TEST_F(UdpPair, TosBitsCarriedInIpHeader) {

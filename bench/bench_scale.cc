@@ -12,13 +12,18 @@
 //     route-cache *miss* path, which the soak alone cannot see (the
 //     set-associative cache absorbs nearly every train lookup, by
 //     design),
+//   - the heap each build phase keeps (gateways, trunks, leaf LANs, routes:
+//     mallinfo2 snapshots between phases), per trunk and per installed
+//     route, and the process's peak RSS (getrusage),
 // and writes BENCH_scale.json. `--shards 1,2,4` builds and soaks the same
 // internet once per listed shard count: 1 is the sequential engine, N > 1
 // a ParallelSimulator of N shards with one thread each, partitioned by
 // plan_two_tier(params, N). Each soak records its windows and the CPU
 // steal /proc/stat showed while it ran (a shared VM's steal moves the
 // sharded rates most), and the JSON records the load average at the end. With --gate, exits nonzero unless the scale
-// budgets hold: build <= 5 s and <= 150 bytes/host, every injected
+// budgets hold: build <= 5 s and <= 150 bytes/host, trunk heap <= 4,096
+// bytes per trunk and route heap <= 28 bytes per installed route (the
+// three heap budgets are skipped without mallinfo2), every injected
 // datagram delivered, and every shard count's counter totals equal to the
 // first's (the TopologyStore signature hashes shard ids, so it differs by
 // design); --min-pps adds a floor on every soak's end-to-end rate (0
@@ -45,6 +50,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #if defined(__GLIBC__) || defined(__GLIBC_MINOR__)
 #include <malloc.h>
@@ -86,6 +93,13 @@ std::size_t heap_bytes() {
 #else
     return 0;  // no allocator introspection on this libc; gate is skipped
 #endif
+}
+
+/// The process's peak resident set so far, in MB (ru_maxrss is in KiB).
+double peak_rss_mb() {
+    struct rusage usage {};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -157,6 +171,16 @@ struct Run {
     double build_seconds = 0.0;
     double route_seconds = 0.0;
     double bytes_per_host = 0.0;
+    /// heap_bytes() before the build and after each of its phases.
+    std::size_t heap_start = 0;
+    std::size_t heap_gateways = 0;
+    std::size_t heap_trunks = 0;
+    std::size_t heap_leaf_lans = 0;
+    std::size_t heap_routes = 0;
+    std::size_t trunks = 0;
+    std::size_t installed_routes = 0;  ///< summed over the gateways' tables
+    double trunk_heap_per_trunk = 0.0;
+    double route_heap_per_route = 0.0;
     std::uint64_t lpm_lookups = 0;
     double lpm_seconds = 0.0;
     double lpm_lookups_per_second = 0.0;
@@ -192,6 +216,7 @@ Run build_and_soak(const Options& opt, const core::TwoTierParams& params,
     const auto t_build = std::chrono::steady_clock::now();
 
     // Phase 1: the transit mesh (plan + gateways + trunks).
+    run.heap_start = heap_bytes();
     const core::TwoTierPlan plan = core::plan_two_tier(params, shards);
     std::vector<core::Gateway*> gateways;
     gateways.reserve(params.gateways);
@@ -199,14 +224,16 @@ Run build_and_soak(const Options& opt, const core::TwoTierParams& params,
         gateways.push_back(
             &net.add_gateway("gw" + std::to_string(i), plan.gateway_shard[i]));
     }
+    run.heap_gateways = heap_bytes();
     for (const auto& [a, b] : plan.trunks) {
         net.connect(*gateways[a], *gateways[b], params.trunk);
     }
+    run.trunks = plan.trunks.size();
 
     // Phase 2: the leaf population, bracketed by heap snapshots. The
     // reservation happens *inside* the bracket: the node arrays' capacity
     // is per-host cost and must be charged to the hosts, not the mesh.
-    const std::size_t heap_before_hosts = heap_bytes();
+    run.heap_trunks = heap_bytes();
     net.topology().reserve_nodes(
         params.gateways + std::size_t{params.lans} * params.hosts_per_lan,
         std::size_t{params.lans} * params.hosts_per_lan);
@@ -217,13 +244,28 @@ Run build_and_soak(const Options& opt, const core::TwoTierParams& params,
                                              params.hosts_per_lan,
                                              "leaf" + std::to_string(l)));
     }
-    const std::size_t heap_after_hosts = heap_bytes();
+    run.heap_leaf_lans = heap_bytes();
 
     // Phase 3: oracle routes, one bulk load per gateway.
     const auto t_routes = std::chrono::steady_clock::now();
     net.use_static_routes();
     run.route_seconds = seconds_since(t_routes);
     run.build_seconds = seconds_since(t_build);
+    run.heap_routes = heap_bytes();
+    for (const core::Gateway* gw : gateways) {
+        run.installed_routes += gw->ip().routing_table().size();
+    }
+    // The two per-item costs --gate bounds: heap per trunk (its ports'
+    // queues reserve no slots) and per installed route (every gateway
+    // holds one Route per destination network).
+    const auto per = [](std::size_t after, std::size_t before, std::size_t n) {
+        return after > before && n > 0
+                   ? static_cast<double>(after - before) / static_cast<double>(n)
+                   : 0.0;
+    };
+    run.trunk_heap_per_trunk = per(run.heap_trunks, run.heap_gateways, run.trunks);
+    run.route_heap_per_route =
+        per(run.heap_routes, run.heap_leaf_lans, run.installed_routes);
 
     // Phase 3.5: raw LPM rate on one transit gateway's full table. One
     // probe per destination, destinations striped across every leaf LAN,
@@ -263,12 +305,8 @@ Run build_and_soak(const Options& opt, const core::TwoTierParams& params,
         std::fprintf(stderr, "bench_scale: every LPM probe missed\n");
     }
 
-    const std::size_t total_hosts = std::size_t{params.lans} * params.hosts_per_lan;
-    run.bytes_per_host =
-        heap_after_hosts > heap_before_hosts && total_hosts > 0
-            ? static_cast<double>(heap_after_hosts - heap_before_hosts) /
-                  static_cast<double>(total_hosts)
-            : 0.0;
+    run.bytes_per_host = per(run.heap_leaf_lans, run.heap_trunks,
+                             std::size_t{params.lans} * params.hosts_per_lan);
 
     // Phase 4: steady-state forwarding soak. Each wave injects one train
     // per LAN (host i of LAN l toward host i of the LAN half the ring
@@ -341,6 +379,8 @@ int main(int argc, char** argv) {
     std::vector<Run> runs;
     bool build_ok = true;
     bool memory_ok = true;
+    bool trunk_heap_ok = true;
+    bool route_heap_ok = true;
     bool pps_ok = true;
     bool delivered_ok = true;
     bool totals_ok = true;
@@ -349,8 +389,14 @@ int main(int argc, char** argv) {
         const Run& r = runs.back();
         const bool build_fits = r.build_seconds <= 5.0;
         const bool memory_fits = !CATENET_HAVE_MALLINFO2 || r.bytes_per_host <= 150.0;
+        const bool trunk_heap_fits =
+            !CATENET_HAVE_MALLINFO2 || r.trunk_heap_per_trunk <= 4096.0;
+        const bool route_heap_fits =
+            !CATENET_HAVE_MALLINFO2 || r.route_heap_per_route <= 28.0;
         build_ok = build_ok && build_fits;
         memory_ok = memory_ok && memory_fits;
+        trunk_heap_ok = trunk_heap_ok && trunk_heap_fits;
+        route_heap_ok = route_heap_ok && route_heap_fits;
         pps_ok = pps_ok && (opt.min_pps <= 0.0 || r.pkts_per_second >= opt.min_pps);
         delivered_ok = delivered_ok && r.delivered == r.injected;
         totals_ok = totals_ok && r.totals == runs.front().totals;
@@ -360,6 +406,19 @@ int main(int argc, char** argv) {
                     r.build_seconds, r.route_seconds, build_fits ? "ok" : "FAIL");
         std::printf("  marginal bytes/host: %.1f  [budget 150: %s]\n", r.bytes_per_host,
                     CATENET_HAVE_MALLINFO2 ? (memory_fits ? "ok" : "FAIL") : "skipped");
+        const auto mb = [](std::size_t after, std::size_t before) {
+            return after > before ? static_cast<double>(after - before) / 1e6 : 0.0;
+        };
+        std::printf("  heap by phase: gateways %.2f MB, trunks %.2f MB, leaf LANs %.2f MB, "
+                    "routes %.2f MB\n",
+                    mb(r.heap_gateways, r.heap_start), mb(r.heap_trunks, r.heap_gateways),
+                    mb(r.heap_leaf_lans, r.heap_trunks), mb(r.heap_routes, r.heap_leaf_lans));
+        std::printf("    %.1f B per trunk (%zu)  [budget 4096: %s], %.1f B per route (%zu)  "
+                    "[budget 28: %s]\n",
+                    r.trunk_heap_per_trunk, r.trunks,
+                    CATENET_HAVE_MALLINFO2 ? (trunk_heap_fits ? "ok" : "FAIL") : "skipped",
+                    r.route_heap_per_route, r.installed_routes,
+                    CATENET_HAVE_MALLINFO2 ? (route_heap_fits ? "ok" : "FAIL") : "skipped");
         std::printf("  LPM: %.2f M lookups/s (%llu probes over %zu dsts, %zu routes)\n",
                     r.lpm_lookups_per_second / 1e6,
                     static_cast<unsigned long long>(r.lpm_lookups), r.lpm_destinations,
@@ -382,6 +441,8 @@ int main(int argc, char** argv) {
     if (opt.min_pps > 0.0) {
         std::printf("floor %.0f pkts/s: %s\n", opt.min_pps, pps_ok ? "ok" : "FAIL");
     }
+    const double peak_rss = peak_rss_mb();
+    std::printf("peak RSS: %.1f MB\n", peak_rss);
 
     // The top-level fields are the first listed shard count's; "soaks"
     // holds every count's soak.
@@ -404,6 +465,16 @@ int main(int argc, char** argv) {
                  "  \"route_seconds\": %.6f,\n"
                  "  \"bytes_per_host\": %.2f,\n"
                  "  \"mallinfo2_available\": %s,\n"
+                 "  \"heap_start_bytes\": %zu,\n"
+                 "  \"heap_after_gateways_bytes\": %zu,\n"
+                 "  \"heap_after_trunks_bytes\": %zu,\n"
+                 "  \"heap_after_leaf_lans_bytes\": %zu,\n"
+                 "  \"heap_after_routes_bytes\": %zu,\n"
+                 "  \"trunks\": %zu,\n"
+                 "  \"installed_routes\": %zu,\n"
+                 "  \"trunk_heap_per_trunk\": %.1f,\n"
+                 "  \"route_heap_per_route\": %.2f,\n"
+                 "  \"peak_rss_MB\": %.1f,\n"
                  "  \"soak_rounds\": %u,\n"
                  "  \"train\": %u,\n"
                  "  \"packets_injected\": %llu,\n"
@@ -423,7 +494,11 @@ int main(int argc, char** argv) {
                  params.hosts_per_lan, total_nodes,
                  static_cast<unsigned long long>(opt.seed), first.build_seconds,
                  first.route_seconds, first.bytes_per_host,
-                 CATENET_HAVE_MALLINFO2 ? "true" : "false", opt.rounds, opt.train,
+                 CATENET_HAVE_MALLINFO2 ? "true" : "false", first.heap_start,
+                 first.heap_gateways, first.heap_trunks, first.heap_leaf_lans,
+                 first.heap_routes, first.trunks, first.installed_routes,
+                 first.trunk_heap_per_trunk, first.route_heap_per_route, peak_rss,
+                 opt.rounds, opt.train,
                  static_cast<unsigned long long>(first.injected),
                  static_cast<unsigned long long>(first.delivered),
                  static_cast<unsigned long long>(first.lpm_lookups), first.lpm_seconds,
@@ -437,11 +512,13 @@ int main(int argc, char** argv) {
                      "    {\"shards\": %u, \"build_seconds\": %.6f, "
                      "\"packets_delivered\": %llu, \"soak_seconds\": %.6f, "
                      "\"pkts_per_second\": %.0f, \"hops_per_second\": %.0f, "
-                     "\"windows\": %llu, \"cpu_steal_pct\": %.1f}%s\n",
+                     "\"windows\": %llu, \"cpu_steal_pct\": %.1f, "
+                     "\"trunk_heap_per_trunk\": %.1f, \"route_heap_per_route\": %.2f}%s\n",
                      r.shards, r.build_seconds,
                      static_cast<unsigned long long>(r.delivered), r.soak_seconds,
                      r.pkts_per_second, r.hops_per_second,
                      static_cast<unsigned long long>(r.windows), r.steal_pct,
+                     r.trunk_heap_per_trunk, r.route_heap_per_route,
                      i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f,
@@ -449,16 +526,20 @@ int main(int argc, char** argv) {
                  "  \"min_pps\": %.0f,\n"
                  "  \"gate_build_le_5s\": %s,\n"
                  "  \"gate_bytes_per_host_le_150\": %s,\n"
+                 "  \"gate_trunk_heap_per_trunk_le_4096\": %s,\n"
+                 "  \"gate_route_heap_per_route_le_28\": %s,\n"
                  "  \"gate_min_pps\": %s,\n"
                  "  \"gate_all_delivered\": %s,\n"
                  "  \"gate_counter_totals_equal\": %s\n"
                  "}\n",
                  opt.min_pps, build_ok ? "true" : "false", memory_ok ? "true" : "false",
+                 trunk_heap_ok ? "true" : "false", route_heap_ok ? "true" : "false",
                  pps_ok ? "true" : "false", delivered_ok ? "true" : "false",
                  totals_ok ? "true" : "false");
     std::fclose(f);
 
-    if (opt.gate && (!build_ok || !memory_ok || !pps_ok || !delivered_ok || !totals_ok)) {
+    if (opt.gate && (!build_ok || !memory_ok || !trunk_heap_ok || !route_heap_ok || !pps_ok ||
+                     !delivered_ok || !totals_ok)) {
         return 1;
     }
     return 0;

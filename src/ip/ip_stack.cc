@@ -111,8 +111,7 @@ IpStack::RouteDecision IpStack::lookup_route(util::Ipv4Address dst) {
     slot.key = key;
     slot.decision = RouteDecision{};
     if (const RouteRef route = routes_.lookup(dst)) {
-        slot.decision = RouteDecision{static_cast<std::uint32_t>(route->ifindex),
-                                      route->next_hop};
+        slot.decision = RouteDecision{route->ifindex, route->next_hop};
     }
     slot.generation = generation;
     return slot.decision;

@@ -81,18 +81,23 @@ private:
 
 std::ostream& operator<<(std::ostream& os, RouteOrigin origin);
 
+/// One table entry. A population-scale build holds millions (the soak's
+/// 1,024 gateway tables hold 2,096,128), so the layout stays at 24 bytes:
+/// ifindex is 32 bits wide, as in IpStack's route decision and
+/// TopologyStore, so no padding sits between the 32-bit fields.
 struct Route {
     util::Ipv4Prefix prefix;
     /// Unspecified means "directly connected": forward to the destination
     /// itself on the output interface.
     util::Ipv4Address next_hop;
-    std::size_t ifindex = 0;
+    std::uint32_t ifindex = 0;
     /// Routing-protocol metric (hop count for DV); 0 for connected/static.
     std::uint32_t metric = 0;
     RouteOrigin origin;
 
     bool operator==(const Route&) const = default;
 };
+static_assert(sizeof(Route) == 24);
 
 /// What lookup()/find() return: a nullable reference to a Route in the
 /// table. Pointer-shaped (one word, no copy) but optional-flavored so call

@@ -69,7 +69,7 @@ public:
 
     void set_up(bool up) override {
         NetIf::set_up(up);
-        if (!up) queue_->clear();
+        if (!up) queue_->flush(lan_.sim_.buffer_pool());
     }
 
     // Strips framing and hands the payload to the bound node; a port that
@@ -113,6 +113,10 @@ void Lan::register_address(util::Ipv4Address addr, std::size_t port_index) {
     neighbors_[addr] = port_index;
 }
 
+const PacketQueue& Lan::queue(std::size_t port_index) const {
+    return ports_.at(port_index)->queue();
+}
+
 std::uint64_t Lan::total_bytes_sent() const noexcept {
     std::uint64_t total = 0;
     for (const auto& port : ports_) total += port->stats().bytes_sent;
@@ -122,7 +126,7 @@ std::uint64_t Lan::total_bytes_sent() const noexcept {
 void Lan::set_up(bool up) {
     up_ = up;
     if (!up) {
-        for (auto& port : ports_) port->queue().clear();
+        for (auto& port : ports_) port->queue().flush(sim_.buffer_pool());
         backlog_.clear();
         medium_busy_ = false;
     }

@@ -24,6 +24,8 @@ struct LanParams {
     sim::Time propagation_delay = sim::microseconds(5);
     double drop_probability = 0.0;
     std::size_t mtu = 1500;
+    /// Each station's drop-tail admission limit. It reserves nothing: a
+    /// station's ring grows only as deep as its backlog has been.
     std::size_t queue_capacity_packets = 64;
 
     /// LinkParams::validate's rules for the fields a LAN shares with a
@@ -52,10 +54,16 @@ public:
     void register_address(util::Ipv4Address addr, std::size_t port_index);
 
     /// Whole-segment failure: everything queued or in flight is lost.
+    /// Each station's queue counts its packets as flushed and returns
+    /// their buffers to the simulator's pool.
     void set_up(bool up);
     bool is_up() const noexcept { return up_; }
 
     const ChannelStats& channel_stats() const noexcept { return channel_stats_; }
+
+    /// The egress queue of the station at `port_index` (throws
+    /// std::out_of_range for no such port).
+    const PacketQueue& queue(std::size_t port_index) const;
 
     /// Aggregate frame bytes handed to the medium by all stations.
     std::uint64_t total_bytes_sent() const noexcept;

@@ -171,11 +171,13 @@ public:
         }
     }
 
-    /// A dead transceiver loses its queued packets. Packets already on the
-    /// wire keep propagating and face the link's state at arrival.
+    /// A dead transceiver loses its queued packets: the queue counts them
+    /// as flushed and their buffers return to this port's pool. Packets
+    /// already on the wire keep propagating and face the link's state at
+    /// arrival.
     void set_up(bool up) override {
         NetIf::set_up(up);
-        if (!up) queue_->clear();
+        if (!up) queue_->flush(sim_.buffer_pool());
     }
 
     /// A packet the peer transmitted reaches this end, on this port's

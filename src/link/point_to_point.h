@@ -40,6 +40,8 @@ struct LinkParams {
     double drop_probability = 0.0;    ///< whole-packet channel loss
     double bit_error_rate = 0.0;      ///< per-bit corruption probability
     std::size_t mtu = 1500;
+    /// Each port's drop-tail admission limit. It reserves nothing: a port's
+    /// ring grows only as deep as its backlog has been (DropTailQueue).
     std::size_t queue_capacity_packets = 64;
 
     /// Throws std::invalid_argument naming the first field out of range:
@@ -87,10 +89,12 @@ public:
     NetIf& port_a() noexcept;
     NetIf& port_b() noexcept;
 
-    /// Takes the whole link up or down. Going down flushes queues and
-    /// loses every packet in flight — a cut cable. A cut link may change
-    /// state only between ParallelSimulator::run_until calls: both shards
-    /// read the flag while a window runs.
+    /// Takes the whole link up or down. Going down flushes both queues
+    /// (each packet counted in its queue's stats().flushed, its buffer
+    /// back in its port's pool) and loses every packet in flight — a cut
+    /// cable. A cut link may change state only between
+    /// ParallelSimulator::run_until calls: both shards read the flag while
+    /// a window runs.
     void set_up(bool up);
     bool is_up() const noexcept { return up_; }
 

@@ -1,18 +1,25 @@
 #include "link/queue.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace catenet::link {
 
-DropTailQueue::DropTailQueue(std::size_t capacity_packets) : slots_(capacity_packets) {
+DropTailQueue::DropTailQueue(std::size_t capacity_packets) : capacity_(capacity_packets) {
     if (capacity_packets == 0) throw std::invalid_argument("DropTailQueue: zero capacity");
 }
 
 bool DropTailQueue::enqueue(Packet&& packet) {
     if (count_ == slots_.size()) {
-        ++stats_.dropped;
-        stats_.bytes_dropped += packet.size();
-        return false;
+        if (count_ == capacity_) {
+            ++stats_.dropped;
+            stats_.bytes_dropped += packet.size();
+            return false;
+        }
+        // Before the packet moves: if the allocation throws, the caller
+        // still holds it intact, as the PacketQueue contract requires.
+        grow();
     }
     ++stats_.enqueued;
     stats_.bytes_enqueued += packet.size();
@@ -26,6 +33,17 @@ bool DropTailQueue::enqueue(Packet&& packet) {
     return true;
 }
 
+void DropTailQueue::grow() {
+    std::vector<Packet> ring(std::min(capacity_, std::max(kFirstSlots, 2 * slots_.size())));
+    // The ring is full, so the backlog is every slot: head_ to the end,
+    // then the front up to head_.
+    const auto head = slots_.begin() + static_cast<std::ptrdiff_t>(head_);
+    const auto rest = std::move(head, slots_.end(), ring.begin());
+    std::move(slots_.begin(), head, rest);
+    slots_ = std::move(ring);
+    head_ = 0;
+}
+
 std::optional<Packet> DropTailQueue::dequeue() {
     if (count_ == 0) return std::nullopt;
     Packet p = std::move(slots_[head_]);
@@ -36,45 +54,42 @@ std::optional<Packet> DropTailQueue::dequeue() {
     return p;
 }
 
-void DropTailQueue::clear() {
-    for (auto& slot : slots_) slot = Packet{};  // release buffers, keep slots
-    head_ = 0;
-    count_ = 0;
+void DropTailQueue::flush(util::BufferPool& pool) {
+    for (; count_ > 0; --count_) {
+        // The exchange empties the slot even when the pool is full.
+        pool.recycle(std::exchange(slots_[head_].bytes, {}));
+        if (++head_ == slots_.size()) head_ = 0;
+        ++stats_.flushed;
+    }
     bytes_ = 0;
 }
 
 PriorityQueue::PriorityQueue(std::size_t levels, std::size_t per_level_capacity,
                              Classifier level_of)
-    : levels_(levels), per_level_capacity_(per_level_capacity), level_of_(std::move(level_of)) {
+    : level_of_(std::move(level_of)) {
     if (levels == 0 || per_level_capacity == 0) {
         throw std::invalid_argument("PriorityQueue: zero levels or capacity");
     }
+    levels_.assign(levels, DropTailQueue(per_level_capacity));
 }
 
 bool PriorityQueue::enqueue(Packet&& packet) {
     auto level = static_cast<std::size_t>(level_of_(packet));
     if (level >= levels_.size()) level = levels_.size() - 1;
-    auto& q = levels_[level];
-    if (q.size() >= per_level_capacity_) {
+    const std::size_t size = packet.size();
+    if (!levels_[level].enqueue(std::move(packet))) {
         ++stats_.dropped;
-        stats_.bytes_dropped += packet.size();
+        stats_.bytes_dropped += size;
         return false;
     }
     ++stats_.enqueued;
-    stats_.bytes_enqueued += packet.size();
-    ++packets_;
-    bytes_ += packet.size();
-    q.push_back(std::move(packet));
+    stats_.bytes_enqueued += size;
     return true;
 }
 
 std::optional<Packet> PriorityQueue::dequeue() {
-    for (auto& q : levels_) {
-        if (!q.empty()) {
-            Packet p = std::move(q.front());
-            q.pop_front();
-            --packets_;
-            bytes_ -= p.size();
+    for (auto& level : levels_) {
+        if (auto p = level.dequeue()) {
             ++stats_.dequeued;
             return p;
         }
@@ -82,10 +97,21 @@ std::optional<Packet> PriorityQueue::dequeue() {
     return std::nullopt;
 }
 
-void PriorityQueue::clear() {
-    for (auto& q : levels_) q.clear();
-    packets_ = 0;
-    bytes_ = 0;
+std::size_t PriorityQueue::packets() const noexcept {
+    std::size_t n = 0;
+    for (const auto& level : levels_) n += level.packets();
+    return n;
+}
+
+std::size_t PriorityQueue::bytes() const noexcept {
+    std::size_t n = 0;
+    for (const auto& level : levels_) n += level.bytes();
+    return n;
+}
+
+void PriorityQueue::flush(util::BufferPool& pool) {
+    stats_.flushed += packets();
+    for (auto& level : levels_) level.flush(pool);
 }
 
 FairQueue::FairQueue(std::size_t per_flow_capacity, std::size_t quantum_bytes,
@@ -151,7 +177,11 @@ std::optional<Packet> FairQueue::dequeue() {
     return std::nullopt;
 }
 
-void FairQueue::clear() {
+void FairQueue::flush(util::BufferPool& pool) {
+    for (auto& entry : flows_) {
+        for (Packet& p : entry.second.q) pool.recycle(std::move(p.bytes));
+    }
+    stats_.flushed += packets_;
     flows_.clear();
     round_robin_.clear();
     packets_ = 0;

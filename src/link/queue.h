@@ -13,13 +13,15 @@
 #include <vector>
 
 #include "link/packet.h"
+#include "util/buffer_pool.h"
 
 namespace catenet::link {
 
 struct QueueStats {
     std::uint64_t enqueued = 0;
     std::uint64_t dequeued = 0;
-    std::uint64_t dropped = 0;
+    std::uint64_t dropped = 0;  ///< refused at admission
+    std::uint64_t flushed = 0;  ///< admitted, then discarded by flush()
     std::uint64_t bytes_enqueued = 0;
     std::uint64_t bytes_dropped = 0;
 };
@@ -37,7 +39,10 @@ public:
     virtual std::optional<Packet> dequeue() = 0;
     virtual std::size_t packets() const noexcept = 0;
     virtual std::size_t bytes() const noexcept = 0;
-    virtual void clear() = 0;
+    /// Discards every queued packet (its link went down): each counts in
+    /// stats().flushed and its buffer goes back to `pool`, the pool of the
+    /// simulator that owns the port.
+    virtual void flush(util::BufferPool& pool) = 0;
 
     bool empty() const noexcept { return packets() == 0; }
     const QueueStats& stats() const noexcept { return stats_; }
@@ -46,12 +51,15 @@ protected:
     QueueStats stats_;
 };
 
-/// FIFO with a packet-count cap; the classic 1988 gateway buffer.
-/// Implemented as a fixed ring over preallocated slots: the bounded
-/// capacity is the whole point of the discipline, so the hot
-/// enqueue/dequeue cycle never touches the allocator (a deque allocates
-/// and frees a block every few packets as the ring of use crosses block
-/// boundaries).
+/// FIFO with a packet-count cap; the classic 1988 gateway buffer. The
+/// capacity is an admission limit, not memory held in reserve: the ring
+/// starts with no slots, and when a packet finds it full below capacity
+/// it doubles (from kFirstSlots, capped at the capacity), moving the
+/// backlog to the front in FIFO order. It never shrinks, so once a port
+/// has reached a depth its enqueue/dequeue cycle never touches the
+/// allocator again (a deque allocates and frees a block every few packets
+/// as the ring of use crosses block boundaries), and a port that never
+/// queues holds no slot at all.
 class DropTailQueue final : public PacketQueue {
 public:
     explicit DropTailQueue(std::size_t capacity_packets);
@@ -60,10 +68,15 @@ public:
     std::optional<Packet> dequeue() override;
     std::size_t packets() const noexcept override { return count_; }
     std::size_t bytes() const noexcept override { return bytes_; }
-    void clear() override;
+    void flush(util::BufferPool& pool) override;
 
 private:
-    std::vector<Packet> slots_;  ///< fixed size = capacity, ring-indexed
+    static constexpr std::size_t kFirstSlots = 8;
+
+    void grow();
+
+    std::vector<Packet> slots_;  ///< the ring; grows toward capacity_, never shrinks
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::size_t bytes_ = 0;
@@ -73,24 +86,23 @@ private:
 /// Gateways install a classifier that parses the IP/transport headers.
 using Classifier = std::function<std::uint64_t(const Packet&)>;
 
-/// Strict priority with N levels (level 0 = highest), each drop-tail
-/// bounded. Models type-of-service / precedence handling (goal 2).
+/// Strict priority with N levels (level 0 = highest), each a
+/// DropTailQueue of per_level_capacity; a level past the last clamps to
+/// the last. Models type-of-service / precedence handling (goal 2).
+/// stats() aggregates the levels.
 class PriorityQueue final : public PacketQueue {
 public:
     PriorityQueue(std::size_t levels, std::size_t per_level_capacity, Classifier level_of);
 
     bool enqueue(Packet&& packet) override;
     std::optional<Packet> dequeue() override;
-    std::size_t packets() const noexcept override { return packets_; }
-    std::size_t bytes() const noexcept override { return bytes_; }
-    void clear() override;
+    std::size_t packets() const noexcept override;
+    std::size_t bytes() const noexcept override;
+    void flush(util::BufferPool& pool) override;
 
 private:
-    std::vector<std::deque<Packet>> levels_;
-    std::size_t per_level_capacity_;
+    std::vector<DropTailQueue> levels_;
     Classifier level_of_;
-    std::size_t packets_ = 0;
-    std::size_t bytes_ = 0;
 };
 
 /// Deficit-round-robin fair queue across dynamically discovered flows.
@@ -105,7 +117,7 @@ public:
     std::optional<Packet> dequeue() override;
     std::size_t packets() const noexcept override { return packets_; }
     std::size_t bytes() const noexcept override { return bytes_; }
-    void clear() override;
+    void flush(util::BufferPool& pool) override;
 
     /// Number of flows that currently hold queued packets (soft state size).
     std::size_t active_flows() const noexcept { return flows_.size(); }

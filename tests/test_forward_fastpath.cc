@@ -1,12 +1,14 @@
 // The zero-copy forwarding fast path: RFC 1624 incremental checksum
 // equivalence, byte-identity of the in-place TTL rewrite against full
 // re-serialization, allocation-freedom of the N-hop forward loop over
-// point-to-point links and across Ethernet LANs (broadcast included) and of
-// a UDP send, trains of back-to-back datagrams through one gateway (TTL
-// expiry, malformed frames and route changes inside a train, a carrier cut
-// with packets in flight), the soft-state destination cache's
-// invalidation-by-generation discipline (a table reallocation included),
-// and LinkParams' serialization math and input validation.
+// point-to-point links and across Ethernet LANs (broadcast included), of
+// a UDP send, of a grown egress ring and of a priority queue's cycle,
+// egress queues whose capacity reserves no slots, trains of back-to-back
+// datagrams through one gateway (TTL expiry, malformed frames and route
+// changes inside a train, a carrier cut with packets in flight), the
+// soft-state destination cache's invalidation-by-generation discipline (a
+// table reallocation included), and LinkParams' serialization math and
+// input validation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,25 +25,30 @@
 #include "link/lan.h"
 #include "link/point_to_point.h"
 #include "link/presets.h"
+#include "link/queue.h"
 #include "udp/udp.h"
 #include "util/buffer_pool.h"
 #include "util/checksum.h"
 
 // Global allocation counter (same per-binary harness as test_sim.cc):
-// counts every operator-new in this binary; tests measure deltas around
-// loops that must never touch the allocator.
+// counts every operator-new in this binary, and the bytes the throwing
+// forms asked for; tests measure deltas around loops that must never
+// touch the allocator.
 namespace {
 std::uint64_t g_heap_allocs = 0;
+std::uint64_t g_heap_bytes = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
     ++g_heap_allocs;
+    g_heap_bytes += size;
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
     ++g_heap_allocs;
+    g_heap_bytes += size;
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
@@ -408,6 +415,103 @@ TEST(FastPath, UdpSendIsAllocationFreeInSteadyState) {
     EXPECT_EQ(g.ip().stats().forwarded, kWarmRounds + kRounds);
 }
 
+// --- egress queues ---------------------------------------------------------
+
+TEST(FastPath, DropTailQueueCapacityReservesNoSlots) {
+    const std::uint64_t before = g_heap_allocs;
+    link::DropTailQueue q(1 << 20);
+    EXPECT_EQ(g_heap_allocs - before, 0u) << "a drop-tail queue allocated at construction";
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(FastPath, PointToPointLinkReservesNoQueueSlots) {
+    // A link whose ports may each queue 2^20 packets costs what one whose
+    // ports may queue a single packet does: the capacity is a limit.
+    sim::Simulator sim;
+    util::Rng rng(1);
+    const auto bytes_to_build = [&](std::size_t capacity) {
+        link::LinkParams params;
+        params.queue_capacity_packets = capacity;
+        const std::uint64_t before = g_heap_bytes;
+        const link::PointToPointLink link(sim, rng, params);
+        return g_heap_bytes - before;
+    };
+    const std::uint64_t one = bytes_to_build(1);
+    EXPECT_EQ(bytes_to_build(1 << 20), one);
+    EXPECT_LT(one, 4096u);
+}
+
+TEST(FastPath, GrownEgressRingIsAllocationFreeInSteadyState) {
+    // Bursts of 32 datagrams on a port whose queue may hold 256: the first
+    // burst grows the ring to 32 slots (8, 16, 32), and from then on a
+    // burst reuses them. Buffers come from and return to the simulator's
+    // pool, as a node's do.
+    sim::Simulator sim;
+    util::Rng rng(1);
+    link::LinkParams params;
+    params.bits_per_second = 10'000'000;  // 80 us per 100-byte datagram
+    params.queue_capacity_packets = 256;
+    link::PointToPointLink link(sim, rng, params);
+    std::uint64_t received = 0;
+    link.port_b().set_receiver([&](link::Packet&& p) {
+        ++received;
+        sim.buffer_pool().recycle(std::move(p.bytes));
+    });
+    const auto burst = [&] {
+        for (int i = 0; i < 32; ++i) {
+            util::ByteBuffer bytes = sim.buffer_pool().acquire(100);
+            bytes.resize(100, 0x5a);
+            link.port_a().send(link::Packet{std::move(bytes)}, {});
+        }
+        sim.run();
+    };
+    // Prime the engine's far-bucket arena past any high-water mark a burst
+    // can reach, as SteadyStateTrainsAreHeapSilent does below.
+    for (int i = 0; i < 256; ++i) sim.schedule_after(sim::milliseconds(100 + i), [] {});
+    sim.run();
+    for (int i = 0; i < 8; ++i) burst();
+
+    const std::uint64_t before = g_heap_allocs;
+    constexpr std::uint64_t kBursts = 256;
+    for (std::uint64_t i = 0; i < kBursts; ++i) burst();
+    EXPECT_EQ(g_heap_allocs - before, 0u) << "heap allocations on a grown port's bursts";
+    EXPECT_EQ(received, 32 * (8 + kBursts));
+    const link::QueueStats& q = link.queue_a().stats();
+    EXPECT_EQ(q.enqueued, 31 * (8 + kBursts)) << "all but each burst's first waited";
+    EXPECT_EQ(q.dropped, 0u);
+}
+
+TEST(FastPath, PriorityQueueCycleIsAllocationFreeInSteadyState) {
+    // Four levels of up to 64 packets under a steady flow that feeds every
+    // level in turn. Each level is a drop-tail ring, so once the levels
+    // have reached their depths an enqueue/dequeue cycle allocates nothing.
+    link::PriorityQueue q(4, 64, [](const link::Packet& p) { return std::uint64_t{p.bytes[0]}; });
+    std::vector<link::Packet> spare;
+    for (int i = 0; i < 32; ++i) spare.push_back(link::Packet{util::ByteBuffer(64, 0)});
+    std::uint64_t cycle = 0;
+    const auto run_cycles = [&](std::uint64_t n) {
+        for (std::uint64_t end = cycle + n; cycle < end; ++cycle) {
+            link::Packet p = std::move(spare.back());
+            spare.pop_back();
+            p.bytes[0] = static_cast<std::uint8_t>(cycle % 4);
+            ASSERT_TRUE(q.enqueue(std::move(p)));
+            if (spare.empty()) {
+                auto out = q.dequeue();
+                ASSERT_TRUE(out.has_value());
+                spare.push_back(std::move(*out));
+            }
+        }
+    };
+    run_cycles(1600);
+    const std::uint64_t before = g_heap_allocs;
+    run_cycles(1600);
+    EXPECT_EQ(g_heap_allocs - before, 0u) << "heap allocations on the priority queue's cycle";
+    EXPECT_EQ(q.packets(), 31u);
+    EXPECT_EQ(q.stats().enqueued, 3200u);
+    EXPECT_EQ(q.stats().dequeued, 3200u - 31u);
+    EXPECT_EQ(q.stats().dropped, 0u);
+}
+
 // --- trains through one gateway -----------------------------------------
 
 constexpr std::uint8_t kTrainProto = 253;  // RFC 3692 experimental
@@ -681,7 +785,7 @@ TEST_F(RouteCacheTopology, InstallInvalidatesWarmCache) {
     ASSERT_TRUE(warm_via_g1 || via_g2() == 5);
 
     // Steer b's address through the *other* gateway with a /32.
-    const std::size_t other_if = warm_via_g1 ? 1u : 0u;
+    const std::uint32_t other_if = warm_via_g1 ? 1u : 0u;
     a.ip().routing_table().install({util::Ipv4Prefix(b.address(), 32),
                                     next_hop_via(other_if), other_if, 0, "dv"});
     send_n(5);
@@ -693,7 +797,7 @@ TEST_F(RouteCacheTopology, InstallInvalidatesWarmCache) {
 TEST_F(RouteCacheTopology, RemoveRestoresTheCoarserRoute) {
     send_n(3);
     const bool warm_via_g1 = via_g1() == 3;
-    const std::size_t other_if = warm_via_g1 ? 1u : 0u;
+    const std::uint32_t other_if = warm_via_g1 ? 1u : 0u;
     a.ip().routing_table().install({util::Ipv4Prefix(b.address(), 32),
                                     next_hop_via(other_if), other_if, 0, "dv"});
     send_n(3);
@@ -707,7 +811,7 @@ TEST_F(RouteCacheTopology, RemoveRestoresTheCoarserRoute) {
 TEST_F(RouteCacheTopology, RemoveByOriginInvalidates) {
     send_n(2);
     const bool warm_via_g1 = via_g1() == 2;
-    const std::size_t other_if = warm_via_g1 ? 1u : 0u;
+    const std::uint32_t other_if = warm_via_g1 ? 1u : 0u;
     a.ip().routing_table().install({util::Ipv4Prefix(b.address(), 32),
                                     next_hop_via(other_if), other_if, 0, "dv"});
     send_n(2);
@@ -750,7 +854,7 @@ TEST_F(RouteCache, LineFilledBeforeATableReallocationIsNeverServed) {
                        next_hop_via(0), 0, 1, "static"});
     }
 
-    const std::size_t other_if = warm_via_g1 ? 1u : 0u;
+    const std::uint32_t other_if = warm_via_g1 ? 1u : 0u;
     table.install({util::Ipv4Prefix(b.address(), 32), next_hop_via(other_if), other_if, 0,
                    "dv"});
     send_n(3);

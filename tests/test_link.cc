@@ -2,6 +2,11 @@
 // model (rate, delay, loss, corruption), shared LAN.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
+#include <random>
+#include <utility>
+
 #include "link/lan.h"
 #include "link/point_to_point.h"
 #include "link/presets.h"
@@ -44,7 +49,8 @@ TEST(DropTailQueue, TracksBytes) {
     EXPECT_EQ(q.bytes(), 150u);
     q.dequeue();
     EXPECT_EQ(q.bytes(), 50u);
-    q.clear();
+    util::BufferPool pool;
+    q.flush(pool);
     EXPECT_EQ(q.bytes(), 0u);
     EXPECT_TRUE(q.empty());
 }
@@ -53,10 +59,88 @@ TEST(DropTailQueue, ZeroCapacityRejected) {
     EXPECT_THROW(DropTailQueue q(0), std::invalid_argument);
 }
 
-// Every preallocated DropTailQueue slot holds one Packet, so its size is
-// paid once per slot of every port: the soak's trunk ports alone hold
-// 785,920 slots.
+// Every DropTailQueue slot a port has grown, and every delivery in flight,
+// holds one Packet.
 static_assert(sizeof(Packet) <= 32);
+
+// DropTailQueue against a std::deque reference under random enqueues
+// (random sizes), dequeues and flushes. The capacities straddle the
+// ring's first size (8) and its doublings, and the mix swings between
+// filling and draining, so the ring grows while its backlog wraps.
+class DropTailDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DropTailDifferential, MatchesADequeReference) {
+    const std::size_t capacity = GetParam();
+    DropTailQueue q(capacity);
+    std::deque<std::pair<std::uint32_t, std::size_t>> ref;  // (id, size)
+    QueueStats want;
+    std::size_t want_bytes = 0;
+    std::uint32_t next_id = 0;
+    std::mt19937_64 rng(0xd7a11 + capacity);
+    const auto expect_state = [&](int step) {
+        ASSERT_EQ(q.packets(), ref.size()) << "step " << step;
+        ASSERT_EQ(q.bytes(), want_bytes) << "step " << step;
+        const QueueStats& got = q.stats();
+        ASSERT_EQ(got.enqueued, want.enqueued) << "step " << step;
+        ASSERT_EQ(got.dequeued, want.dequeued) << "step " << step;
+        ASSERT_EQ(got.dropped, want.dropped) << "step " << step;
+        ASSERT_EQ(got.flushed, want.flushed) << "step " << step;
+        ASSERT_EQ(got.bytes_enqueued, want.bytes_enqueued) << "step " << step;
+        ASSERT_EQ(got.bytes_dropped, want.bytes_dropped) << "step " << step;
+    };
+    double fill_bias = 0.0;  // the share of enqueues, redrawn every 500 steps
+    for (int step = 0; step < 20'000; ++step) {
+        if (step % 500 == 0) fill_bias = (rng() % 2 == 0) ? 0.75 : 0.3;
+        const double roll = static_cast<double>(rng() % 10'000) / 10'000.0;
+        if (roll < 0.0005) {
+            util::BufferPool pool(capacity);
+            q.flush(pool);
+            want.flushed += ref.size();
+            ASSERT_EQ(pool.stats().recycles, ref.size()) << "step " << step;
+            ref.clear();
+            want_bytes = 0;
+        } else if (roll < fill_bias) {
+            const std::size_t size = 4 + rng() % 600;
+            Packet p = make_test_packet(size);
+            std::memcpy(p.bytes.data(), &next_id, sizeof next_id);
+            const bool admitted = ref.size() < capacity;
+            ASSERT_EQ(q.enqueue(std::move(p)), admitted) << "step " << step;
+            if (admitted) {
+                ref.emplace_back(next_id, size);
+                ++want.enqueued;
+                want.bytes_enqueued += size;
+                want_bytes += size;
+            } else {
+                // A refused packet stays whole in the caller's hands.
+                ASSERT_EQ(p.size(), size) << "step " << step;
+                ++want.dropped;
+                want.bytes_dropped += size;
+            }
+            ++next_id;
+        } else {
+            auto got = q.dequeue();
+            if (ref.empty()) {
+                ASSERT_FALSE(got.has_value()) << "step " << step;
+            } else {
+                ASSERT_TRUE(got.has_value()) << "step " << step;
+                std::uint32_t id = 0;
+                std::memcpy(&id, got->bytes.data(), sizeof id);
+                ASSERT_EQ(id, ref.front().first) << "step " << step;
+                ASSERT_EQ(got->size(), ref.front().second) << "step " << step;
+                want_bytes -= ref.front().second;
+                ref.pop_front();
+                ++want.dequeued;
+            }
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_state(step));
+    }
+    // The ring filled to its capacity, and flushes found a backlog.
+    EXPECT_GT(want.dropped, 0u);
+    EXPECT_GT(want.flushed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, DropTailDifferential,
+                         ::testing::Values(1, 7, 8, 9, 64, 300));
 
 // --- PriorityQueue ------------------------------------------------------
 
@@ -235,6 +319,37 @@ TEST_F(P2pFixture, DownLinkLosesInFlightAndBlocksSends) {
     EXPECT_EQ(received, 1);
 }
 
+TEST_F(P2pFixture, DownLinkFlushesItsQueueIntoThePool) {
+    // Ten 500-byte datagrams meet a 1 Mb/s wire (4 ms each) and a 6-packet
+    // queue: one goes out, six wait, three are refused. Then the link
+    // fails. Every datagram handed to send() is accounted for exactly
+    // once, and every flushed buffer returns to the simulator's pool.
+    LinkParams params;
+    params.bits_per_second = 1'000'000;
+    params.queue_capacity_packets = 6;
+    PointToPointLink link(sim, rng, params);
+    link.port_b().set_receiver([](Packet) {});
+    constexpr std::uint64_t kSent = 10;
+    for (std::uint64_t i = 0; i < kSent; ++i) link.port_a().send(make_test_packet(500), {});
+    const QueueStats& q = link.queue_a().stats();
+    EXPECT_EQ(q.dropped, 3u);
+    EXPECT_EQ(link.queue_a().packets(), 6u);
+
+    const std::uint64_t recycled = sim.buffer_pool().stats().recycles;
+    link.set_up(false);
+    EXPECT_EQ(q.flushed, 6u);
+    EXPECT_EQ(sim.buffer_pool().stats().recycles - recycled, q.flushed);
+    sim.run();
+    link.port_a().send(make_test_packet(500), {});  // refused: the link is down
+
+    const NetIfStats& port = link.port_a().stats();
+    EXPECT_EQ(port.send_failures, 1u);
+    EXPECT_EQ(kSent + 1, port.send_failures + q.dropped + q.flushed + port.packets_sent +
+                             link.queue_a().packets());
+    EXPECT_EQ(q.dropped, 3u) << "a flush is not an admission drop";
+    EXPECT_EQ(link.stats_a_to_b().packets_lost, 1u);  // the one on the wire
+}
+
 TEST_F(P2pFixture, JitterVariesDelay) {
     LinkParams params = presets::ethernet_hop();
     params.propagation_delay = sim::milliseconds(1);
@@ -360,6 +475,41 @@ TEST_F(LanFixture, FrameReachingADownPortOrDeadMediumIsLostAndRecycled) {
     EXPECT_EQ(lan.channel_stats().packets_lost, 2u);
     EXPECT_EQ(sim.buffer_pool().stats().recycles, 2u);
     EXPECT_EQ(got, 0);
+}
+
+TEST_F(LanFixture, DownPortOrMediumFlushesQueuesIntoThePool) {
+    // A LAN port counts packets_sent as it queues a frame, so its queue
+    // carries the ledger: enqueued = dequeued + flushed + still queued.
+    Lan lan(sim, rng, params);
+    auto& p0 = lan.add_port();
+    auto& p1 = lan.add_port();
+    lan.register_address(util::Ipv4Address(10, 0, 0, 1), 0);
+    lan.register_address(util::Ipv4Address(10, 0, 0, 2), 1);
+    p0.set_receiver([](Packet) {});
+    p1.set_receiver([](Packet) {});
+    const auto ledger_holds = [&](std::size_t port) {
+        const QueueStats& q = lan.queue(port).stats();
+        return q.enqueued == q.dequeued + q.flushed + lan.queue(port).packets();
+    };
+
+    // One station fails: the medium took its first frame, nine wait.
+    for (int i = 0; i < 10; ++i) p0.send(make_test_packet(500), util::Ipv4Address(10, 0, 0, 2));
+    std::uint64_t recycled = sim.buffer_pool().stats().recycles;
+    p0.set_up(false);
+    EXPECT_EQ(lan.queue(0).stats().flushed, 9u);
+    EXPECT_EQ(sim.buffer_pool().stats().recycles - recycled, 9u);
+    EXPECT_TRUE(ledger_holds(0));
+    sim.run();
+
+    // The whole medium fails.
+    for (int i = 0; i < 10; ++i) p1.send(make_test_packet(500), util::Ipv4Address(10, 0, 0, 1));
+    recycled = sim.buffer_pool().stats().recycles;
+    lan.set_up(false);
+    EXPECT_EQ(lan.queue(1).stats().flushed, 9u);
+    EXPECT_EQ(sim.buffer_pool().stats().recycles - recycled, 9u);
+    EXPECT_TRUE(ledger_holds(1));
+    sim.run();
+    EXPECT_EQ(lan.queue(0).stats().dropped + lan.queue(1).stats().dropped, 0u);
 }
 
 TEST_F(LanFixture, PreservesPayloadBytes) {

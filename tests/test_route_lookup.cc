@@ -533,9 +533,9 @@ TEST(RouteCache, BlockMatesShareALineUntilAHostRouteSplitsThem) {
     // LAN on without coming back through g. Trunk subnets hold .1 and .2.
     const Ipv4Address d1_addr = store.address(d1);
     const std::size_t via24 = g.routing_table().lookup(d1_addr)->ifindex;
-    std::size_t via32 = g.interface_count();
+    std::uint32_t via32 = g.interface_count();
     Ipv4Address peer;
-    for (std::size_t i = 0; i < g.interface_count() && via32 == g.interface_count(); ++i) {
+    for (std::uint32_t i = 0; i < g.interface_count() && via32 == g.interface_count(); ++i) {
         const std::uint32_t own = g.interface_address(i).value();
         peer = Ipv4Address((own & 0xffu) == 1 ? own + 1 : own - 1);
         for (const core::Gateway* gw : topo.gateways) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace catenet::core {
@@ -147,70 +148,86 @@ std::uint32_t Internetwork::add_leaf_lan(Gateway& gateway, std::uint32_t hosts,
 void Internetwork::use_static_routes() {
     constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
     store_.build_csr();
+
+    // Every origin routes to the same subnets, so each subnet's prefix and
+    // attached nodes are gathered once, in the routing table's order: every
+    // batch then arrives sorted, and bulk_load merges it without sorting.
+    // Allocation order is not table order (a leaf LAN's 11/8 subnet can be
+    // allocated before a trunk's 10/8 one). The sort is stable, so subnets
+    // with one prefix would keep allocation order, and the later would
+    // still win, as over one install() per subnet.
+    struct Target {
+        util::Ipv4Prefix prefix;
+        std::uint32_t first = 0;  ///< attached nodes are attached[first, last)
+        std::uint32_t last = 0;
+    };
+    std::vector<Target> targets;
+    std::vector<NodeId> attached;
+    targets.reserve(store_.subnets().size());
+    TopologyStore::Attachment scratch[2];
+    for (const TopologyStore::SubnetRef& ref : store_.subnets()) {
+        Target target{store_.subnet_prefix(ref), static_cast<std::uint32_t>(attached.size())};
+        for (const TopologyStore::Attachment& att : store_.subnet_attachments(ref, scratch)) {
+            attached.push_back(att.node);
+        }
+        target.last = static_cast<std::uint32_t>(attached.size());
+        targets.push_back(target);
+    }
+    std::stable_sort(targets.begin(), targets.end(), [](const Target& a, const Target& b) {
+        return ip::RoutingTable::precedes(a.prefix, b.prefix);
+    });
+
     const std::size_t n = store_.node_count();
     std::vector<std::uint32_t> dist(n, kInf);
-    std::vector<const Incidence*> first_hop(n, nullptr);
+    // For each reached node, the index in the origin's neighbors of the
+    // first edge on a shortest path to it. Read only where dist is set.
+    std::vector<std::uint32_t> first_hop(n);
     std::vector<NodeId> frontier;
     std::vector<ip::Route> batch;
-    TopologyStore::Attachment scratch[2];
+    batch.reserve(targets.size());
 
     for (Node* origin_node : node_ptrs_) {
         const NodeId origin = origin_node->id();
-        // BFS recording, for each reached node, the first edge taken from
-        // `origin` on a shortest path. Neighbor order is chronological
-        // (edge/attach creation order) — the deterministic tie-break.
+        const std::span<const Incidence> out = store_.neighbors(origin);
+        // BFS. Neighbor order is chronological (edge/attach creation
+        // order) — the deterministic tie-break.
         frontier.clear();
         frontier.push_back(origin);
         dist[origin] = 0;
         for (std::size_t head = 0; head < frontier.size(); ++head) {
             const NodeId current = frontier[head];
-            for (const Incidence& edge : store_.neighbors(current)) {
-                if (dist[edge.peer] != kInf) continue;
-                dist[edge.peer] = dist[current] + 1;
-                first_hop[edge.peer] =
-                    current == origin ? &edge : first_hop[current];
-                frontier.push_back(edge.peer);
+            const std::span<const Incidence> edges = store_.neighbors(current);
+            for (std::uint32_t e = 0; e < edges.size(); ++e) {
+                const NodeId peer = edges[e].peer;
+                if (dist[peer] != kInf) continue;
+                dist[peer] = dist[current] + 1;
+                first_hop[peer] = current == origin ? e : first_hop[current];
+                frontier.push_back(peer);
             }
         }
 
         batch.clear();
-        for (const TopologyStore::SubnetRef& ref : store_.subnets()) {
-            const auto attached = store_.subnet_attachments(ref, scratch);
-            // Skip subnets this node touches (connected route suffices).
-            bool connected = false;
-            for (const TopologyStore::Attachment& att : attached) {
-                if (att.node == origin) connected = true;
-            }
-            if (connected) continue;
-
-            // Nearest attached node (first wins ties, in attach order).
+        for (const Target& target : targets) {
+            // Nearest attached node, the first winning ties. Distance 0 is
+            // the origin itself: its connected route suffices.
             NodeId best = kNoNode;
             std::uint32_t best_dist = kInf;
-            for (const TopologyStore::Attachment& att : attached) {
-                if (dist[att.node] < best_dist) {
-                    best = att.node;
-                    best_dist = dist[att.node];
+            for (std::uint32_t i = target.first; i < target.last; ++i) {
+                if (dist[attached[i]] < best_dist) {
+                    best = attached[i];
+                    best_dist = dist[attached[i]];
                 }
             }
-            if (best == kNoNode) continue;  // unreachable
-
-            const Incidence* hop = first_hop[best];
-            ip::Route route;
-            route.prefix = store_.subnet_prefix(ref);
-            route.next_hop = hop->peer_addr;
-            route.ifindex = hop->ifindex;
-            route.metric = best_dist;
-            route.origin = "static";
-            batch.push_back(route);
+            if (best_dist == 0 || best == kNoNode) continue;  // connected or unreachable
+            const Incidence& hop = out[first_hop[best]];
+            batch.push_back(ip::Route{target.prefix, hop.peer_addr, hop.ifindex, best_dist,
+                                      ip::RouteOrigin::Tag::Static});
         }
         origin_node->ip().routing_table().bulk_load(batch);
 
-        // Undo only what the BFS touched: resetting the full arrays per
+        // Undo only what the BFS touched: resetting the full array per
         // origin would be O(nodes²) across a large build.
-        for (const NodeId id : frontier) {
-            dist[id] = kInf;
-            first_hop[id] = nullptr;
-        }
+        for (const NodeId id : frontier) dist[id] = kInf;
     }
 }
 
@@ -231,7 +248,7 @@ void Internetwork::install_host_default_routes() {
         route.prefix = util::Ipv4Prefix(util::Ipv4Address(0), 0);
         route.next_hop = chosen->peer_addr;
         route.ifindex = chosen->ifindex;
-        route.origin = "static";
+        route.origin = ip::RouteOrigin::Tag::Static;
         host->ip().routing_table().install(route);
     }
 }

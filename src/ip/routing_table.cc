@@ -10,10 +10,8 @@ namespace catenet::ip {
 
 namespace {
 
-/// The table's sort key: longer prefixes first, then ascending prefix
-/// address. Within one length prefixes are disjoint, so at most one can
-/// contain a given destination — first-match iteration over this order IS
-/// longest-prefix match.
+/// RoutingTable::precedes() over a raw (length, address) key, so a lookup
+/// probes without building a prefix.
 inline bool key_less(int len_a, std::uint32_t addr_a, int len_b,
                      std::uint32_t addr_b) noexcept {
     if (len_a != len_b) return len_a > len_b;
@@ -21,8 +19,7 @@ inline bool key_less(int len_a, std::uint32_t addr_a, int len_b,
 }
 
 inline bool route_less(const Route& a, const Route& b) noexcept {
-    return key_less(a.prefix.length(), a.prefix.address().value(), b.prefix.length(),
-                    b.prefix.address().value());
+    return RoutingTable::precedes(a.prefix, b.prefix);
 }
 
 /// The first route of the table's array (const or not) not ordered before
@@ -84,43 +81,54 @@ void RoutingTable::install(const Route& route) {
 
 void RoutingTable::bulk_load(std::span<const Route> routes) {
     if (routes.empty()) return;
-    // Keep-last dedup within the batch (a later duplicate wins, matching a
-    // sequence of install() calls): sort (key, batch index) descending by
-    // index within a key, keep the first seen per key.
-    std::vector<std::pair<const Route*, std::size_t>> batch;
-    batch.reserve(routes.size());
-    for (std::size_t i = 0; i < routes.size(); ++i) batch.emplace_back(&routes[i], i);
-    std::sort(batch.begin(), batch.end(), [](const auto& x, const auto& y) {
-        if (x.first->prefix != y.first->prefix) return route_less(*x.first, *y.first);
-        return x.second > y.second;
-    });
+    // A batch in table order is taken as it stands. Any other is sorted
+    // into a copy, stably, so that equal prefixes keep their batch order.
+    std::vector<Route> sorted;
+    if (!std::is_sorted(routes.begin(), routes.end(), route_less)) {
+        sorted.assign(routes.begin(), routes.end());
+        std::stable_sort(sorted.begin(), sorted.end(), route_less);
+        routes = sorted;
+    }
+    // Keep-last: of a run of equal prefixes only the last counts, as over
+    // a sequence of install() calls.
+    const auto superseded = [&](std::size_t i) {
+        return i + 1 < routes.size() && routes[i + 1].prefix == routes[i].prefix;
+    };
+    // Whether the table's old routes hold route i's prefix, leaving `at`
+    // at its place among them. The batch shares the table's order, so one
+    // forward walk over the old routes serves the whole batch.
+    const std::size_t old_size = ordered_.size();
+    std::size_t at = 0;
+    const auto held = [&](std::size_t i) {
+        while (at < old_size && route_less(ordered_[at], routes[i])) ++at;
+        return at < old_size && ordered_[at].prefix == routes[i].prefix;
+    };
 
-    // Replace in place the prefixes the table holds, and compact the new
-    // ones to the front of `batch`, still in key order, so that the array
-    // grows once, by exactly their count.
+    // Replace in place the prefixes the table holds and count the rest, so
+    // that the array grows once, by exactly their count; then append the
+    // rest, still in key order.
     std::size_t fresh = 0;
-    const util::Ipv4Prefix* last = nullptr;
-    for (const auto& [route, index] : batch) {
-        if (last != nullptr && *last == route->prefix) continue;  // dup: later won
-        last = &route->prefix;
-        auto pos = slot(ordered_, route->prefix);
-        if (pos != ordered_.end() && pos->prefix == route->prefix) {
-            *pos = *route;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+        if (superseded(i)) continue;
+        if (held(i)) {
+            ordered_[at] = routes[i];
         } else {
-            batch[fresh++].first = route;
+            ++fresh;
         }
     }
-    const std::size_t old_size = ordered_.size();
-    ordered_.reserve(old_size + fresh);
-    for (std::size_t i = 0; i < fresh; ++i) {
-        ordered_.push_back(*batch[i].first);
-        note_added(batch[i].first->prefix.length());
+    if (fresh > 0) {
+        ordered_.reserve(old_size + fresh);
+        at = 0;
+        for (std::size_t i = 0; i < routes.size(); ++i) {
+            if (superseded(i) || held(i)) continue;
+            ordered_.push_back(routes[i]);
+            note_added(routes[i].prefix.length());
+        }
+        // One merge restores the global order: the tail is already sorted.
+        std::inplace_merge(ordered_.begin(),
+                           ordered_.begin() + static_cast<std::ptrdiff_t>(old_size),
+                           ordered_.end(), route_less);
     }
-    // One merge restores the global order: the new routes were appended in
-    // key order, so the tail is already sorted.
-    std::inplace_merge(ordered_.begin(),
-                       ordered_.begin() + static_cast<std::ptrdiff_t>(old_size),
-                       ordered_.end(), route_less);
     ++generation_;
 }
 

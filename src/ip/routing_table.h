@@ -16,8 +16,9 @@
 // install, remove, and each per-length probe of the longest-prefix match —
 // is a binary search, and a 33-bit occupancy mask skips empty lengths, so
 // lookup costs O(distinct-lengths × log n) instead of a linear scan.
-// Population-scale builds go through bulk_load(): one sort per batch
-// rather than one ordered insertion per route.
+// Population-scale builds go through bulk_load(): one merge per batch
+// rather than one ordered insertion per route, and no sort for a batch
+// that arrives in table order, as the static-route pass builds them.
 #pragma once
 
 #include <array>
@@ -133,8 +134,19 @@ public:
     /// installs), but new routes are appended, growing the array once, and
     /// merged with ONE pass. The topology generator's route-computation
     /// path — a hundred thousand installs arrive as one batch per node.
-    /// Bumps the generation once for a non-empty batch.
+    /// A batch already in table order (see precedes()) is taken as it
+    /// stands; any other is stably sorted first. Bumps the generation once
+    /// for a non-empty batch.
     void bulk_load(std::span<const Route> routes);
+
+    /// The table's order: longer prefixes first, then ascending prefix
+    /// address. Within one length prefixes are disjoint, so first-match
+    /// iteration over this order is longest-prefix match.
+    static constexpr bool precedes(const util::Ipv4Prefix& a,
+                                   const util::Ipv4Prefix& b) noexcept {
+        if (a.length() != b.length()) return a.length() > b.length();
+        return a.address().value() < b.address().value();
+    }
 
     /// Removes the route for exactly this prefix; returns whether found.
     bool remove(const util::Ipv4Prefix& prefix);
@@ -178,9 +190,9 @@ private:
     void note_added(int length) noexcept;
     void note_removed(int length) noexcept;
 
-    /// Sorted by (descending prefix length, ascending prefix address):
-    /// binary-searchable, and still longest-prefix-first for first-match
-    /// iteration and the routes() snapshot.
+    /// Sorted by precedes(): binary-searchable, and still
+    /// longest-prefix-first for first-match iteration and the routes()
+    /// snapshot.
     std::vector<Route> ordered_;
     /// Routes per prefix length, plus a 33-bit occupancy mask (bit = a
     /// length with at least one route) so lookup() probes only lengths

@@ -50,7 +50,6 @@ public:
             }
             dst = static_cast<std::uint16_t>(it->second);
         }
-        const std::size_t wire_size = packet.size() + kFrameHeader;
         Packet frame = frame_packet(std::move(packet), dst);
         if (!queue_->enqueue(std::move(frame))) {
             // Strip the LAN framing so observers see the network-layer
@@ -62,9 +61,16 @@ public:
             lan_.sim_.buffer_pool().recycle(std::move(frame.bytes));
             return;
         }
-        ++stats_.packets_sent;
-        stats_.bytes_sent += wire_size;
         lan_.transmit_from(index_);
+    }
+
+    // The medium took one of this station's frames. Counted here, not at
+    // enqueue, as a point-to-point port counts at transmission: a frame
+    // flushed from the queue was never sent.
+    void note_transmitted(std::size_t frame_bytes, sim::Time tx) {
+        ++stats_.packets_sent;
+        stats_.bytes_sent += frame_bytes;
+        stats_.busy_ns += static_cast<std::uint64_t>(tx.nanos());
     }
 
     void set_up(bool up) override {
@@ -149,6 +155,7 @@ void Lan::medium_idle() {
         }
         medium_busy_ = true;
         const sim::Time tx = serialization_time(frame->size(), params_.bits_per_second);
+        ports_[src]->note_transmitted(frame->size(), tx);
         // The frame rides inside the event slot itself: this + src + a
         // 32-byte Packet is a 48-byte capture, inside InlineCallback's
         // 64-byte budget. A forwarding station can re-enter medium_idle()

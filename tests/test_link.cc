@@ -478,7 +478,9 @@ TEST_F(LanFixture, FrameReachingADownPortOrDeadMediumIsLostAndRecycled) {
 }
 
 TEST_F(LanFixture, DownPortOrMediumFlushesQueuesIntoThePool) {
-    // A LAN port counts packets_sent as it queues a frame, so its queue
+    // A LAN port counts packets_sent, bytes_sent and busy_ns when the
+    // medium takes a frame, as a point-to-point port counts at
+    // transmission, so a flushed frame is never counted as sent. Its queue
     // carries the ledger: enqueued = dequeued + flushed + still queued.
     Lan lan(sim, rng, params);
     auto& p0 = lan.add_port();
@@ -499,6 +501,11 @@ TEST_F(LanFixture, DownPortOrMediumFlushesQueuesIntoThePool) {
     EXPECT_EQ(lan.queue(0).stats().flushed, 9u);
     EXPECT_EQ(sim.buffer_pool().stats().recycles - recycled, 9u);
     EXPECT_TRUE(ledger_holds(0));
+    // 500 bytes of datagram and the 2-byte LAN header.
+    const sim::Time frame_time = serialization_time(502, params.bits_per_second);
+    EXPECT_EQ(p0.stats().packets_sent, 1u);
+    EXPECT_EQ(p0.stats().bytes_sent, 502u);
+    EXPECT_EQ(p0.stats().busy_ns, static_cast<std::uint64_t>(frame_time.nanos()));
     sim.run();
 
     // The whole medium fails.
@@ -510,6 +517,14 @@ TEST_F(LanFixture, DownPortOrMediumFlushesQueuesIntoThePool) {
     EXPECT_TRUE(ledger_holds(1));
     sim.run();
     EXPECT_EQ(lan.queue(0).stats().dropped + lan.queue(1).stats().dropped, 0u);
+    // The medium carried one frame from each station; the one in flight
+    // when the medium failed counts as sent and as the LAN's loss.
+    EXPECT_EQ(p0.stats().packets_sent, 1u);
+    EXPECT_EQ(p1.stats().packets_sent, 1u);
+    EXPECT_EQ(p1.stats().bytes_sent, 502u);
+    EXPECT_EQ(p1.stats().busy_ns, static_cast<std::uint64_t>(frame_time.nanos()));
+    EXPECT_EQ(lan.total_bytes_sent(), 2u * 502u);
+    EXPECT_EQ(lan.channel_stats().packets_lost, 1u);
 }
 
 TEST_F(LanFixture, PreservesPayloadBytes) {

@@ -1,7 +1,9 @@
 // Route-lookup and scale-forwarding tests (DESIGN.md §13): a randomized
 // differential property test pinning RoutingTable::lookup() to a brute-
 // force longest-prefix match over routes() (install/remove/bulk_load/
-// remove_by_origin interleavings × random and boundary addresses), nested
+// remove_by_origin interleavings × random and boundary addresses), and
+// the table itself to a twin that takes every batch as install() calls
+// (random, ascending, duplicated and overlapping batches), nested
 // prefixes and generation-bump visibility, set-associative route cache
 // eviction on the IpStack, the block-keyed route cache against lookup()
 // (a differential over sent and forwarded datagrams, and block-mates of
@@ -9,6 +11,7 @@
 // train-vs-single leaf injection parity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -97,6 +100,9 @@ class RouteLookupDifferential : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(RouteLookupDifferential, RandomMutationInterleavingsAgreeWithBruteForce) {
     util::Rng rng(GetParam());
     RoutingTable table;
+    // The same mutations with every batch applied as install() calls, in
+    // batch order: bulk_load must leave exactly this table.
+    RoutingTable sequential;
 
     // Lengths from the default route to host routes, dense around the
     // byte boundaries where masking mistakes show.
@@ -117,26 +123,66 @@ TEST_P(RouteLookupDifferential, RandomMutationInterleavingsAgreeWithBruteForce) 
                           origins[rng.uniform(0, 2)]);
     };
 
+    // A batch in one of four shapes: random order; strictly ascending in
+    // table order, as the static-route pass builds them, which bulk_load
+    // takes without sorting; ascending with one prefix repeated under a
+    // different next hop, where the later copy must win; and ascending
+    // with a share of the routes the table already holds, re-pointed, so
+    // they replace in place beside fresh ones.
+    const auto make_batch = [&](int step) {
+        std::vector<Route> batch;
+        const auto n = rng.uniform(1, 40);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            batch.push_back(random_route(step + static_cast<int>(i)));
+        }
+        const std::uint64_t shape = rng.uniform(0, 3);
+        if (shape == 0) return batch;
+        if (shape == 3) {
+            for (const Route& held : table.routes()) {
+                if (!rng.chance(0.5)) continue;
+                Route again = held;
+                again.next_hop = Ipv4Address(static_cast<std::uint32_t>(step + 1));
+                batch.push_back(again);
+            }
+        }
+        const auto less = [](const Route& a, const Route& b) {
+            return RoutingTable::precedes(a.prefix, b.prefix);
+        };
+        std::stable_sort(batch.begin(), batch.end(), less);
+        const auto same_prefix = [](const Route& a, const Route& b) { return a.prefix == b.prefix; };
+        batch.erase(std::unique(batch.begin(), batch.end(), same_prefix), batch.end());
+        if (shape == 2) {
+            const auto at = static_cast<std::ptrdiff_t>(rng.uniform(0, batch.size() - 1));
+            Route twin = batch[static_cast<std::size_t>(at)];
+            twin.next_hop = Ipv4Address(0x0A0000FEu);
+            twin.ifindex += 1;
+            batch.insert(batch.begin() + at + 1, twin);
+        }
+        return batch;
+    };
+
     for (int step = 0; step < 200; ++step) {
         const std::uint64_t op = rng.uniform(0, 9);
         if (op < 5) {
-            table.install(random_route(step));
+            const Route route = random_route(step);
+            table.install(route);
+            sequential.install(route);
         } else if (op < 7 && table.size() > 0) {
             // Remove an existing prefix (hit the table, not thin air).
             const auto snapshot = table.routes();
             const auto victim = rng.uniform(0, snapshot.size() - 1);
             table.remove(snapshot[victim].prefix);
+            sequential.remove(snapshot[victim].prefix);
         } else if (op < 9) {
-            std::vector<Route> batch;
-            const auto n = rng.uniform(1, 40);
-            batch.reserve(n);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                batch.push_back(random_route(step + i));
-            }
+            const std::vector<Route> batch = make_batch(step);
             table.bulk_load(batch);
+            for (const Route& route : batch) sequential.install(route);
         } else {
-            table.remove_by_origin(origins[rng.uniform(0, 2)].view());
+            const RouteOrigin origin = origins[rng.uniform(0, 2)];
+            table.remove_by_origin(origin.view());
+            sequential.remove_by_origin(origin.view());
         }
+        ASSERT_EQ(table.routes(), sequential.routes()) << "step " << step;
         if (step % 10 == 0 || step > 190) {
             expect_lookup_matches_brute_force(table, rng);
         }
